@@ -1,24 +1,26 @@
-"""Bench: batched fault propagation vs the serial per-trial path.
+"""Bench: batched fault propagation vs the per-trial full-recompute path.
 
 The campaign hot path propagates each prepared corruption through the
-network tail.  ``_SafeTrialTask.run_many`` groups a chunk's trials by
+network tail.  ``_CampaignTask.run_many`` groups a chunk's trials by
 resume layer and pushes each group through
 ``Network.forward_from_batch``, which delta-propagates per-trial dirty
 row spans and drops trials the instant their corruption is masked
 mid-flight (see docs/architecture.md).  Results are bit-identical to
-the serial path by contract; this bench measures what the grouping
+the per-trial path by contract; this bench measures what the grouping
 buys and enforces the >= 2x floor at group size >= 16.
 
-Protocol: one warm ``_SafeTrialTask``, best-of-3 wall time over the
-same 250-trial ConvNet datapath campaign, serial (``task(i)`` per
-trial) vs batched (``run_many`` over 64-trial chunks, the runner's
-chunk size) at group sizes 16/32/64.
+Protocol: one warm ``_CampaignTask``, best-of-5 wall time over the
+same 250-trial ConvNet datapath campaign, serial (each trial sampled,
+built, propagated by ``finish_injection`` and classified on its own)
+vs batched (``run_many`` over 64-trial chunks, the runner's chunk size)
+at group sizes 16/32/64.
 """
 
 from time import perf_counter
 
 from conftest import _registry
-from repro.core.campaign import CampaignSpec, _SafeTrialTask
+from repro.core.campaign import CampaignSpec, _CampaignTask
+from repro.core.injector import finish_injection
 
 from bench_common import TRIALS
 
@@ -43,12 +45,20 @@ def _best_of(fn, rounds=5):
 
 
 def _measure():
-    task = _SafeTrialTask(SPEC)
+    task = _CampaignTask(SPEC)
     idx = list(range(TRIALS))
 
     def serial():
-        task.group_size = 1
-        return [task(i) for i in idx]
+        records = []
+        for i in idx:
+            fault, meta = task.sample_trial(i)
+            prep = task.build_trial(fault, meta)
+            injection = finish_injection(
+                task.network, task.dtype, prep, meta["golden"],
+                record=meta["record"], storage_dtype=task.storage_dtype,
+            )
+            records.append(task.complete_trial(meta, injection))
+        return records
 
     def batched(group):
         task.group_size = group

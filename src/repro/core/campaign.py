@@ -534,8 +534,9 @@ def _maybe_test_fault(trial: int) -> None:
 
 
 class _CampaignTask:
-    """Per-worker task: builds the network/goldens once, runs one trial
-    per call.  Constructed lazily inside each worker process.
+    """Per-worker campaign task: builds the network/goldens once, then
+    runs slices of trials through :meth:`run_many`.  Constructed lazily
+    inside each worker process.
 
     When a :class:`~repro.core.sharedgolden.GoldenDescriptor` is given,
     the golden activations, quantized weights and learned detector are
@@ -544,11 +545,40 @@ class _CampaignTask:
     phases run exactly once per campaign, in the parent.  Either way the
     golden bits are identical (the parent computed them with this same
     code), so trial outcomes are unaffected by the transport.
+
+    An exception inside a trial becomes a quarantined
+    :class:`TrialError` value instead of poisoning the slice.  The task
+    is also the per-worker observability surface: classified trials fold
+    into a process-local :class:`MetricsRegistry`, and
+    :meth:`collect_obs` takes a *delta* snapshot that travels back in the
+    same message as the slice's results (see ``repro.utils.parallel``),
+    so a crashed or timed-out chunk loses its metrics and its records
+    together — retries can never double-count.  Quarantined trials
+    increment nothing: the registry counts classified outcomes only,
+    which is what keeps serial, parallel and resumed totals
+    byte-identical.
     """
 
-    def __init__(self, spec: CampaignSpec, golden=None):
+    def __init__(self, spec: CampaignSpec, *, spans: bool = False, batch: int = 1,
+                 golden=None):
+        if spans:
+            # First, so golden_infer / learn_detector and the per-layer
+            # forward spans inside them are captured.
+            enable_spans()
         self.spec = spec
         self.last_site: str | None = None
+        #: Maximum trials propagated per forward_from_batch call.
+        self.group_size = max(1, int(batch))
+        self.metrics = MetricsRegistry()
+        #: Propagation-trace rows for trials in the traced subset; like
+        #: the metric deltas, they ship back with the slice's results in
+        #: :meth:`collect_obs`, so a crashed chunk loses its traces and
+        #: its records together and retries never duplicate rows.
+        self.traces: list[dict] = []
+        #: Strata the early-stopping planner has closed.  Updated per
+        #: round via :meth:`apply_control`; faults in a closed stratum
+        #: skip corruption build + propagation.
+        self._closed: frozenset[str] = frozenset()
         self.dtype = get_dtype(spec.dtype)
         self.storage_dtype = get_dtype(spec.storage_dtype) if spec.storage_dtype else None
         self.network = get_network(spec.network, spec.scale)
@@ -615,7 +645,9 @@ class _CampaignTask:
         coordinates are a pure function of the trial index), so early
         stopping can decide from the returned ``meta`` whether the
         expensive :meth:`build_trial` + propagation is needed at all.
-        Returns ``(fault, meta)``.
+        Returns ``(fault, meta)``; ``meta`` carries everything
+        :meth:`complete_trial` needs (golden, site, block, bit, record
+        flag).
         """
         spec = self.spec
         self.last_site = None
@@ -667,17 +699,6 @@ class _CampaignTask:
             self.network, self.dtype, fault, meta["golden"], self.storage_dtype
         )
 
-    def prepare_trial(self, trial: int):
-        """Sample and build trial ``trial``'s corruption without propagating.
-
-        Returns ``(prep, meta)`` where ``prep`` is the
-        :class:`~repro.core.injector.PreparedInjection` and ``meta``
-        carries everything :meth:`complete_trial` needs (golden, site,
-        block, bit, record flag).
-        """
-        fault, meta = self.sample_trial(trial)
-        return self.build_trial(fault, meta), meta
-
     def close(self) -> None:
         """Detach the shared golden view, if one is attached.
 
@@ -728,50 +749,6 @@ class _CampaignTask:
             reached_output=reached,
         )
 
-    def __call__(self, trial: int) -> TrialRecord:
-        prep, meta = self.prepare_trial(trial)
-        injection = finish_injection(
-            self.network, self.dtype, prep, meta["golden"],
-            record=meta["record"], storage_dtype=self.storage_dtype,
-        )
-        return self.complete_trial(meta, injection)
-
-
-class _SafeTrialTask:
-    """Per-worker wrapper: an exception inside a trial becomes a
-    quarantined :class:`TrialError` instead of poisoning the chunk.
-
-    Also the per-worker observability surface.  Successful trials fold
-    into a process-local :class:`MetricsRegistry`; :meth:`collect_obs`
-    takes a *delta* snapshot that travels back in the same message as the
-    chunk's results (see ``repro.utils.parallel``), so a crashed or
-    timed-out chunk loses its metrics and its records together — retries
-    can never double-count.  Quarantined trials increment nothing: the
-    registry counts classified outcomes only, which is what keeps serial,
-    parallel and resumed totals byte-identical.
-    """
-
-    def __init__(self, spec: CampaignSpec, spans: bool = False, batch: int = 1,
-                 golden=None):
-        if spans:
-            # Before _CampaignTask so golden_infer / learn_detector and
-            # the per-layer forward spans inside them are captured.
-            enable_spans()
-        self.metrics = MetricsRegistry()
-        #: Propagation-trace rows for trials in the traced subset; like
-        #: the metric deltas, they ship back with the chunk's results in
-        #: :meth:`collect_obs`, so a crashed chunk loses its traces and
-        #: its records together and retries never duplicate rows.
-        self.traces: list[dict] = []
-        #: Trials propagated per forward_from_batch call; the parallel
-        #: layer dispatches whole index slices to run_many when > 1.
-        self.group_size = max(1, int(batch))
-        self.task = _CampaignTask(spec, golden)
-        #: Strata the early-stopping planner has closed.  Updated per
-        #: round via :meth:`apply_control`; faults in a closed stratum
-        #: skip corruption build + propagation.
-        self._closed: frozenset[str] = frozenset()
-
     def apply_control(self, ctl: object) -> None:
         """Install the planner's per-round control message.
 
@@ -788,61 +765,15 @@ class _SafeTrialTask:
         if not self._closed:
             return None
         key = stratum_key(
-            self.task.spec.stop_stratify, meta["site"], meta["block"], meta["bit"]
+            self.spec.stop_stratify, meta["site"], meta["block"], meta["bit"]
         )
         if key not in self._closed:
             return None
         skip = TrialSkip(
             index=trial, site=meta["site"], block=meta["block"], bit=meta["bit"]
         )
-        record_skip_metrics(self.metrics, self.task.spec, skip)
+        record_skip_metrics(self.metrics, self.spec, skip)
         return skip
-
-    def close(self) -> None:
-        """Release per-worker resources (the shared golden view)."""
-        self.task.close()
-
-    def __call__(self, trial: int) -> TrialRecord | TrialError | TrialSkip:
-        try:
-            with span("trial"):
-                fault, meta = self.task.sample_trial(trial)
-                skip = self._maybe_skip(trial, meta)
-                if skip is not None:
-                    return skip
-                prep = self.task.build_trial(fault, meta)
-                injection = finish_injection(
-                    self.task.network, self.task.dtype, prep, meta["golden"],
-                    record=meta["record"], storage_dtype=self.task.storage_dtype,
-                )
-                record = self.task.complete_trial(meta, injection)
-        except Exception as exc:
-            return TrialError(
-                index=trial,
-                reason="error",
-                exc_type=type(exc).__name__,
-                message=exc_summary(exc),
-                site=self.task.last_site,
-            )
-        record_trial_metrics(self.metrics, record)
-        self._emit_trace(trial, meta, injection, record)
-        return record
-
-    def _emit_trace(self, trial: int, meta: dict, injection: InjectionResult,
-                    record: TrialRecord) -> None:
-        """Derive and stage the trial's propagation-trace row, if traced."""
-        if not meta.get("traced"):
-            return
-        self.traces.append(
-            build_trace(
-                trial=trial,
-                meta=meta,
-                injection=injection,
-                record=record,
-                network=self.task.network,
-                detector=self.task.detector,
-                detector_checkpoints=self.task.detector_checkpoints,
-            )
-        )
 
     def _quarantine(self, trial: int, exc: Exception, site: str | None) -> TrialError:
         return TrialError(
@@ -854,51 +785,60 @@ class _SafeTrialTask:
         )
 
     def _complete(self, trial: int, meta: dict, injection: InjectionResult):
+        """Classify and trace one propagated trial, or quarantine it.
+
+        The record and the trace row are both built before either is
+        kept: a trial whose classification or trace raises folds no
+        metrics and stages no row, so it is counted nowhere but in the
+        errors.
+        """
         try:
-            record = self.task.complete_trial(meta, injection)
+            record = self.complete_trial(meta, injection)
+            row = None
+            if meta["traced"]:
+                row = build_trace(
+                    trial=trial,
+                    meta=meta,
+                    injection=injection,
+                    record=record,
+                    network=self.network,
+                    detector=self.detector,
+                    detector_checkpoints=self.detector_checkpoints,
+                )
         except Exception as exc:
             return self._quarantine(trial, exc, meta["site"])
         record_trial_metrics(self.metrics, record)
-        self._emit_trace(trial, meta, injection, record)
+        if row is not None:
+            self.traces.append(row)
         return record
 
-    def _finish_serial(self, trial: int, prep, meta: dict):
-        try:
-            injection = finish_injection(
-                self.task.network, self.task.dtype, prep, meta["golden"],
-                record=meta["record"], storage_dtype=self.task.storage_dtype,
-            )
-        except Exception as exc:
-            return self._quarantine(trial, exc, meta["site"])
-        return self._complete(trial, meta, injection)
-
     def run_many(self, indices: list[int]) -> list:
-        """Run a slice of trials with grouped (batched) propagation.
+        """Run a slice of trials; the only way a campaign trial executes.
 
-        Corruption building, outcome classification and the metric folds
-        stay per-trial; only the network-tail propagation is grouped, by
-        resume layer (``spec.storage_dtype`` is constant per campaign, so
-        the resume index alone determines the tail computation).  Results
-        are positionally aligned with ``indices`` and bit-identical to
-        calling ``self(i)`` for each index; a failing group falls back to
-        serial propagation so one bad trial cannot poison its batch-mates.
+        Sampling, corruption building, classification and the metric
+        folds stay per-trial.  Masked preparations finish without
+        propagation; the rest are grouped by resume layer
+        (``spec.storage_dtype`` is constant per campaign, so the resume
+        index alone determines the tail computation) and delta-propagated
+        through ``forward_from_batch`` in groups of at most
+        ``group_size``.  Results are positionally aligned with
+        ``indices`` and bit-identical for every group size.
         """
         results: list = [None] * len(indices)
         groups: dict[int, list] = {}
         for pos, trial in enumerate(indices):
             try:
                 with span("trial"):
-                    fault, meta = self.task.sample_trial(trial)
+                    fault, meta = self.sample_trial(trial)
                     skip = self._maybe_skip(trial, meta)
                     if skip is not None:
                         results[pos] = skip
                         continue
-                    prep = self.task.build_trial(fault, meta)
+                    prep = self.build_trial(fault, meta)
                     if prep.masked:
                         injection = finish_injection(
-                            self.task.network, self.task.dtype, prep,
-                            meta["golden"], record=meta["record"],
-                            storage_dtype=self.task.storage_dtype,
+                            self.network, self.dtype, prep, meta["golden"],
+                            record=meta["record"], storage_dtype=self.storage_dtype,
                         )
                         results[pos] = self._complete(trial, meta, injection)
                     else:
@@ -906,7 +846,7 @@ class _SafeTrialTask:
                             (pos, trial, prep, meta)
                         )
             except Exception as exc:
-                results[pos] = self._quarantine(trial, exc, self.task.last_site)
+                results[pos] = self._quarantine(trial, exc, self.last_site)
         for items in groups.values():
             # Cluster corruptions on nearby rows into the same batch: the
             # delta engine recomputes each batch's *union* row span, so a
@@ -923,7 +863,6 @@ class _SafeTrialTask:
         return results
 
     def _run_group(self, items: list, results: list) -> None:
-        task = self.task
         resume_index = items[0][2].resume_index
         # Record when *any* trial in the group needs activations (trace
         # sampling makes the flag per-trial); recording never changes
@@ -931,21 +870,25 @@ class _SafeTrialTask:
         record = any(meta["record"] for _, _, _, meta in items)
         try:
             with span("propagate_batch"):
-                batch = task.network.forward_from_batch(
+                batch = self.network.forward_from_batch(
                     resume_index,
                     [prep.act for _, _, prep, _ in items],
-                    dtype=task.dtype,
+                    dtype=self.dtype,
                     record=record,
-                    storage_dtype=task.storage_dtype,
+                    storage_dtype=self.storage_dtype,
                     goldens=[meta["golden"] for _, _, _, meta in items],
                     dirty_rows=[prep.dirty_rows for _, _, prep, _ in items],
                 )
-        except Exception:
-            # Batched propagation failed (e.g. one pathological trial):
-            # redo the whole group serially so each trial quarantines —
-            # or succeeds — on its own.
-            for pos, trial, prep, meta in items:
-                results[pos] = self._finish_serial(trial, prep, meta)
+        except Exception as exc:
+            if len(items) == 1:
+                pos, trial, _, meta = items[0]
+                results[pos] = self._quarantine(trial, exc, meta["site"])
+                return
+            # One pathological trial must not sink its batch-mates: re-run
+            # the group as groups of one, so only a trial that fails on
+            # its own is quarantined.
+            for item in items:
+                self._run_group([item], results)
             return
         for b, (pos, trial, prep, meta) in enumerate(items):
             injection = InjectionResult(
@@ -1090,15 +1033,17 @@ def run_campaign(
     Args:
         spec: Campaign configuration.
         jobs: Worker processes (1 = inline, None/0 = all cores).
-        batch: Trials propagated per ``forward_from_batch`` call (1 =
-            the serial per-trial path).  An execution knob, not part of
+        batch: Maximum group size: trials propagated per
+            ``forward_from_batch`` call.  An execution knob, not part of
             the campaign identity: results, checkpoints and metric
-            counters are bit-identical for every value (the batched
-            engine replays the serial arithmetic exactly), so it is
+            counters are bit-identical for every value (each trial's
+            arithmetic is independent of its batch-mates), so it is
             deliberately *not* in :class:`CampaignSpec` or the
             checkpoint fingerprint — a campaign checkpointed at one
             batch size resumes correctly at another.
-        chunk: Trials per inter-process message.
+        chunk: Trials per slice handed to a worker (or run inline) at
+            once; with a checkpoint, capped at ``checkpoint_every`` so
+            completed trials reach the checkpoint at that cadence.
         shared_golden: Publish the golden activations / quantized
             weights / detector into a ``multiprocessing.shared_memory``
             segment computed once by the parent; workers attach
@@ -1382,6 +1327,10 @@ def run_campaign(
                 checkpoint=Path(checkpoint) if checkpoint is not None else None,
             )
 
+    if writer is not None:
+        # A slice's trials return together; capping the slice lets
+        # completed trials reach the checkpoint at its cadence.
+        chunk = min(chunk, max(1, checkpoint_every))
     descriptor = None
     shm_handle = None
     try:
@@ -1403,7 +1352,9 @@ def run_campaign(
                 # functools.partial (not a lambda) so the factory pickles
                 # into workers.
                 map_trials(
-                    partial(_SafeTrialTask, spec, spans, batch, descriptor),
+                    partial(
+                        _CampaignTask, spec, spans=spans, batch=batch, golden=descriptor
+                    ),
                     n_trials=0,
                     jobs=jobs,
                     chunk=chunk,

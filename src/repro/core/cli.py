@@ -73,8 +73,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="Proteus-style reduced-precision buffer storage")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--batch", type=int, default=1,
-                        help="trials propagated per batched forward pass "
-                             "(1 = serial; results are bit-identical)")
+                        help="maximum group size: trials propagated per batched "
+                             "forward pass (results are bit-identical)")
     parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
                         help="shared-memory golden state: parent computes golden "
                              "activations/weights once, workers attach read-only "

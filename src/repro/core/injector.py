@@ -21,13 +21,14 @@ Each engine is split into two separable stages:
   chain(s), decides maskedness, and produces a
   :class:`PreparedInjection` holding the patched activation plus the
   input-row span the corruption is confined to;
-- :func:`finish_injection` propagates a prepared corruption through the
-  network tail.
+- :func:`finish_injection` propagates one prepared corruption through
+  the network tail by full recomputation — the per-trial reference.
 
-``inject_datapath`` / ``inject_buffer`` compose the two for the serial
-path; the campaign runner instead prepares a whole chunk of trials,
-groups them by resume layer, and propagates each group in one call to
-:meth:`~repro.nn.network.Network.forward_from_batch`.
+``inject_datapath`` / ``inject_buffer`` compose the two for single
+injections.  The campaign runner propagates every unmasked trial
+through :meth:`~repro.nn.network.Network.forward_from_batch` instead:
+it prepares a slice of trials, groups them by resume layer, and
+delta-propagates each group (of one or more trials) in one call.
 """
 
 from __future__ import annotations
@@ -166,40 +167,6 @@ def replay_chain(
     raise ValueError(f"unknown latch {fault.latch!r}")
 
 
-def _patched_resume(
-    network: Network,
-    dtype: DataType,
-    resume_index: int,
-    act: np.ndarray,
-    value_before: float,
-    value_after: float,
-    record: bool,
-    storage_dtype: DataType | None = None,
-) -> InjectionResult:
-    """Resume the forward pass with a patched activation."""
-    res = network.forward_from(
-        resume_index, act, dtype=dtype, record=record, storage_dtype=storage_dtype
-    )
-    return InjectionResult(
-        scores=res.scores,
-        masked=False,
-        value_before=value_before,
-        value_after=value_after,
-        resume_index=resume_index,
-        faulty_activations=[act] + res.activations[1:] if record else [],
-    )
-
-
-def _masked_result(golden: InferenceResult, resume_index: int, value: float) -> InjectionResult:
-    return InjectionResult(
-        scores=golden.scores,
-        masked=True,
-        value_before=value,
-        value_after=value,
-        resume_index=resume_index,
-    )
-
-
 def finish_injection(
     network: Network,
     dtype: DataType,
@@ -208,13 +175,32 @@ def finish_injection(
     record: bool = False,
     storage_dtype: DataType | None = None,
 ) -> InjectionResult:
-    """Propagate a prepared corruption through the network tail."""
+    """Propagate one prepared corruption through the network tail.
+
+    The per-trial full-recompute reference: every layer from
+    ``prep.resume_index`` on is recomputed for this trial alone, with no
+    golden-row reuse.  A masked preparation needs no propagation and
+    returns the golden scores.
+    """
     if prep.masked:
-        return _masked_result(golden, prep.resume_index, prep.value_before)
+        return InjectionResult(
+            scores=golden.scores,
+            masked=True,
+            value_before=prep.value_before,
+            value_after=prep.value_before,
+            resume_index=prep.resume_index,
+        )
     assert prep.act is not None
-    return _patched_resume(
-        network, dtype, prep.resume_index, prep.act, prep.value_before,
-        prep.value_after, record, storage_dtype=storage_dtype,
+    res = network.forward_from(
+        prep.resume_index, prep.act, dtype=dtype, record=record, storage_dtype=storage_dtype
+    )
+    return InjectionResult(
+        scores=res.scores,
+        masked=False,
+        value_before=prep.value_before,
+        value_after=prep.value_after,
+        resume_index=prep.resume_index,
+        faulty_activations=res.activations,
     )
 
 

@@ -34,8 +34,8 @@ class ExperimentConfig:
         scale: Network scale profile.
         seed: Root seed.
         jobs: Worker processes for campaigns (1 = inline).
-        batch: Trials propagated per batched forward pass (1 = serial
-            per-trial propagation; results are bit-identical either way).
+        batch: Maximum group size: trials propagated per batched
+            forward pass (results are bit-identical at every value).
         trial_timeout: Per-trial seconds before a hung chunk is killed
             and retried (None disables deadlines).
         max_retries: Retry budget per failing chunk / raising trial.

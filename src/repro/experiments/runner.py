@@ -139,8 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
     parser.add_argument("--batch", type=int, default=1,
-                        help="trials propagated per batched forward pass "
-                             "(1 = serial; results are bit-identical)")
+                        help="maximum group size: trials propagated per batched "
+                             "forward pass (results are bit-identical)")
     parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
                         help="shared-memory golden state: compute goldens once in "
                              "the parent, workers attach read-only (auto = on for "

@@ -73,7 +73,7 @@ class Dense(MacLayer):
                 # Per-sample GEMV slices: BLAS accumulation order depends
                 # on the matrix extents, so a fused (n, in) @ (in, out)
                 # product would give each sample different bits than the
-                # (1, in) @ (in, out) call the serial path issues.  The
+                # (1, in) @ (in, out) call of a single-trial forward.  The
                 # broadcast matmul runs one identically-shaped call per
                 # sample, keeping batched propagation bit-exact.
                 y = np.matmul(flat[:, None, :], weight.T)[:, 0, :] + bias

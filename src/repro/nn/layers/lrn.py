@@ -70,8 +70,8 @@ class LRN(Layer):
         # per pixel — each pixel's window is a function of its own channel
         # column only — so a clean pixel keeps its fast-path bits no
         # matter what other pixels (or batch mates) contain, which is what
-        # lets batched and partial-row propagation reproduce the serial
-        # engine exactly.
+        # lets batched and partial-row propagation reproduce a single-trial
+        # forward exactly.
         bad = ~np.isfinite(sq)
         if c > self.n:
             # With c <= n every window spans all channels, so overflow of

@@ -4,12 +4,14 @@ The fault injector needs two things beyond plain inference:
 
 - the activation entering every layer (to rebuild a single MAC operand
   chain), and
-- ``forward_from``: resume execution at layer *i* with a corrupted
-  activation, so one injection costs a partial forward pass rather than a
-  full one.
+- resuming execution at layer *i* with a corrupted activation, so one
+  injection costs a partial forward pass rather than a full one.
 
-Both are provided here.  All four paper networks are sequential stacks,
-so no general DAG machinery is required.
+Both are provided here, by one layer loop: :meth:`Network.forward_from_batch`
+resumes B activations at once (delta-propagating each trial's dirty rows
+when given golden traces), ``forward_from`` is a batch of one, and
+``forward`` quantizes the input and resumes at layer 0.  All four paper
+networks are sequential stacks, so no general DAG machinery is required.
 """
 
 from __future__ import annotations
@@ -248,6 +250,9 @@ class Network:
     ) -> InferenceResult:
         """Run a full inference on one unbatched input.
 
+        Quantizes ``x`` into the datapath (and, with ``storage_dtype``,
+        storage) format and resumes at layer 0.
+
         Args:
             x: Input fmap of shape ``input_shape``.
             dtype: Numeric format for weights/activations (None = float64).
@@ -264,19 +269,7 @@ class Network:
         act = dtype.quantize(x) if dtype is not None else np.asarray(x, dtype=np.float64)
         if storage_dtype is not None:
             act = storage_dtype.quantize(act)
-        store_at = self.block_output_indices() if storage_dtype is not None else frozenset()
-        activations: list[np.ndarray] = [act] if record else []
-        batched = act[None]
-        for i, layer in enumerate(self.layers):
-            # span() is a shared no-op unless timing is enabled, so this
-            # per-layer hook stays out of the hot path's profile.
-            with span(f"layer:{layer.name}"):
-                batched = layer.forward(batched, dtype)
-            if i in store_at:
-                batched = storage_dtype.quantize(batched)
-            if record:
-                activations.append(batched[0])
-        return InferenceResult(scores=batched[0].ravel(), activations=activations)
+        return self.forward_from(0, act, dtype, record, storage_dtype)
 
     def forward_from(
         self,
@@ -297,23 +290,10 @@ class Network:
         back as the scores — the natural semantics for a fault landing in
         the final output buffer.  Anything outside that range raises
         ``IndexError``.
+
+        A batch of one: row 0 of :meth:`forward_from_batch`.
         """
-        self._check_resume_index(layer_index)
-        if tuple(act.shape) != self.shapes[layer_index]:
-            raise ValueError(
-                f"expected activation {self.shapes[layer_index]}, got {tuple(act.shape)}"
-            )
-        store_at = self.block_output_indices() if storage_dtype is not None else frozenset()
-        activations: list[np.ndarray] = [act] if record else []
-        batched = np.asarray(act, dtype=np.float64)[None]
-        for i, layer in enumerate(self.layers[layer_index:], start=layer_index):
-            with span(f"layer:{layer.name}"):
-                batched = layer.forward(batched, dtype)
-            if i in store_at:
-                batched = storage_dtype.quantize(batched)
-            if record:
-                activations.append(batched[0])
-        return InferenceResult(scores=batched[0].ravel(), activations=activations)
+        return self.forward_from_batch(layer_index, [act], dtype, record, storage_dtype).result(0)
 
     def _check_resume_index(self, layer_index: int) -> None:
         if not 0 <= layer_index <= len(self.layers):
@@ -337,10 +317,11 @@ class Network:
 
         Bit-exactness contract: for every trial ``b``,
         ``forward_from_batch(i, acts)[b]`` is byte-identical to
-        ``forward_from(i, acts[b])`` with the same arguments.  This holds
+        ``forward_from(i, acts[b])`` (a batch of one) with the same
+        arguments, with or without delta propagation.  This holds
         because every layer evaluates each sample with the exact
         arithmetic (GEMM call shapes, reduction orders, per-pixel path
-        choices) the serial engine uses — see the conv module docstring.
+        choices) whatever the batch size — see the conv module docstring.
 
         ``layer_index`` accepts the same ``[0, len(layers)]`` range as
         :meth:`forward_from`; the upper boundary echoes each ``acts[b]``.
@@ -404,6 +385,8 @@ class Network:
         if alive:
             batched = np.stack([cur[b] for b in alive])
             for i, layer in enumerate(self.layers[start:], start=start):
+                # span() is a shared no-op unless timing is enabled, so this
+                # per-layer hook stays out of the hot path's profile.
                 with span(f"layer:{layer.name}"):
                     batched = layer.forward(batched, dtype)
                 if i in store_at:
@@ -444,7 +427,7 @@ class Network:
         non-max delta, quantization rounds a tiny delta away — the
         paper's section 5 masking mechanisms), the trial's span
         collapses to empty and all remaining work for it disappears.
-        The serial path would recompute exactly those golden bits, so
+        A full recompute would produce exactly those golden bits, so
         skipping them is observationally identical.
         """
         B = len(cur)

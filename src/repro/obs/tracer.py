@@ -20,9 +20,9 @@ executions (the engine's bit-exactness contract), and the derived
 statistics use bitwise comparison (NaN- and ``-0.0``-safe, mirroring
 ``repro.nn.network._bits_equal``).  The trace file is therefore
 byte-identical across every execution shape, including kill/resume —
-the batched path's dead-trial collapse retires a trial by patching
+the delta engine's dead-trial collapse retires a trial by patching
 golden rows back in exactly when its activation bits equal golden, so
-it reports the same masking layer as the serial path.
+it reports the same masking layer as a per-trial full recompute.
 
 The on-disk form is JSONL next to the checkpoint
 (``<checkpoint>.trace.jsonl``): a header line followed by one row per

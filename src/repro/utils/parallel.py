@@ -19,9 +19,10 @@ survive faults, so the fan-out is *supervised*:
 - when the pool keeps dying before any chunk completes, execution
   degrades gracefully to inline (``jobs=1``) mode.
 
-Inline execution (``jobs=1``) has no crash/hang protection — a trial
-that kills or wedges the process kills or wedges the campaign — but
-exceptions raised by trials still surface per-trial.
+Inline execution (``jobs=1``) runs the same chunks through the same
+dispatch in this process.  It has no crash/hang protection — a trial
+that kills or wedges the process kills or wedges the campaign — but a
+raising trial is retried and quarantined exactly as in the pool.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.spans import span
 
@@ -115,35 +116,6 @@ def exc_summary(exc: BaseException, frames: int = 3) -> str:
     return " | ".join(tail)[:500]
 
 
-def _batched(task: object) -> bool:
-    """True when a task opts into whole-slice execution.
-
-    A task advertises grouped execution by exposing ``run_many(indices)
-    -> list`` (positionally aligned values) and a ``group_size`` attribute
-    > 1; the campaign's batched-propagation task is the motivating
-    implementation.  Everything else runs one index per call.
-    """
-    return (
-        getattr(task, "group_size", 1) > 1
-        and callable(getattr(task, "run_many", None))
-    )
-
-
-def _run_slice(task, indices: Sequence[int]) -> list[tuple] | None:
-    """Run a whole index slice via ``task.run_many``; None = fall back.
-
-    ``run_many`` implementations are expected to quarantine per-trial
-    failures internally (returning error *values*); an exception escaping
-    the whole slice is treated as "batching itself is broken" and sends
-    the slice down the per-trial path instead.
-    """
-    try:
-        values = task.run_many(list(indices))
-    except Exception:
-        return None
-    return [("ok", i, v) for i, v in zip(indices, values)]
-
-
 def _apply_ctl(task: object, ctl: object) -> None:
     """Install a round's control message on a task, when both exist.
 
@@ -169,39 +141,45 @@ def _close_task(task: object) -> None:
             pass
 
 
-def _run_chunk(indices: Sequence[int], ctl: object = None) -> list:
-    """Worker body: run each trial, capturing per-trial exceptions.
+def _run_slice(task, indices: Sequence[int], ctl: object = None) -> list[tuple]:
+    """Run one chunk of trials through ``task``, in a worker or inline.
 
-    Returns ``("ok", i, value)`` / ``("err", i, exc_type, summary)``
-    tuples so one raising trial does not poison its chunk-mates and the
-    supervisor can tell a raising trial from a crashed worker.  When the
-    task exposes ``collect_obs()``, its per-chunk observability delta
-    (metric snapshot) rides along as a final ``("obs", payload)`` tuple:
+    Installs the round's control message, then dispatches: a task with
+    ``run_many(indices) -> list`` gets the whole slice and returns
+    positionally aligned values (the campaign task quarantines its
+    per-trial failures itself, as values); a plain callable runs one
+    index per call.  Returns ``("ok", i, value)`` /
+    ``("err", i, exc_type, summary)`` tuples, so one raising trial does
+    not poison its chunk-mates and the supervisor can tell a raising
+    trial from a crashed worker.  When the task exposes
+    ``collect_obs()``, its per-chunk observability delta (metric
+    snapshot) rides along as a final ``("obs", payload)`` tuple:
     snapshot and results travel in the same message, so a crashed or
     timed-out chunk loses both together and re-running it can never
     double-count a trial's metrics.
-
-    Tasks that opt in (see :func:`_batched`) receive the whole chunk via
-    ``run_many`` so they can propagate grouped trials in one batched
-    forward pass.
     """
-    assert _WORKER_TASK is not None, "worker not initialised"
-    _apply_ctl(_WORKER_TASK, ctl)
-    out: list[tuple] | None = None
+    _apply_ctl(task, ctl)
     with span("chunk"):
-        if _batched(_WORKER_TASK):
-            out = _run_slice(_WORKER_TASK, indices)
-        if out is None:
+        run_many = getattr(task, "run_many", None)
+        if callable(run_many):
+            out = [("ok", i, v) for i, v in zip(indices, run_many(list(indices)))]
+        else:
             out = []
             for i in indices:
                 try:
-                    out.append(("ok", i, _WORKER_TASK(i)))
+                    out.append(("ok", i, task(i)))
                 except Exception as exc:
                     out.append(("err", i, type(exc).__name__, exc_summary(exc)))
-    collect = getattr(_WORKER_TASK, "collect_obs", None)
+    collect = getattr(task, "collect_obs", None)
     if callable(collect):
         out.append(("obs", collect()))
     return out
+
+
+def _run_chunk(indices: Sequence[int], ctl: object = None) -> list[tuple]:
+    """Worker body: :func:`_run_slice` on this worker's task."""
+    assert _WORKER_TASK is not None, "worker not initialised"
+    return _run_slice(_WORKER_TASK, indices, ctl)
 
 
 def _emit(on_event: Callable[[str, dict], None] | None, kind: str, **detail) -> None:
@@ -214,7 +192,7 @@ class _Supervisor:
 
     def __init__(
         self,
-        task_factory: Callable[[], Callable[[int], object]],
+        task_factory: Callable[[], object],
         indices: Sequence[int],
         n_jobs: int,
         chunk: int,
@@ -228,6 +206,7 @@ class _Supervisor:
         on_result: Callable[[int, object], None] | None,
         on_obs: Callable[[object], None] | None = None,
         plan: Callable[[], tuple[Sequence[int], object] | None] | None = None,
+        inline: bool = False,
     ):
         self.task_factory = task_factory
         self.n_jobs = n_jobs
@@ -251,7 +230,9 @@ class _Supervisor:
         self.pool: ProcessPoolExecutor | None = None
         self.consecutive_rebuilds = 0
         self.ever_succeeded = False
-        self.degraded = False
+        #: Chunks run in this process: from the start (``jobs=1``) or
+        #: once the pool has degraded.
+        self.inline = inline
         self.inline_task: object | None = None
         if plan is None:
             self._enqueue(indices, None)
@@ -345,37 +326,25 @@ class _Supervisor:
                 self.pending.append(c)
         self.in_flight.clear()
 
-    # -- degraded inline mode ---------------------------------------------- #
-    def _degrade_inline(self) -> None:
+    # -- inline execution -------------------------------------------------- #
+    def _degrade(self) -> None:
+        """Give up on the pool: run every remaining chunk in this process."""
         self.pending.extend(self.probation)
         self.probation.clear()
-        if not self.degraded:
-            self.degraded = True
-            _emit(self.on_event, "degrade",
-                  remaining=sum(len(c.indices) for c in self.pending))
+        self.inline = True
+        _emit(self.on_event, "degrade",
+              remaining=sum(len(c.indices) for c in self.pending))
+        self._run_inline()
+
+    def _run_inline(self) -> None:
         if self.inline_task is None:
-            # Built once and reused across planner rounds: degradation is
-            # sticky for the rest of the map, so setup is paid once.
+            # Built once and reused across planner rounds: inline
+            # execution is sticky for the rest of the map, so setup is
+            # paid once.
             self.inline_task = self.task_factory()
-        task = self.inline_task
         while self.pending:
             c = self.pending.popleft()
-            _apply_ctl(task, c.ctl)
-            with span("chunk"):
-                batched = _run_slice(task, c.indices) if _batched(task) else None
-                if batched is not None:
-                    for _, i, value in batched:
-                        self._record(i, value)
-                    continue
-                for i in c.indices:
-                    try:
-                        self._record(i, task(i))
-                    except Exception as exc:
-                        self._quarantine(i, "error", c.attempts + 1,
-                                         exc_type=type(exc).__name__, message=exc_summary(exc))
-        collect = getattr(task, "collect_obs", None)
-        if callable(collect) and self.on_obs is not None:
-            self.on_obs(collect())
+            self._absorb(_run_slice(self.inline_task, c.indices, c.ctl), c.ctl)
 
     # -- completed-future processing --------------------------------------- #
     def _absorb(self, payload: list, ctl: object = None) -> None:
@@ -422,8 +391,8 @@ class _Supervisor:
         return self.results
 
     def _run_round(self) -> None:
-        if self.degraded:
-            self._degrade_inline()
+        if self.inline:
+            self._run_inline()
             return
         while self.pending or self.probation or self.in_flight:
             if self.pool is None:
@@ -434,7 +403,7 @@ class _Supervisor:
                 # running a crashing trial inline would kill the
                 # parent process.
                 if self.consecutive_rebuilds > self.max_rebuilds and not self.ever_succeeded:
-                    self._degrade_inline()
+                    self._degrade()
                     break
                 self._build_pool()
             try:
@@ -539,37 +508,8 @@ class _Supervisor:
         return False
 
 
-def _run_inline(task, indices: Sequence[int], chunk: int,
-                on_result: Callable[[int, object], None] | None) -> list:
-    """Run ``indices`` through a task in this process (no supervision)."""
-    results: list = []
-    if _batched(task) and len(indices) > 1:
-        # Chunk-sized slices bound how many prepared-but-unpropagated
-        # corruptions are held at once and keep on_result streaming.
-        for s in range(0, len(indices), chunk):
-            part = list(indices[s : s + chunk])
-            with span("chunk"):
-                batched = _run_slice(task, part)
-            for i, value in (
-                ((i, v) for _, i, v in batched)
-                if batched is not None
-                else ((i, task(i)) for i in part)
-            ):
-                if on_result is not None:
-                    on_result(i, value)
-                results.append(value)
-    else:
-        with span("chunk"):
-            for i in indices:
-                value = task(i)
-                if on_result is not None:
-                    on_result(i, value)
-                results.append(value)
-    return results
-
-
 def map_trials(
-    task_factory: Callable[[], Callable[[int], object]],
+    task_factory: Callable[[], object],
     n_trials: int,
     jobs: int | None = 1,
     chunk: int = 64,
@@ -586,17 +526,21 @@ def map_trials(
     on_result: Callable[[int, object], None] | None = None,
     on_obs: Callable[[object], None] | None = None,
 ) -> list:
-    """Run ``task(i)`` for each trial index, possibly in parallel, supervised.
+    """Run each trial index through a task, possibly in parallel, supervised.
 
     Args:
-        task_factory: Zero-arg callable returning the per-trial callable.
-            Invoked once per worker (and once inline when ``jobs == 1``),
-            so expensive setup (network construction, golden run) is paid
-            per worker rather than per trial.
+        task_factory: Zero-arg callable returning the task: a per-trial
+            callable ``task(i)``, or an object whose ``run_many(indices)``
+            takes a whole chunk (see :func:`_run_slice`).  Invoked once
+            per worker (and once inline when ``jobs == 1``), so expensive
+            setup (network construction, golden run) is paid per worker
+            rather than per trial.
         n_trials: Number of trials (ignored when ``indices`` is given).
         jobs: Worker processes; 1 runs inline (default, deterministic and
             debuggable), None/0 uses every core, negative raises.
-        chunk: Trials per inter-process message (must be >= 1).
+        chunk: Trials per inter-process message, and per inline slice
+            (must be >= 1).  Results stream to ``on_result`` a chunk at
+            a time.
         indices: Explicit trial indices to run instead of
             ``range(n_trials)`` (checkpoint resume runs the gap set).
         plan: Round scheduler (statistical early stopping builds on
@@ -626,13 +570,12 @@ def map_trials(
             events: ``retry``, ``rebuild``, ``timeout``, ``bisect``,
             ``quarantine``, ``degrade``.
         on_result: Streaming callback ``(index, value)`` fired as each
-            trial resolves (out of order in parallel mode) — the hook
-            campaign checkpointing builds on.
+            trial resolves, chunk by chunk (out of order in parallel
+            mode) — the hook campaign checkpointing builds on.
         on_obs: Callback receiving each worker's per-chunk observability
             payload (``task.collect_obs()`` — typically a metric-snapshot
             delta; see :mod:`repro.obs.metrics`).  Payloads arrive in
             completion order; merging must therefore be commutative.
-            Inline execution delivers one final payload.
 
     Returns:
         Per-trial results in trial-index order.  A trial the supervisor
@@ -645,35 +588,6 @@ def map_trials(
     if indices is None:
         indices = range(n_trials)
     indices = list(indices)
-
-    if plan is not None and n_jobs == 1:
-        task = task_factory()
-        try:
-            results = []
-            while True:
-                nxt = plan()
-                if nxt is None:
-                    break
-                round_indices, ctl = nxt
-                _apply_ctl(task, ctl)
-                results.extend(_run_inline(task, list(round_indices), chunk, on_result))
-            collect = getattr(task, "collect_obs", None)
-            if callable(collect) and on_obs is not None:
-                on_obs(collect())
-        finally:
-            _close_task(task)
-        return results
-
-    if plan is None and (n_jobs == 1 or len(indices) <= 1):
-        task = task_factory()
-        try:
-            results = _run_inline(task, indices, chunk, on_result)
-            collect = getattr(task, "collect_obs", None)
-            if callable(collect) and on_obs is not None:
-                on_obs(collect())
-        finally:
-            _close_task(task)
-        return results
 
     supervisor = _Supervisor(
         task_factory=task_factory,
@@ -694,6 +608,7 @@ def map_trials(
         on_result=on_result,
         on_obs=on_obs,
         plan=plan,
+        inline=n_jobs == 1 or (plan is None and len(indices) <= 1),
     )
     resolved = supervisor.run()
     if plan is not None:

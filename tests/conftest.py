@@ -1,9 +1,11 @@
-"""Shared fixtures: tiny networks, deterministic RNG, warm weight store."""
+"""Shared fixtures: tiny networks, deterministic RNG, warm weight store,
+and the per-trial full-recompute campaign reference."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,3 +69,43 @@ def tiny_input(rng) -> np.ndarray:
 def any_dtype(request):
     """Parametrized over all six paper data types."""
     return DTYPES[request.param]
+
+
+def reference_campaign(spec) -> SimpleNamespace:
+    """Run ``spec`` trial by trial through the full-recompute path.
+
+    Each trial is sampled, built, propagated by ``finish_injection``
+    (every tail layer recomputed for that trial alone) and classified —
+    never through ``run_many``, grouping or delta propagation — so it is
+    an independent reference for what a campaign must produce at any
+    ``batch``.  Returns ``records`` (trial order), ``metrics`` (snapshot
+    of the folded records), ``traces`` (index -> row for the traced
+    subset) and ``masked`` (per trial: masked at injection).
+    """
+    from repro.core.campaign import _CampaignTask, record_trial_metrics
+    from repro.core.injector import finish_injection
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import build_trace
+
+    task = _CampaignTask(spec)
+    metrics = MetricsRegistry()
+    out = SimpleNamespace(records=[], metrics=None, traces={}, masked=[])
+    for trial in range(spec.n_trials):
+        fault, meta = task.sample_trial(trial)
+        prep = task.build_trial(fault, meta)
+        injection = finish_injection(
+            task.network, task.dtype, prep, meta["golden"],
+            record=meta["record"], storage_dtype=task.storage_dtype,
+        )
+        record = task.complete_trial(meta, injection)
+        record_trial_metrics(metrics, record)
+        if meta["traced"]:
+            out.traces[trial] = build_trace(
+                trial=trial, meta=meta, injection=injection, record=record,
+                network=task.network, detector=task.detector,
+                detector_checkpoints=task.detector_checkpoints,
+            )
+        out.records.append(record)
+        out.masked.append(prep.masked)
+    out.metrics = metrics.snapshot()
+    return out

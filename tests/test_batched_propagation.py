@@ -2,22 +2,26 @@
 
 The campaign hot path groups prepared corruptions by resume layer and
 propagates each group through ``Network.forward_from_batch``.  The
-contract is byte-identity with the serial ``forward_from`` path — per
+contract is byte-identity with the per-trial ``forward_from`` path — per
 trial, on scores and on every recorded activation — which these tests
 enforce over mixed datapath and buffer faults, with and without the
 Proteus storage narrowing, for both the plain stacked engine and the
-delta engine (goldens + dirty row spans).
+delta engine (goldens + dirty row spans).  Campaign-level tests compare
+every group size with a trial-by-trial full-recompute reference and
+drive the quarantine of groups whose propagation raises.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.campaign import CampaignSpec, run_campaign
+from repro.core.campaign import CampaignSpec, record_trial_metrics, run_campaign
 from repro.core.fault import BufferFault, sample_buffer_fault, sample_datapath_fault
 from repro.core.injector import finish_injection, prepare_buffer, prepare_datapath
 from repro.dtypes import DTYPES, FLOAT16
+from repro.nn.network import Network
+from repro.obs.metrics import MetricsRegistry
 from repro.utils.rng import child_rng
-from tests.conftest import build_tiny_network
+from tests.conftest import build_tiny_network, reference_campaign
 
 BUFFER_SCOPES = ("layer_weight", "row_activation", "next_layer", "single_read")
 
@@ -177,7 +181,8 @@ class TestRowActivationResidencyMiss:
 
 class TestCampaignBatchParity:
     """``batch`` is an execution knob: records and deterministic metric
-    counters must be byte-identical at every group size."""
+    counters must be byte-identical at every group size, and equal to
+    the per-trial full-recompute reference."""
 
     SPECS = [
         CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=30, seed=11),
@@ -197,13 +202,77 @@ class TestCampaignBatchParity:
 
     @pytest.mark.parametrize("spec", SPECS, ids=["datapath", "buffer", "proteus"])
     def test_batched_campaign_matches_serial(self, spec):
-        serial = run_campaign(spec, jobs=1, batch=1)
-        batched = run_campaign(spec, jobs=1, batch=8)
-        assert len(serial.records) == len(batched.records) == spec.n_trials
-        for a, b in zip(serial.records, batched.records):
-            assert a.outcome == b.outcome
-            assert (a.bit, a.site, a.block) == (b.bit, b.site, b.block)
-            assert self._same_value(a.value_before, b.value_before)
-            assert self._same_value(a.value_after, b.value_after)
-        assert serial.metrics["counters"] == batched.metrics["counters"]
-        assert serial.metrics["histograms"] == batched.metrics["histograms"]
+        reference = reference_campaign(spec)
+        for batch in (1, 8):
+            result = run_campaign(spec, jobs=1, batch=batch)
+            assert len(result.records) == spec.n_trials, batch
+            for a, b in zip(reference.records, result.records):
+                assert a.outcome == b.outcome
+                assert (a.bit, a.site, a.block) == (b.bit, b.site, b.block)
+                assert self._same_value(a.value_before, b.value_before)
+                assert self._same_value(a.value_after, b.value_after)
+            assert result.metrics["counters"] == reference.metrics["counters"], batch
+            assert result.metrics["histograms"] == reference.metrics["histograms"], batch
+
+
+GROUP_SPEC = CampaignSpec(
+    network="ConvNet", dtype="FLOAT16", n_trials=32, seed=3, trace_mode="all"
+)
+
+
+def _fail_propagation(monkeypatch, min_group: int) -> list[int]:
+    """Make the campaign's propagation calls raise for groups of at least
+    ``min_group`` trials; returns the sizes of the groups that raised.
+
+    Only calls passing ``goldens=`` are the campaign's grouped
+    propagation; golden inference (``forward`` -> ``forward_from``)
+    passes none and keeps working.
+    """
+    real = Network.forward_from_batch
+    failed: list[int] = []
+
+    def flaky(self, layer_index, acts, *args, goldens=None, **kwargs):
+        if goldens is not None and len(acts) >= min_group:
+            failed.append(len(acts))
+            raise RuntimeError("injected propagation failure")
+        return real(self, layer_index, acts, *args, goldens=goldens, **kwargs)
+
+    monkeypatch.setattr(Network, "forward_from_batch", flaky)
+    return failed
+
+
+class TestGroupFailure:
+    """A group whose propagation raises re-runs as groups of one, so only
+    a trial that fails on its own is quarantined."""
+
+    def test_failing_groups_rerun_as_groups_of_one(self, monkeypatch):
+        single = run_campaign(GROUP_SPEC, jobs=1, batch=1)
+        failed = _fail_propagation(monkeypatch, min_group=2)
+        grouped = run_campaign(GROUP_SPEC, jobs=1, batch=8)
+        assert failed, "no group of more than one trial was propagated"
+        assert grouped.errors == []
+        assert repr(grouped.records) == repr(single.records)
+        assert grouped.metrics["counters"] == single.metrics["counters"]
+        assert grouped.metrics["histograms"] == single.metrics["histograms"]
+        assert grouped.traces == single.traces
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_trials_failing_alone_are_quarantined(self, monkeypatch, batch):
+        reference = reference_campaign(GROUP_SPEC)
+        _fail_propagation(monkeypatch, min_group=1)
+        result = run_campaign(GROUP_SPEC, jobs=1, batch=batch, max_error_frac=1.0)
+        unmasked = [i for i, m in enumerate(reference.masked) if not m]
+        assert unmasked and len(unmasked) < GROUP_SPEC.n_trials
+        assert [e.index for e in result.errors] == unmasked
+        assert all(e.exc_type == "RuntimeError" for e in result.errors)
+        # Masked trials never propagate, so they are still classified.
+        kept = [r for i, r in enumerate(reference.records) if reference.masked[i]]
+        assert repr(result.records) == repr(kept)
+        assert sorted(result.traces) == [
+            i for i, m in enumerate(reference.masked) if m
+        ]
+        counted = MetricsRegistry()
+        for record in kept:
+            record_trial_metrics(counted, record)
+        assert result.metrics["counters"] == counted.snapshot()["counters"]
+        assert result.metrics["counters"]["trials"] == len(result.records)

@@ -129,6 +129,21 @@ class TestSupervisedPool:
             i for i in range(10) if i != 3
         ]
 
+    def test_inline_raising_trial_is_retried_then_quarantined(self):
+        kinds = []
+        results = map_trials(
+            _raise3_task, 10, jobs=1, chunk=5, max_retries=1,
+            on_event=lambda kind, detail: kinds.append(kind),
+        )
+        failure = results[3]
+        assert isinstance(failure, TrialFailure)
+        assert failure.reason == "error" and failure.exc_type == "ValueError"
+        assert failure.attempts == 2  # original run + one retry, as in the pool
+        assert [r for i, r in enumerate(results) if i != 3] == [
+            i for i in range(10) if i != 3
+        ]
+        assert kinds == ["retry", "quarantine"]
+
     def test_degrades_to_inline_when_pool_never_completes_a_chunk(self):
         kinds = []
         results = map_trials(

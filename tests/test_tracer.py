@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import campaign
 from repro.core.campaign import CampaignSpec, run_campaign
 from repro.core.checkpoint import campaign_fingerprint
 from repro.core.serialize import campaign_summary
@@ -34,6 +35,7 @@ from repro.obs.tracer import (
     trace_deviation_by_depth,
     trace_layer_matrix,
 )
+from tests.conftest import reference_campaign
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,15 +97,17 @@ class TestTraceIdentity:
         assert files["serial"] == files["jobs2"] == files["batch16"] == files["shm2"]
 
     def test_batched_dead_trial_collapse_masking_layer_matches_serial(self):
-        # The batched engine retires dead trials by patching golden rows
+        # The delta engine retires dead trials by patching golden rows
         # back in; the first all-clean layer it reports must be the same
-        # one the serial path sees, trial by trial.
-        serial = run_campaign(SPEC)
-        batched = run_campaign(SPEC, batch=16)
-        assert sorted(serial.traces) == sorted(batched.traces)
-        for index, row in serial.traces.items():
-            assert batched.traces[index]["masking"] == row["masking"], index
-        assert serial.traces == batched.traces
+        # one a per-trial full recompute sees, trial by trial, at every
+        # group size.
+        serial = reference_campaign(SPEC)
+        for batch in (1, 16):
+            batched = run_campaign(SPEC, batch=batch)
+            assert sorted(serial.traces) == sorted(batched.traces)
+            for index, row in serial.traces.items():
+                assert batched.traces[index]["masking"] == row["masking"], (batch, index)
+            assert serial.traces == batched.traces
 
     def test_row_schema_and_masked_at_injection(self):
         result = run_campaign(SPEC)
@@ -141,6 +145,29 @@ class TestTraceIdentity:
         for row in fired:
             assert row["detected"] is True
             assert any(e["layer"] == row["detector_layer"] for e in row["layers"])
+
+
+class TestTraceQuarantine:
+    @pytest.mark.parametrize("jobs,batch", [(1, 1), (1, 8), (2, 1), (2, 8)])
+    def test_trace_build_failure_quarantines_the_trial_once(self, monkeypatch, jobs, batch):
+        # A trial whose trace row cannot be built is an error, not a
+        # classified trial: it folds no metrics and stages no row, and
+        # retries cannot count it twice.  Forked pool workers inherit the
+        # patch.
+        real = campaign.build_trace
+
+        def flaky(**kwargs):
+            if kwargs["trial"] == 5:
+                raise RuntimeError("trace build failed")
+            return real(**kwargs)
+
+        monkeypatch.setattr(campaign, "build_trace", flaky)
+        spec = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=32, seed=3,
+                            trace_mode="all")
+        result = run_campaign(spec, jobs=jobs, batch=batch, chunk=8, max_error_frac=0.1)
+        assert [(e.index, e.exc_type) for e in result.errors] == [(5, "RuntimeError")]
+        assert result.metrics["counters"]["trials"] == len(result.records) == 31
+        assert sorted(result.traces) == [i for i in range(32) if i != 5]
 
 
 class TestTraceResume:
