@@ -27,9 +27,9 @@ sinks by RP601) and ``dtype-sinks`` (fixed-point consumer names for
 RP611/RP612).  ``float-eq-exempt-paths`` and ``script-paths`` carve the
 test/benchmark suites and example scripts out of RP201 and RP501, where
 exact comparison and script-style modules are deliberate.
-``obs-writer-exempt-paths`` names the sanctioned atomic snapshot writers
-(checkpoint, manifest, tracer) that RP108 exempts from its ban on direct
-append-mode JSON writes in campaign paths.
+``obs-writer-exempt-paths`` names the sanctioned artifact writers
+(checkpoint, manifest, tracer; appends go through ``repro.obs.jsonlog``)
+that RP108 exempts from its ban on direct append-mode JSON writes.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class LintConfig:
         "repro/obs/progress.py",
         "repro/gate/cli.py",
     )
-    #: The sanctioned atomic JSONL/JSON writers (RP108): campaign-path
-    #: code appending JSON records directly can tear on SIGKILL and
-    #: break the byte-identity contract; these modules *are* the
-    #: snapshot writers and are exempt from their own rule.
+    #: The sanctioned JSONL/JSON writers (RP108): campaign-path code
+    #: appending JSON records directly can tear on SIGKILL and break the
+    #: byte-identity contract; these modules *are* the artifact writers
+    #: and are exempt from their own rule.
     obs_writer_exempt_paths: tuple[str, ...] = (
         "repro/core/checkpoint.py",
         "repro/obs/manifest.py",

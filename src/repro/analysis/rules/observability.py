@@ -13,14 +13,15 @@ inline noqa so the policy lives in one reviewable place
 
 RP108 guards the other direction of the same channel: the *artifacts*
 the observability stack writes.  Checkpoints, run logs, trace files and
-manifests all promise byte-identical, SIGKILL-safe snapshots, which only
-holds when every write goes through the atomic writers
-(``atomic_write_text`` / the checkpoint-style full-rewrite snapshot).  A
-direct ``open(path, "a")`` append stream or ad-hoc ``json.dump`` in
-campaign code can tear mid-record on a kill and silently break the
-resume and parity contracts, so RP108 flags them inside campaign paths;
-the sanctioned writer modules themselves are exempted via
-``obs-writer-exempt-paths``.
+manifests all promise byte-identical, SIGKILL-safe files, which only
+holds when every write goes through the sanctioned writers
+(``atomic_write_text``, or the append-only
+:class:`repro.obs.jsonlog.JsonlLog`, which snapshots before appending
+and ends canonical).  A direct ``open(path, "a")`` append stream or
+ad-hoc ``json.dump`` in campaign code can tear mid-record on a kill and
+silently break the resume and parity contracts, so RP108 flags them
+inside campaign paths; the sanctioned writer modules themselves are
+exempted via ``obs-writer-exempt-paths``.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class NonAtomicObsWrite(Rule):
     Two shapes, both of which can tear a run artifact on SIGKILL and
     break byte-identity across serial / parallel / resumed executions:
 
-    - ``open(path, "a")`` / ``path.open("a")`` — an append stream leaves
-      a partial record behind when the process dies mid-write.
+    - ``open(path, "a")`` / ``path.open("a")`` — an ad-hoc append stream
+      leaves a partial record behind when the process dies mid-write
+      (:class:`repro.obs.jsonlog.JsonlLog` is the sanctioned append log).
     - ``json.dump(obj, fh)`` — serializes incrementally into whatever
       file object it is handed; the atomic writers serialize to a string
       first and publish it with ``os.replace``.
@@ -123,8 +125,8 @@ class NonAtomicObsWrite(Rule):
                     ctx,
                     node,
                     "append-mode open() in campaign code can tear the artifact "
-                    "on SIGKILL; snapshot through atomic_write_text (or a "
-                    "CheckpointWriter/TraceWriter-style full rewrite) instead",
+                    "on SIGKILL; publish through atomic_write_text, or log "
+                    "per-trial lines through repro.obs.jsonlog.JsonlLog, instead",
                 )
             elif (
                 name == "dump"

@@ -1052,14 +1052,17 @@ def run_campaign(
             runs.  Like ``batch``, a pure execution knob: the golden
             bits are identical either way, so results, checkpoints and
             metric counters are bit-identical with it on or off.
-        checkpoint: JSONL checkpoint path; completed trials are
-            periodically snapshotted there (atomically).
+        checkpoint: JSONL checkpoint path; completed trials are logged
+            there (see :mod:`repro.core.checkpoint`).
         resume: Skip trial indices already present in ``checkpoint``.
             A checkpoint written under any other spec is refused
             (:class:`~repro.core.checkpoint.CheckpointMismatchError`).
             Previously quarantined trials are *not* re-run; delete the
             checkpoint to retry them.
-        checkpoint_every: Completed trials between snapshot flushes.
+        checkpoint_every: Completed trials between checkpoint (and
+            trace) flushes.  Each flush after the first appends only the
+            trials completed since; on the way out both files are
+            republished in index order (see :mod:`repro.obs.jsonlog`).
         trial_timeout: Per-trial seconds before a chunk is declared hung
             (see :func:`repro.utils.parallel.map_trials`); None disables.
         max_retries: Retry budget per failing chunk / raising trial.
@@ -1313,11 +1316,7 @@ def run_campaign(
                 last_progress = now
                 emit_progress()
         if n_errors > error_budget:
-            if trace_writer is not None:
-                trace_writer.flush()
-            if writer is not None:
-                writer.flush()
-                since_flush = 0
+            # The writers are closed (completed trials kept) on the way out.
             recorder.emit("abort", errors=n_errors, completed=len(done))
             raise CampaignAbortedError(
                 f"{n_errors} quarantined trials exceed max_error_frac="
@@ -1381,13 +1380,15 @@ def run_campaign(
 
                 release_segment(shm_handle)
                 recorder.emit("shm_unlink", segment=descriptor.segment)
+            # Completed, aborted or failed: publish both files in index
+            # order (the last obs payload can arrive after the last
+            # cadence flush).  A checkpoint without trials is never
+            # written: there would be nothing to resume.
             if trace_writer is not None:
-                # The last obs payload can arrive after the last
-                # cadence flush; publish whatever rows are staged.
-                trace_writer.flush()
-            if writer is not None and since_flush:
+                trace_writer.close()
+            if writer is not None and len(writer):
                 with span("checkpoint_flush"):
-                    writer.flush()
+                    writer.close()
     except BaseException as exc:
         if observer is not None:
             drain_spans()

@@ -1,4 +1,4 @@
-"""Campaign checkpoint/resume: atomic JSONL snapshots of completed trials.
+"""Campaign checkpoint/resume: an append-only JSONL log of completed trials.
 
 At the paper's scale (~3M injections, Section 4) a campaign can run for
 hours; losing every completed trial to one machine fault is not
@@ -22,13 +22,16 @@ File format (version 1) — JSON Lines:
   coordinates, so a resumed run replays the same decisions
   bit-identically instead of re-deriving — or worse, re-running — them).
 
-Every flush rewrites the file as an atomic snapshot — pid-unique temp
-name + ``os.replace`` (the RP3xx atomic-write discipline, see
-``docs/static_analysis.md``) — so a reader, or a resume after SIGKILL,
-never observes a torn line.  The ``fingerprint`` keys the checkpoint to
-its :class:`~repro.core.campaign.CampaignSpec`: resuming under a spec
-with any differing field is refused rather than silently mixing trials
-from two different fault models.
+The file is an append-only :class:`repro.obs.jsonlog.JsonlLog`: one
+atomic snapshot, then appends of the trials completed since (O(new
+trials) per flush), then the canonical index-sorted snapshot on
+:meth:`CheckpointWriter.close` — so a completed checkpoint is
+byte-identical for every ``jobs`` value.  After a SIGKILL,
+:func:`load_checkpoint` skips a torn last line and lets the last line
+for an index win; the lost trials simply re-run.  The ``fingerprint``
+keys the checkpoint to its :class:`~repro.core.campaign.CampaignSpec`:
+resuming under a spec with any differing field is refused rather than
+silently mixing trials from two different fault models.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 
 from repro.core.campaign import CampaignSpec, TrialError, TrialRecord, TrialSkip
 from repro.core.outcome import Outcome
 from repro.core.serialize import from_jsonable, to_jsonable
+from repro.obs.jsonlog import JsonlLog, atomic_write_text
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -55,23 +58,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Publish ``text`` at ``path`` via pid-unique temp + ``os.replace``.
-
-    The RP3xx atomic-write discipline in one place: a concurrent writer
-    or a SIGKILL mid-write can never leave a torn file behind.  Used by
-    checkpoint snapshots and the run manifests of :mod:`repro.obs`.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return path
 
 CHECKPOINT_VERSION = 1
 _FORMAT = "repro-campaign-checkpoint"
@@ -157,15 +143,16 @@ def load_checkpoint(path: str | Path, spec: CampaignSpec | None = None) -> Check
 
     Undecodable lines are skipped rather than fatal — a checkpoint can
     only lose trials to corruption, never abort the campaign (skipped
-    trials simply re-run).
+    trials simply re-run).  When an index has several lines (an
+    append-only log holds a re-run trial's old and new line until the
+    writer closes), the last one wins, whatever its kind.  The returned
+    dicts are in index order.
     """
     path = Path(path)
     if not path.exists():
         return None
     fingerprint: str | None = None
-    records: dict[int, TrialRecord] = {}
-    errors: dict[int, TrialError] = {}
-    skips: dict[int, TrialSkip] = {}
+    latest: dict[int, TrialRecord | TrialError | TrialSkip] = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
@@ -179,11 +166,11 @@ def load_checkpoint(path: str | Path, spec: CampaignSpec | None = None) -> Check
                 continue
             index = int(data["index"])
             if "record" in data:
-                records[index] = decode_record(data["record"])
+                latest[index] = decode_record(data["record"])
             elif "error" in data:
-                errors[index] = _decode_error(data["error"])
+                latest[index] = _decode_error(data["error"])
             elif "skip" in data:
-                skips[index] = _decode_skip(data["skip"])
+                latest[index] = _decode_skip(data["skip"])
         except (KeyError, TypeError, ValueError):
             continue
     if spec is not None:
@@ -194,73 +181,59 @@ def load_checkpoint(path: str | Path, spec: CampaignSpec | None = None) -> Check
                 f"but the requested campaign has {expected!r}; delete the file or "
                 "point --checkpoint elsewhere to start fresh"
             )
+    ordered = sorted(latest.items())
     return CheckpointState(
-        fingerprint=fingerprint, records=records, errors=errors, skips=skips
+        fingerprint=fingerprint,
+        records={i: v for i, v in ordered if isinstance(v, TrialRecord)},
+        errors={i: v for i, v in ordered if isinstance(v, TrialError)},
+        skips={i: v for i, v in ordered if isinstance(v, TrialSkip)},
     )
 
 
 class CheckpointWriter:
-    """Accumulates completed trials and snapshots them atomically.
+    """Logs completed trials to the checkpoint as they complete.
 
-    Each :meth:`flush` rewrites the whole file (header + one line per
-    completed trial, in index order) to a pid-unique temp name and
-    publishes it with ``os.replace`` — concurrent or killed writers can
-    never leave a torn file behind.  Snapshot cost is linear in completed
-    trials; at the default flush cadence (one flush per completed chunk)
-    this stays far below injection cost.
+    The first :meth:`flush` publishes an atomic snapshot that replaces
+    whatever file was at the path; later flushes append only the trials
+    added since; :meth:`close` publishes the canonical index-sorted
+    file.  See :mod:`repro.obs.jsonlog`.
     """
 
     def __init__(self, path: str | Path, spec: CampaignSpec):
-        self.path = Path(path)
         self.fingerprint = campaign_fingerprint(spec)
-        self._header = {
+        self._log = JsonlLog(path, {
             "format": _FORMAT,
             "version": CHECKPOINT_VERSION,
             "fingerprint": self.fingerprint,
             "spec": to_jsonable(spec),
-        }
-        self._entries: dict[int, dict] = {}
-        self._dirty = False
+        })
+        self.path = self._log.path
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._log)
 
     def preload(self, state: CheckpointState) -> None:
         """Carry a resumed run's prior trials into subsequent snapshots."""
         for index, record in state.records.items():
-            self._entries[index] = {"index": index, "record": encode_record(record)}
+            self.add_record(index, record)
         for index, error in state.errors.items():
-            self._entries[index] = {
-                "index": index,
-                "error": to_jsonable(dataclasses.asdict(error)),
-            }
+            self.add_error(index, error)
         for index, skip in state.skips.items():
-            self._entries[index] = {
-                "index": index,
-                "skip": to_jsonable(dataclasses.asdict(skip)),
-            }
-        self._dirty = self._dirty or state.n_completed > 0
+            self.add_skip(index, skip)
 
     def add_record(self, index: int, record: TrialRecord) -> None:
-        self._entries[index] = {"index": index, "record": encode_record(record)}
-        self._dirty = True
+        self._log.add(index, {"index": index, "record": encode_record(record)})
 
     def add_error(self, index: int, error: TrialError) -> None:
-        self._entries[index] = {"index": index, "error": to_jsonable(dataclasses.asdict(error))}
-        self._dirty = True
+        self._log.add(index, {"index": index, "error": to_jsonable(dataclasses.asdict(error))})
 
     def add_skip(self, index: int, skip: TrialSkip) -> None:
-        self._entries[index] = {"index": index, "skip": to_jsonable(dataclasses.asdict(skip))}
-        self._dirty = True
+        self._log.add(index, {"index": index, "skip": to_jsonable(dataclasses.asdict(skip))})
 
     def flush(self) -> Path:
-        """Publish an atomic snapshot of everything added so far."""
-        if not self._dirty and self.path.exists():
-            return self.path
-        lines = [json.dumps(self._header, sort_keys=True)]
-        lines.extend(
-            json.dumps(self._entries[index], sort_keys=True) for index in sorted(self._entries)
-        )
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
-        self._dirty = False
-        return self.path
+        """Write every added trial to the file (snapshot once, then append)."""
+        return self._log.flush()
+
+    def close(self) -> Path:
+        """Publish the canonical index-sorted checkpoint."""
+        return self._log.close()

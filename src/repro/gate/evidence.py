@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.obs.jsonlog import atomic_write_text
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -52,8 +53,6 @@ def build_manifest(report: dict, *, spec_dir: str | Path, argv: list[str] | None
 
 
 def write_manifest(path: str | Path, manifest: dict) -> Path:
-    from repro.core.checkpoint import atomic_write_text
-
     return atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 

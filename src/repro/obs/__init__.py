@@ -12,6 +12,8 @@ layer:
   no-op path, safe to leave compiled into hot loops;
 - :mod:`repro.obs.manifest` — run manifests and structured JSONL run
   logs written atomically next to each campaign artifact;
+- :mod:`repro.obs.jsonlog` — ``atomic_write_text`` and the append-only
+  JSONL log behind checkpoint and trace files;
 - :mod:`repro.obs.progress` — a live progress reporter (trials/s, ETA,
   quarantine/retry counts, memory RSS) driven off campaign events;
 - :mod:`repro.obs.cli` — the ``repro-obs`` command (``summarize`` /
@@ -21,7 +23,8 @@ Import discipline: this ``__init__`` pulls in only :mod:`metrics` and
 :mod:`spans`, which import nothing from the rest of ``repro`` — so the
 hot paths (``repro.utils.parallel``, ``repro.nn.network``,
 ``repro.core.campaign``) can import them without cycles.  ``manifest``,
-``progress`` and ``cli`` are imported explicitly by their users.
+``jsonlog``, ``progress`` and ``cli`` are imported explicitly by their
+users.
 """
 
 from repro.obs.metrics import (

@@ -33,6 +33,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro.obs.jsonlog import atomic_write_text
+
 __all__ = [
     "MANIFEST_FORMAT",
     "MANIFEST_VERSION",
@@ -98,11 +100,6 @@ def _utc_now_iso() -> str:
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    # Lazy import: repro.core.checkpoint imports repro.core.campaign,
-    # which imports repro.obs.metrics — a module-level import here would
-    # close that cycle during package initialisation.
-    from repro.core.checkpoint import atomic_write_text
-
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -26,10 +26,8 @@ it reports the same masking layer as a per-trial full recompute.
 
 The on-disk form is JSONL next to the checkpoint
 (``<checkpoint>.trace.jsonl``): a header line followed by one row per
-traced trial, in index order, republished atomically on every flush
-(full-rewrite snapshot via ``atomic_write_text``, like the checkpoint
-writer — an ``open(..., "a")`` append stream could tear on SIGKILL and
-is what lint rule RP108 exists to catch).
+traced trial, kept like the checkpoint as an append-only
+:class:`repro.obs.jsonlog.JsonlLog` that ends in index order.
 """
 
 from __future__ import annotations
@@ -38,6 +36,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from repro.obs.jsonlog import JsonlLog
 
 __all__ = [
     "TRACE_MODES",
@@ -200,69 +200,56 @@ def build_trace(
 
 
 class TraceWriter:
-    """Accumulates trace rows and snapshots them atomically.
+    """Logs trace rows to the trace file as they arrive.
 
-    Mirrors :class:`~repro.core.checkpoint.CheckpointWriter`: rows are
-    keyed by trial index (re-runs after a resume overwrite themselves
-    with identical bytes), each flush rewrites header + rows in index
-    order to a pid-unique temp file and publishes it with
-    ``os.replace``.  The header carries no path or wall-clock, so two
-    runs of the same spec produce byte-identical files — the
-    ``OBL-TRACE-PARITY`` gate compares them with ``read_bytes``.
+    The checkpoint writer's twin, on the same
+    :class:`~repro.obs.jsonlog.JsonlLog`: rows are keyed by trial index
+    (a re-run after a resume re-adds identical bytes, a no-op), the first
+    :meth:`flush` publishes a snapshot, later flushes append the new rows,
+    and :meth:`close` publishes the rows in index order.  The header
+    carries no path or wall-clock, so two runs of the same spec produce
+    byte-identical files — the ``OBL-TRACE-PARITY`` gate compares them
+    with ``read_bytes``.
     """
 
     def __init__(self, path: str | Path, fingerprint: str, mode: str, every: int):
-        self.path = Path(path)
         self.fingerprint = fingerprint
-        self._header = {
+        self._log = JsonlLog(path, {
             "format": _FORMAT,
             "version": TRACE_VERSION,
             "fingerprint": fingerprint,
             "trace": {"mode": mode, "every": int(every)},
-        }
-        self._rows: dict[int, dict] = {}
-        self._dirty = False
+        })
+        self.path = self._log.path
 
     def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> dict[int, dict]:
-        return dict(self._rows)
+        return len(self._log)
 
     def add_row(self, row: dict) -> None:
-        self._rows[int(row["index"])] = row
-        self._dirty = True
+        self._log.add(int(row["index"]), row)
 
     def preload(self, rows: dict[int, dict]) -> None:
         """Carry a resumed run's prior trace rows into later snapshots."""
-        for index, row in rows.items():
-            self._rows[int(index)] = row
-        self._dirty = self._dirty or bool(rows)
+        for row in rows.values():
+            self.add_row(row)
 
     def flush(self) -> Path:
-        """Publish an atomic snapshot of every row added so far."""
-        if not self._dirty and self.path.exists():
-            return self.path
-        # Lazy import (cycle: checkpoint imports campaign).
-        from repro.core.checkpoint import atomic_write_text
+        """Write every added row to the file (snapshot once, then append)."""
+        return self._log.flush()
 
-        lines = [json.dumps(self._header, sort_keys=True)]
-        lines.extend(
-            json.dumps(self._rows[index], sort_keys=True) for index in sorted(self._rows)
-        )
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
-        self._dirty = False
-        return self.path
+    def close(self) -> Path:
+        """Publish the canonical index-sorted trace file."""
+        return self._log.close()
 
 
 def load_trace(path: str | Path) -> tuple[dict | None, dict[int, dict]]:
     """Load ``(header, rows_by_index)`` from a trace file.
 
-    Tolerant the same way checkpoint loading is: a torn tail line (the
-    writer is atomic, but users copy files around) is skipped rather
-    than fatal, and a missing file loads as an empty trace.  Returns a
-    None header when the file does not start with a recognizable trace
+    Tolerant the same way checkpoint loading is: a torn tail line (a
+    kill mid-append, or a file copied mid-write) is skipped rather than
+    fatal, the last row for an index wins, and a missing file loads as
+    an empty trace.  Rows come back in index order.  Returns a None
+    header when the file does not start with a recognizable trace
     header — callers treat that as "not a trace file".
     """
     path = Path(path)
@@ -289,7 +276,7 @@ def load_trace(path: str | Path) -> tuple[dict | None, dict[int, dict]]:
                 continue
             if isinstance(payload, dict) and "index" in payload:
                 rows[int(payload["index"])] = payload
-    return header, rows
+    return header, dict(sorted(rows.items()))
 
 
 # -- cross-trial aggregation (repro-obs trace, ext_propagation) ---------- #

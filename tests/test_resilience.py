@@ -24,6 +24,7 @@ import pytest
 from repro.core.campaign import (
     CampaignAbortedError,
     CampaignSpec,
+    TrialError,
     run_campaign,
 )
 from repro.core.checkpoint import (
@@ -34,6 +35,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.serialize import campaign_summary, to_jsonable
 from repro.core.tracing import EventRecorder
+from repro.obs.tracer import default_trace_path
 from repro.utils.parallel import TrialFailure, map_trials
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -164,6 +166,8 @@ class TestSupervisedPool:
 
 
 SPEC = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=12, seed=3)
+TRACED = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=24, seed=3,
+                      trace_mode="all")
 
 
 def _records_key(result):
@@ -324,3 +328,100 @@ class TestCheckpointResume:
         reference = run_campaign(spec)
         assert resumed.stats.resumed == state.n_completed
         assert _records_key(resumed) == _records_key(reference)
+        uninterrupted = tmp_path / "uninterrupted.jsonl"
+        run_campaign(spec, checkpoint=uninterrupted)
+        assert path.read_bytes() == uninterrupted.read_bytes()
+
+    def test_last_line_for_an_index_wins(self, tmp_path):
+        # A re-run trial's new line is appended after its old one; the
+        # loader must count the index once, as its last line says.
+        reference = run_campaign(SPEC)
+        path = tmp_path / "ck.jsonl"
+        writer = CheckpointWriter(path, SPEC)
+        for trial, record in enumerate(reference.records[:4]):
+            writer.add_record(trial, record)
+        writer.flush()
+        writer.add_error(2, TrialError(index=2, reason="error", exc_type="RuntimeError",
+                                       message="re-run raised", attempts=3))
+        writer.flush()
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 6
+        state = load_checkpoint(path, spec=SPEC)
+        assert list(state.records) == [0, 1, 3]
+        assert list(state.errors) == [2]
+        assert state.n_completed == 4
+
+        resumed = run_campaign(SPEC, checkpoint=path, resume=True, max_error_frac=0.1)
+        assert resumed.stats.resumed == 4
+        assert [e.index for e in resumed.errors] == [2]
+        assert len(resumed.records) == SPEC.n_trials - 1
+
+    @staticmethod
+    def _reference_files(tmp_path):
+        ck = tmp_path / "reference.jsonl"
+        run_campaign(TRACED, checkpoint=ck)
+        return ck.read_bytes(), default_trace_path(ck).read_bytes()
+
+    @staticmethod
+    def _write_log(path, lines: list[str], torn: str = "") -> None:
+        # No trailing newline after a torn line: the kill cut it short.
+        path.write_text("\n".join(lines) + "\n" + torn, encoding="utf-8")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resume_from_a_killed_append_log(self, tmp_path, jobs):
+        want_ck, want_trace = self._reference_files(tmp_path)
+        ck_lines = want_ck.decode().splitlines()
+        trace_lines = want_trace.decode().splitlines()
+        entries, rows = ck_lines[1:], trace_lines[1:]
+        half, third = len(entries) // 2, len(rows) // 3
+        # What a killed run leaves: entries in completion (here reversed)
+        # order, and a last line torn mid-write.
+        ck = tmp_path / "killed.jsonl"
+        self._write_log(ck, [ck_lines[0], *entries[:half][::-1]], torn=entries[half][:40])
+        trace = default_trace_path(ck)
+        self._write_log(trace, [trace_lines[0], *rows[:third]], torn=rows[third][:40])
+
+        resumed = run_campaign(TRACED, jobs=jobs, checkpoint=ck, resume=True,
+                               checkpoint_every=4)
+        # Checkpointed trials without a trace row re-ran for their row.
+        assert resumed.stats.resumed == third
+        assert ck.read_bytes() == want_ck
+        assert trace.read_bytes() == want_trace
+
+    def test_resume_of_a_complete_unsorted_log_runs_nothing(self, tmp_path):
+        want_ck, want_trace = self._reference_files(tmp_path)
+        ck = tmp_path / "unsorted.jsonl"
+        trace = default_trace_path(ck)
+        for path, data in ((ck, want_ck), (trace, want_trace)):
+            lines = data.decode().splitlines()
+            self._write_log(path, [lines[0], *lines[1:][::-1]])
+
+        resumed = run_campaign(TRACED, checkpoint=ck, resume=True)
+        assert resumed.stats.resumed == TRACED.n_trials
+        assert resumed.metrics["counters"]["trials"] == TRACED.n_trials
+        assert ck.read_bytes() == want_ck
+        assert trace.read_bytes() == want_trace
+
+    def test_fresh_run_replaces_another_specs_files(self, tmp_path):
+        want_ck, want_trace = self._reference_files(tmp_path)
+        ck = tmp_path / "shared.jsonl"
+        files = (ck, default_trace_path(ck))
+        other = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=20, seed=4,
+                             trace_mode="all")
+        run_campaign(other, checkpoint=ck)
+        stale = {line for f in files for line in f.read_text(encoding="utf-8").splitlines()}
+
+        # Read both files after every cadence flush, not just at the end:
+        # no flush may append to the other spec's lines.
+        seen: list[set[str]] = []
+
+        def after_flush(event):
+            if event.kind == "checkpoint":
+                seen.append({line for f in files
+                             for line in f.read_text(encoding="utf-8").splitlines()})
+
+        run_campaign(TRACED, checkpoint=ck, checkpoint_every=4,
+                     events=EventRecorder(sink=after_flush))
+        assert len(seen) == TRACED.n_trials // 4
+        assert not any(stale & lines for lines in seen)
+        assert ck.read_bytes() == want_ck
+        assert default_trace_path(ck).read_bytes() == want_trace
