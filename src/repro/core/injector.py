@@ -20,7 +20,9 @@ Each engine is split into two separable stages:
 - ``prepare_*`` builds the corruption — it replays the corrupted MAC
   chain(s), decides maskedness, and produces a
   :class:`PreparedInjection` holding the patched activation plus the
-  input-row span the corruption is confined to;
+  input-row span the corruption is confined to.  An Img REG fault's
+  chains are built from one tap gather per affected column, so its
+  cost grows with those columns, not with the filters;
 - :func:`finish_injection` propagates one prepared corruption through
   the network tail by full recomputation — the per-trial reference.
 
@@ -38,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dtypes.base import DataType
+from repro.nn.im2col import window_out_span
 from repro.nn.layers.base import MacChain, MacLayer
 from repro.nn.network import InferenceResult, Network
 from repro.core.fault import BufferFault, DatapathFault
@@ -323,64 +326,57 @@ def _prepare_row_activation(
     Only the output elements of ``fault.residency_row`` whose windows
     cover the victim pixel consume the corrupted register; every other
     window re-reads the (correct) value from the Filter/Global buffers.
-    Each affected element's chain is replayed with the corrupted tap.
+    Every filter reads the same taps, so each affected column's taps are
+    gathered once and one broadcast multiply forms the products of all
+    (filter, column) chains.  The corrupt products differ only at the
+    victim's tap, which each affected window reads exactly once.  Both
+    sets of chains are replayed bit-exactly in one vectorized accumulate
+    each.
     """
     layer = network.layers[fault.layer_index]
     store = storage_dtype or dtype
     x = golden.activations[fault.layer_index]
     before = float(x[fault.victim])
-    _, yy, xx_pos = fault.victim
+    c, yy, xx_pos = fault.victim
     oy = fault.residency_row
-    if not (oy * layer.stride - layer.pad <= yy <= oy * layer.stride - layer.pad + layer.kernel - 1):
-        # Residency row does not read the victim pixel: fault never
-        # consumed.  Checked before any chain/copy work — a miss costs
-        # nothing (this check once ran after the affected-column scan and
-        # the full ifmap copy, doing that work just to discard it).
+    k = layer.kernel
+    dy = yy - (oy * layer.stride - layer.pad)
+    _, _, ow = layer.out_shape(x.shape)
+    lo, hi = window_out_span(xx_pos, xx_pos + 1, k, layer.stride, layer.pad, ow)
+    if not 0 <= dy < k or lo == hi:
+        # No window of the residency row reads the victim pixel (a row
+        # miss, or a column a strided sweep skips): the fault is never
+        # consumed.  Checked before the flip and any chain or copy work,
+        # so a miss costs nothing.
         return PreparedInjection(fault.layer_index + 1, True, before, before)
     after = float(store.flip_bits(np.array([before]), fault.bit, fault.burst)[0])
     if after == before:
         return PreparedInjection(fault.layer_index + 1, True, before, before)
 
-    x_bad = x.copy()
-    x_bad[fault.victim] = dtype.quantize(np.array([after]))[0]
-    _, _, ow = layer.out_shape(x.shape)
-    affected_cols = [
-        ox
-        for ox in range(ow)
-        if ox * layer.stride - layer.pad <= xx_pos <= ox * layer.stride - layer.pad + layer.kernel - 1
-    ]
-    act = golden.activations[fault.layer_index + 1].copy()
-    narrow = (
-        storage_dtype
-        if storage_dtype is not None
-        and fault.layer_index in network.block_output_indices()
-        else None
+    cols = np.arange(lo, hi)
+    taps = np.stack([layer.mac_operands(x, (0, oy, ox), dtype).inputs for ox in cols])
+    w, b = layer.quantized_weights(dtype)
+    w = w.reshape(len(w), -1)  # (filters, taps), in mac_operands' tap order
+    prods_ok = dtype.multiply(w[:, None, :], taps[None, :, :])
+    # Column ``ox`` reads the victim at tap c*k*k + dy*k + (xx - (ox*s - p)).
+    tap = c * k * k + dy * k + xx_pos - (cols * layer.stride - layer.pad)
+    prods_bad = prods_ok.copy()
+    prods_bad[:, np.arange(cols.size), tap] = dtype.multiply(
+        w[:, tap], dtype.quantize(np.array([after]))
     )
-    # Batch the affected chains: all (filter, column) pairs of the
-    # residency row, replayed bit-exactly with and without the corrupt
-    # tap in one vectorized accumulate each.
-    indices = [(f, oy, ox) for f in range(layer.out_channels) for ox in affected_cols]
-    prods_bad, prods_ok, biases = [], [], []
-    for idx in indices:
-        chain_bad = layer.mac_operands(x_bad, idx, dtype)
-        chain_ok = layer.mac_operands(x, idx, dtype)
-        prods_bad.append(dtype.multiply(chain_bad.weights, chain_bad.inputs))
-        prods_ok.append(dtype.multiply(chain_ok.weights, chain_ok.inputs))
-        biases.append(chain_bad.bias)
-    bias_vec = np.asarray(biases)
-    v_bad = dtype.accumulate_batch(np.asarray(prods_bad), bias_vec)
-    v_ok = dtype.accumulate_batch(np.asarray(prods_ok), bias_vec)
-    if narrow is not None:
-        v_bad = narrow.quantize(v_bad)
-        v_ok = narrow.quantize(v_ok)
+    # Filter-major rows: chain f * ncols + j is output (f, oy, lo + j).
+    bias_vec = np.repeat(b, cols.size)
+    v_bad = dtype.accumulate_batch(prods_bad.reshape(-1, w.shape[1]), bias_vec)
+    v_ok = dtype.accumulate_batch(prods_ok.reshape(-1, w.shape[1]), bias_vec)
+    if storage_dtype is not None and fault.layer_index in network.block_output_indices():
+        v_bad = storage_dtype.quantize(v_bad)
+        v_ok = storage_dtype.quantize(v_ok)
     with np.errstate(invalid="ignore"):
         differs = (v_bad != v_ok) & ~(np.isnan(v_bad) & np.isnan(v_ok))
     if not differs.any():
         return PreparedInjection(fault.layer_index + 1, True, before, before)
-    for pos, idx in enumerate(indices):
-        if differs[pos]:
-            act[idx] = v_bad[pos]
-    # All patched elements sit in output row ``oy``.
+    act = golden.activations[fault.layer_index + 1].copy()
+    np.copyto(act[:, oy, lo:hi], v_bad.reshape(-1, cols.size), where=differs.reshape(-1, cols.size))
     return PreparedInjection(
         fault.layer_index + 1, False, before, after, act, (oy, oy + 1)
     )

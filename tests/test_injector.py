@@ -1,12 +1,20 @@
 """Injection engines: chain replay semantics and fault spreading."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.fault import BufferFault, DatapathFault
-from repro.core.injector import inject_buffer, inject_datapath, replay_chain
-from repro.dtypes import DOUBLE, FLOAT16, FXP_16B_RB10
+from repro.core.fault import BufferFault, DatapathFault, sample_buffer_fault
+from repro.core.injector import inject_buffer, inject_datapath, prepare_buffer, replay_chain
+from repro.dtypes import DOUBLE, DTYPES, FLOAT16, FXP_16B_RB10
+from repro.dtypes.base import DataType
+from repro.nn import Conv2D, Dense, Flatten, Network
+from repro.nn.im2col import window_out_span
 from repro.nn.layers.base import MacChain
+from repro.utils.rng import child_rng
+from repro.zoo.registry import eval_inputs, get_network
+from tests.conftest import build_tiny_network
 
 
 def chain_of(weights, inputs, bias=0.0):
@@ -191,6 +199,20 @@ class TestInjectBuffer:
             res = inject_buffer(tiny_network, FLOAT16, fault, golden)
             assert res.masked
 
+    def test_row_activation_unread_column_masked(self, rng):
+        """A strided sweep skips some ifmap columns; an Img REG fault
+        there is never consumed, exactly like a residency-row miss."""
+        layer = Conv2D("c1", 2, 3, 1, stride=2)
+        network = Network("strided", [layer, Flatten("fl")], input_shape=(2, 6, 6))
+        layer.weight[:] = rng.normal(0.0, 0.4, layer.weight.shape)
+        golden = network.forward(rng.normal(0.0, 1.0, (2, 6, 6)), dtype=FLOAT16, record=True)
+        # 1x1 kernel at stride 2: output (0, 0) reads only pixel (0, 0).
+        for victim in ((0, 0, 1), (0, 1, 0)):
+            fault = BufferFault("row_activation", 0, victim, 14, residency_row=0)
+            prep = prepare_buffer(network, FLOAT16, fault, golden)
+            assert prep.masked, victim
+            assert prep.value_after == prep.value_before
+
     def test_single_read_equals_datapath_psum(self, tiny_network, tiny_input):
         golden = tiny_network.forward(tiny_input, dtype=FLOAT16, record=True)
         bf = BufferFault("single_read", 0, (1, 2, 2, 4), 13)
@@ -209,3 +231,189 @@ class TestInjectBuffer:
         object.__setattr__(bad, "residency_row", -1)
         with pytest.raises(ValueError):
             inject_buffer(tiny_network, FLOAT16, bad, golden)
+
+
+def reference_row_activation(network, dtype, fault, golden, storage_dtype=None):
+    """Independent per-chain oracle for an Img REG (``row_activation``) fault.
+
+    Every (filter, column) chain of the residency row is rebuilt with
+    ``mac_operands`` on a corrupted copy of the ifmap and replayed alone
+    with :func:`replay_chain` (1-D ``multiply`` + ``partials``, never
+    ``accumulate_batch``).  A chain whose narrowed value differs from
+    the clean replay (NaN-aware) patches the golden output.  Besides the
+    preparation's fields, reports whether any corrupted chain's running
+    sum left the format's range (``saturated``) or ended inf/NaN
+    (``nonfinite``).
+    """
+    li = fault.layer_index
+    layer = network.layers[li]
+    store = storage_dtype or dtype
+    x = golden.activations[li]
+    before = float(x[fault.victim])
+    after = float(store.flip_bits(np.array([before]), fault.bit, fault.burst)[0])
+    x_bad = x.copy()
+    x_bad[fault.victim] = dtype.quantize(np.array([after]))[0]
+    narrow = storage_dtype if li in network.block_output_indices() else None
+    act = golden.activations[li + 1].copy()
+    n_out, _, ow = layer.out_shape(x.shape)
+    changed = saturated = nonfinite = False
+    for f in range(n_out):
+        for ox in range(ow):
+            idx = (f, fault.residency_row, ox)
+            chain_ok = layer.mac_operands(x, idx, dtype)
+            chain_bad = layer.mac_operands(x_bad, idx, dtype)
+            if np.array_equal(chain_bad.inputs, chain_ok.inputs):
+                continue  # this window never reads the victim pixel
+            ok = np.array([replay_chain(dtype, chain_ok)])
+            bad = np.array([replay_chain(dtype, chain_bad)])
+            steps = dtype.multiply(chain_bad.weights, chain_bad.inputs)
+            running = np.cumsum(np.concatenate(([chain_bad.bias], steps)))
+            saturated |= bool(np.any((running > dtype.max_value) | (running < dtype.min_value)))
+            if narrow is not None:
+                ok, bad = narrow.quantize(ok), narrow.quantize(bad)
+            nonfinite |= not np.isfinite(bad[0])
+            if not (bad[0] == ok[0] or (np.isnan(bad[0]) and np.isnan(ok[0]))):
+                act[idx] = bad[0]
+                changed = True
+    oy = fault.residency_row
+    return SimpleNamespace(
+        masked=not changed,
+        value_before=before,
+        value_after=after if changed else before,
+        dirty_rows=(oy, oy + 1) if changed else None,
+        act=act if changed else None,
+        saturated=saturated,
+        nonfinite=nonfinite,
+    )
+
+
+def _row_activation_faults(network, golden, store: DataType, n_sampled: int):
+    """Sampled Img REG faults plus, on every conv layer, flips of the top
+    non-sign bit, the sign bit and a two-bit burst below them, on the
+    largest-magnitude ifmap pixel and on one with magnitude in [1, 2)
+    (whose top-exponent flip is inf or NaN)."""
+    faults = [
+        sample_buffer_fault(network, "row_activation", store, child_rng(5, t))
+        for t in range(n_sampled)
+    ]
+    for li in network.mac_layer_indices():
+        layer = network.layers[li]
+        if not isinstance(layer, Conv2D):
+            continue
+        x = golden.activations[li]
+        _, oh, _ = layer.out_shape(x.shape)
+        victims = [np.unravel_index(np.argmax(np.abs(x)), x.shape)]
+        victims += [tuple(np.argwhere((np.abs(x) >= 1) & (np.abs(x) < 2))[0])]
+        for victim in victims:
+            victim = tuple(int(v) for v in victim)
+            lo, hi = window_out_span(victim[1], victim[1] + 1, layer.kernel, layer.stride,
+                                     layer.pad, oh)
+            for bit, burst in ((store.width - 2, 1), (store.width - 1, 1), (store.width - 3, 2)):
+                faults.append(
+                    BufferFault("row_activation", li, victim, bit, burst, (lo + hi) // 2)
+                )
+    return faults
+
+
+def build_bare_conv_network() -> Network:
+    """Two convs with no layer between them: ``c1``'s output is a block
+    output, so Proteus narrows it to the storage format, and ``c2`` is
+    strided."""
+    network = Network(
+        "bare",
+        [
+            Conv2D("c1", 3, 4, 3, stride=1, pad=1),
+            Conv2D("c2", 4, 5, 3, stride=2, pad=1),
+            Flatten("fl"),
+            Dense("fc", 5 * 4 * 4, 3),
+        ],
+        input_shape=(3, 8, 8),
+        has_confidence=False,
+    )
+    g = np.random.default_rng(1)
+    for i in network.mac_layer_indices():
+        params = network.layers[i].params()
+        params["weight"][:] = g.normal(0.0, 0.4, params["weight"].shape)
+        params["bias"][:] = g.normal(0.0, 0.05, params["bias"].shape)
+    return network
+
+
+ROW_CONFIGS = [(name, None) for name in DTYPES] + [("FLOAT", "FLOAT16"), ("32b_rb10", "16b_rb10")]
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestRowActivationReference:
+    """``prepare_buffer``'s Img REG build against the per-chain oracle."""
+
+    @pytest.mark.parametrize(
+        "dtype_name,storage_name", ROW_CONFIGS,
+        ids=[f"{d}/{s}" if s else d for d, s in ROW_CONFIGS],
+    )
+    def test_matches_per_chain_reference(self, dtype_name, storage_name):
+        dtype = DTYPES[dtype_name]
+        storage = DTYPES[storage_name] if storage_name else None
+        store = storage or dtype
+        x_small = np.random.default_rng(0).normal(0.0, 1.0, (3, 8, 8))
+        cases = [
+            (build_tiny_network(), x_small, 8),
+            (build_bare_conv_network(), x_small, 8),
+            (get_network("ConvNet"), eval_inputs("ConvNet", 1)[0], 4),
+        ]
+        saturated = nonfinite = unmasked = 0
+        for network, x, n_sampled in cases:
+            golden = network.forward(x, dtype=dtype, record=True, storage_dtype=storage)
+            for fault in _row_activation_faults(network, golden, store, n_sampled):
+                ref = reference_row_activation(network, dtype, fault, golden, storage)
+                prep = prepare_buffer(network, dtype, fault, golden, storage)
+                assert prep.masked == ref.masked, fault
+                assert _same_bits(prep.value_before, ref.value_before), fault
+                assert _same_bits(prep.value_after, ref.value_after), fault
+                assert prep.dirty_rows == ref.dirty_rows, fault
+                if not ref.masked:
+                    assert prep.act.tobytes() == ref.act.tobytes(), fault
+                saturated += ref.saturated
+                nonfinite += ref.nonfinite
+                unmasked += not ref.masked
+        assert unmasked > 0
+        if store.is_float:
+            assert nonfinite > 0  # top-exponent flips reached inf/NaN
+        if dtype_name == "16b_rb10":
+            assert saturated > 0  # integer-bit flips saturated mid-chain
+
+
+class TestRowActivationCost:
+    def test_one_tap_gather_per_column_and_one_multiply(self, tiny_network, tiny_input,
+                                                        monkeypatch):
+        """The chain build gathers each affected column's taps once and
+        forms the products of all filters in one broadcast multiply (plus
+        the corrupt taps'), instead of two chains per (filter, column)."""
+        golden = tiny_network.forward(tiny_input, dtype=FLOAT16, record=True)
+        li = 3  # c2: 3x3 kernel, pad 1, stride 1, 6 filters
+        layer = tiny_network.layers[li]
+        x = golden.activations[li]
+        victim = tuple(int(v) for v in np.argwhere(np.abs(x) >= 1)[0])
+        _, _, ow = layer.out_shape(x.shape)
+        lo, hi = window_out_span(victim[2], victim[2] + 1, layer.kernel, layer.stride,
+                                 layer.pad, ow)
+        ncols = hi - lo
+        calls = {"mac_operands": 0, "multiply": 0}
+
+        def counted(cls, name):
+            real = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(Conv2D, "mac_operands")
+        counted(type(FLOAT16), "multiply")
+        fault = BufferFault("row_activation", li, victim, 14, residency_row=victim[1])
+        prep = prepare_buffer(tiny_network, FLOAT16, fault, golden)
+        assert not prep.masked
+        assert 0 < calls["mac_operands"] <= ncols
+        assert 0 < calls["multiply"] <= ncols + 1
