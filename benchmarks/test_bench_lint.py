@@ -1,11 +1,9 @@
-"""Bench: whole-repo repro-lint wall time (the RP6xx flow engine guard).
+"""Bench: whole-repo repro-lint wall time.
 
-The RP6xx family runs an interprocedural fixpoint (call graph + taint
-summaries) over every linted file, so lint cost now scales with the
-whole tree rather than per-file AST walks.  Acceptance: linting the
-entire checkout (src, tests, benchmarks, examples) stays under a
-generous ceiling — roughly 10x the seed-time measurement — so the flow
-engine cannot quietly regress into an unusable pre-commit hook.
+Acceptance: linting the entire checkout (src, tests, benchmarks,
+examples) stays under a generous ceiling — roughly 10x the seed-time
+measurement — so the linter cannot quietly regress into an unusable
+pre-commit hook.
 
 The timing lands in ``benchmarks/BENCH_<date>.json`` via ``run_once``
 like every other benchmark, so historical lint cost can be diffed with
@@ -42,5 +40,5 @@ def test_bench_lint_whole_repo(run_once):
     assert findings == [], "\n".join(f.render() for f in findings)
     assert elapsed < LINT_CEILING_S, (
         f"whole-repo lint took {elapsed:.1f} s (ceiling {LINT_CEILING_S:.0f} s); "
-        "the RP6xx flow fixpoint has regressed"
+        "the lint engine has regressed"
     )

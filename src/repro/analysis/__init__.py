@@ -19,30 +19,21 @@ AST-visitor rule engine with five project-specific pass families:
   must be registered, with no orphans.
 - ``RP5xx`` API hygiene — ``__all__`` present and accurate in every
   public module.
-- ``RP6xx`` flow-aware analysis — an intraprocedural CFG
-  (:mod:`~repro.analysis.cfg`), a worklist dataflow solver
-  (:mod:`~repro.analysis.dataflow`) and a package-local call graph
-  (:mod:`~repro.analysis.callgraph`) track *values* instead of call
-  sites: nondeterminism taint reaching seeds/fingerprints (RP601),
-  float64 arrays reaching fixed-point consumers (RP611/RP612), and
-  fork-unsafe module-state writes / unpublished temp paths under the
-  worker pool (RP621/RP622).  Findings carry a machine-readable
-  source->sink trace; ``repro-lint --explain RP601`` documents each rule.
 
-Findings can be suppressed inline (``# repro: noqa[RP101]``, or by
-family: ``# repro: noqa[RP6]``) or steered via ``[tool.repro-lint]`` in
-``pyproject.toml``.  Run as ``repro-lint`` or ``python -m repro.analysis``.
+``repro-lint --explain RP101`` documents each rule.  Findings can be
+suppressed inline (``# repro: noqa[RP101]``) or steered via
+``[tool.repro-lint]`` in ``pyproject.toml``.  Run as ``repro-lint`` or
+``python -m repro.analysis``.
 """
 
 from repro.analysis.config import LintConfig, load_config
 from repro.analysis.engine import FileContext, ProjectContext, lint_paths
-from repro.analysis.findings import Finding, TraceHop
+from repro.analysis.findings import Finding
 from repro.analysis.registry import ProjectRule, Rule, all_rules, get_rule, register
 from repro.analysis.reporters import render_json, render_text
 
 __all__ = [
     "Finding",
-    "TraceHop",
     "FileContext",
     "LintConfig",
     "ProjectContext",

@@ -69,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         default=None,
         metavar="RPnnn",
-        help="print one rule's long-form documentation (for flow rules: "
-        "sources, sinks and an example source->sink trace) and exit",
+        help="print one rule's long-form documentation and exit",
     )
     return parser
 

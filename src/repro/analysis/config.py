@@ -20,13 +20,9 @@ paths *except* the print-exempt CLI/reporter modules.  Path values match
 as posix fragments against each linted file's path, so ``repro/core``
 matches any layout that nests the package (``src/repro/core/...``).
 
-The flow-aware RP6xx family adds name-list keys: ``fork-entry-points``
-(functions that run inside pool workers, the RP621 reachability roots),
-``taint-sinks`` (call/keyword name fragments treated as nondeterminism
-sinks by RP601) and ``dtype-sinks`` (fixed-point consumer names for
-RP611/RP612).  ``float-eq-exempt-paths`` and ``script-paths`` carve the
-test/benchmark suites and example scripts out of RP201 and RP501, where
-exact comparison and script-style modules are deliberate.
+``float-eq-exempt-paths`` and ``script-paths`` carve the test/benchmark
+suites and example scripts out of RP201 and RP501, where exact
+comparison and script-style modules are deliberate.
 ``obs-writer-exempt-paths`` names the sanctioned artifact writers
 (checkpoint, manifest, tracer; appends go through ``repro.obs.jsonlog``)
 that RP108 exempts from its ban on direct append-mode JSON writes.
@@ -85,29 +81,6 @@ class LintConfig:
     #: Script trees (examples, one-off tools) exempt from the __all__
     #: contract (RP501): they are entry points, not importable API.
     script_paths: tuple[str, ...] = ("examples",)
-    #: Function names that execute inside supervised-pool worker
-    #: processes; RP621 flags module-state writes reachable from them.
-    fork_entry_points: tuple[str, ...] = ("_init_worker", "_run_chunk")
-    #: Name fragments that make a call / keyword a nondeterminism sink
-    #: for RP601 (seeds, fingerprints, RNG constructors).
-    taint_sinks: tuple[str, ...] = (
-        "fingerprint",
-        "seed",
-        "entropy",
-        "child_rng",
-        "make_rng",
-        "spawn_rngs",
-    )
-    #: Method/function names that consume fixed-point *bit patterns*
-    #: (integer input); a float64-tainted array reaching one is an
-    #: RP611/RP612 sink.  Deliberately only the int-input side of the
-    #: codec: ``quantize``/``encode``/``to_int`` and the MAC helpers take
-    #: arbitrary floats by design — rounding them into the format is
-    #: their whole job.
-    dtype_sinks: tuple[str, ...] = (
-        "decode",
-        "from_int",
-    )
     config_file: str | None = field(default=None, compare=False)
 
     def scope(self, key: str) -> tuple[str, ...]:

@@ -21,7 +21,7 @@ from repro.analysis.registry import ProjectRule, all_rules, expand_ids, known_id
 
 __all__ = ["FileContext", "ProjectContext", "lint_paths", "iter_python_files"]
 
-#: Inline suppression: ``# repro: noqa`` or ``# repro: noqa[RP101, RP2]``.
+#: Inline suppression: ``# repro: noqa`` or ``# repro: noqa[RP101, RP201]``.
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<ids>[^\]]*)\])?", re.IGNORECASE)
 
 
@@ -66,16 +66,10 @@ class FileContext:
 
 @dataclass
 class ProjectContext:
-    """All linted files at once, for cross-file consistency rules.
-
-    ``cache`` is scratch storage scoped to one lint run: the flow rules
-    use it to share the call graph and dataflow results instead of
-    recomputing them per rule.  Keys are namespaced by rule family.
-    """
+    """All linted files at once, for cross-file consistency rules."""
 
     files: list[FileContext]
     config: LintConfig
-    cache: dict = field(default_factory=dict)
 
     def find(self, fragment: str) -> list[FileContext]:
         """Files whose path contains the posix ``fragment``."""
@@ -104,24 +98,9 @@ def _active_ids(config: LintConfig) -> set[str]:
     return active
 
 
-#: noqa tokens that act as family prefixes: ``RP6`` / ``RP60`` (optionally
-#: written ``RP6xx``) suppress every rule id they prefix; full three-digit
-#: ids keep exact-match semantics.
-_FAMILY_TOKEN = re.compile(r"^RP\d{1,2}$")
-
-
-def _token_matches(token: str, rule_id: str) -> bool:
-    token = token.rstrip("X")
-    if _FAMILY_TOKEN.match(token):
-        return rule_id.startswith(token)
-    return rule_id == token
-
-
 def _suppressed(ctx: FileContext, finding: Finding) -> bool:
     ids = ctx.suppressed_ids(finding.line)
-    if ids is None:
-        return False
-    return not ids or any(_token_matches(token, finding.rule_id) for token in ids)
+    return ids is not None and (not ids or finding.rule_id in ids)
 
 
 def lint_paths(

@@ -2,38 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Finding", "TraceHop", "PARSE_ERROR_ID"]
+__all__ = ["Finding", "PARSE_ERROR_ID"]
 
 #: Pseudo-rule id for files the engine cannot parse.
 PARSE_ERROR_ID = "RP000"
-
-
-@dataclass(frozen=True, order=True)
-class TraceHop:
-    """One step of a flow-rule source->sink trace.
-
-    Attributes:
-        file: Path of the file the hop occurs in (hops may cross files).
-        line: 1-based line number.
-        col: 1-based column number.
-        note: What happened at this hop ("source: time.time()",
-            "'stamp' assigned from tainted value", ...).
-    """
-
-    file: str
-    line: int
-    col: int
-    note: str
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {"file": self.file, "line": self.line, "col": self.col, "note": self.note}
-
-    def render(self) -> str:
-        """One-line text rendering (``path:line:col note``)."""
-        return f"{self.file}:{self.line}:{self.col} {self.note}"
 
 
 @dataclass(frozen=True, order=True)
@@ -46,10 +20,6 @@ class Finding:
         col: 1-based column number.
         rule_id: Stable rule identifier (``RPnnn``).
         message: Human-readable explanation.
-        trace: For flow rules (RP6xx), the machine-readable source->sink
-            path, one :class:`TraceHop` per step.  Empty for syntactic
-            rules.  Excluded from ordering/equality so the trace cannot
-            perturb report sorting or de-duplication.
     """
 
     file: str
@@ -57,7 +27,6 @@ class Finding:
     col: int
     rule_id: str
     message: str
-    trace: tuple[TraceHop, ...] = field(default=(), compare=False)
 
     def to_dict(self) -> dict:
         """JSON-ready representation (``rule-id`` aliased for tooling)."""
@@ -68,18 +37,8 @@ class Finding:
             "rule_id": self.rule_id,
             "rule-id": self.rule_id,
             "message": self.message,
-            "trace": [hop.to_dict() for hop in self.trace],
         }
 
     def render(self) -> str:
         """One-line text rendering (``path:line:col: RPnnn message``)."""
         return f"{self.file}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-    def render_trace(self, indent: str = "    ") -> str:
-        """Multi-line trace rendering; empty string when there is no trace."""
-        if not self.trace:
-            return ""
-        width = len("flow: ")
-        lines = [f"{indent}flow: {self.trace[0].render()}"]
-        lines += [f"{indent}{' ' * width}{hop.render()}" for hop in self.trace[1:]]
-        return "\n".join(lines)

@@ -9,7 +9,6 @@ grouped by family:
 - ``RP3xx`` atomic-write hygiene
 - ``RP4xx`` registry consistency
 - ``RP5xx`` API hygiene
-- ``RP6xx`` flow-aware analysis (dataflow/taint over CFG + call graph)
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["Rule", "ProjectRule", "register", "all_rules", "get_rule", "known_ids", "expand_ids"]
 
-_RULE_ID = re.compile(r"^RP[1-6]\d\d$")
+_RULE_ID = re.compile(r"^RP[1-5]\d\d$")
 
 _REGISTRY: dict[str, "Rule"] = {}
 
@@ -54,7 +53,7 @@ class Rule:
         """Yield findings for one parsed file."""
         raise NotImplementedError
 
-    def finding(self, ctx: "FileContext", node, message: str, trace=()) -> "Finding":
+    def finding(self, ctx: "FileContext", node, message: str) -> "Finding":
         """Build a finding anchored at an AST node (1-based column)."""
         from repro.analysis.findings import Finding
 
@@ -64,15 +63,12 @@ class Rule:
             col=getattr(node, "col_offset", 0) + 1,
             rule_id=self.id,
             message=message,
-            trace=tuple(trace),
         )
 
     def explain(self) -> str:
         """Long-form rule documentation for ``repro-lint --explain``.
 
-        The default renders the rule header plus its class docstring;
-        flow rules override this to also list their sources/sinks and an
-        example source->sink trace.
+        Renders the rule header plus its class docstring.
         """
         import inspect
         import textwrap
@@ -98,7 +94,7 @@ class ProjectRule(Rule):
 def register(cls: type[Rule]) -> type[Rule]:
     """Class decorator: instantiate and index a rule by its id."""
     if not _RULE_ID.match(cls.id):
-        raise ValueError(f"rule id {cls.id!r} does not match RP[1-6]xx")
+        raise ValueError(f"rule id {cls.id!r} does not match RP[1-5]xx")
     if cls.id in _REGISTRY:
         raise ValueError(f"duplicate rule id {cls.id}")
     _REGISTRY[cls.id] = cls()

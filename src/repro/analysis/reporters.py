@@ -11,26 +11,20 @@ __all__ = ["render_text", "render_json", "REPORTERS"]
 
 
 def render_text(findings: Sequence[Finding]) -> str:
-    """``path:line:col: RPnnn message`` per finding, plus a tally line.
-
-    Flow findings (RP6xx) additionally render their source->sink trace
-    indented under the finding line, one hop per line.
-    """
-    lines = []
-    for f in findings:
-        lines.append(f.render())
-        trace = f.render_trace()
-        if trace:
-            lines.append(trace)
+    """``path:line:col: RPnnn message`` per finding, plus a tally line."""
+    lines = [f.render() for f in findings]
     noun = "finding" if len(findings) == 1 else "findings"
     lines.append(f"{len(findings)} {noun}")
     return "\n".join(lines)
 
 
 def render_json(findings: Sequence[Finding]) -> str:
-    """Stable JSON document: ``{"version", "count", "findings": [...]}``."""
+    """Stable JSON document: ``{"version", "count", "findings": [...]}``.
+
+    ``version`` changes whenever the schema of a finding does.
+    """
     doc = {
-        "version": 1,
+        "version": 2,
         "count": len(findings),
         "findings": [f.to_dict() for f in findings],
     }

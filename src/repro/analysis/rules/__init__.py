@@ -5,9 +5,6 @@ from repro.analysis.rules import (
     atomicity,
     determinism,
     dtype_safety,
-    flow_dtype,
-    flow_fork,
-    flow_taint,
     observability,
     registry_sync,
 )
@@ -17,9 +14,6 @@ __all__ = [
     "atomicity",
     "determinism",
     "dtype_safety",
-    "flow_dtype",
-    "flow_fork",
-    "flow_taint",
     "observability",
     "registry_sync",
 ]

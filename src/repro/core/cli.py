@@ -17,6 +17,7 @@ from repro.core.fault import DATAPATH_LATCHES
 from repro.core.serialize import campaign_summary, save_json
 from repro.core.tracing import EventRecorder
 from repro.dtypes.registry import DTYPES
+from repro.utils.parallel import effective_jobs
 from repro.utils.tables import format_table
 from repro.zoo.registry import NETWORKS
 
@@ -135,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         spec = build_spec(args)
+        effective_jobs(args.jobs)  # raises on a negative worker count
     except (ValueError, KeyError) as exc:
         print(f"invalid campaign: {exc}", file=sys.stderr)
         return 2

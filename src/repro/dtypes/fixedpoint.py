@@ -122,7 +122,7 @@ class FixedPointType(DataType):
             for v in ints[r]:
                 acc = min(max(acc + int(v), self._imin), self._imax)
             out[r] = acc
-        return self.from_int(out)  # repro: noqa[RP611]
+        return self.from_int(out)
 
     # -- range -------------------------------------------------------------- #
     @property

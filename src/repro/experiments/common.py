@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.campaign import CampaignResult, CampaignSpec, run_campaign
+from repro.utils.parallel import effective_jobs
 
 __all__ = ["ExperimentConfig", "campaign", "PAPER_NETWORKS", "IMAGENET_NETWORKS"]
 
@@ -87,6 +88,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        effective_jobs(self.jobs)  # raises on a negative worker count
 
 
 _campaign_cache: dict[CampaignSpec, CampaignResult] = {}

@@ -189,18 +189,22 @@ def main(argv: list[str] | None = None) -> int:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
 
-    cfg = ExperimentConfig(
-        trials=args.trials, scale=args.scale, seed=args.seed, jobs=args.jobs,
-        batch=args.batch,
-        trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-        max_error_frac=args.max_error_frac, checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume, obs_dir=args.obs_dir, progress=args.progress,
-        spans=args.spans,
-        shared_golden={"auto": None, "on": True, "off": False}[args.shm],
-        target_halfwidth=args.target_halfwidth,
-        stop_stratify=args.stop_stratify,
-        stop_check_every=args.stop_check_every,
-    )
+    try:
+        cfg = ExperimentConfig(
+            trials=args.trials, scale=args.scale, seed=args.seed, jobs=args.jobs,
+            batch=args.batch,
+            trial_timeout=args.trial_timeout, max_retries=args.max_retries,
+            max_error_frac=args.max_error_frac, checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume, obs_dir=args.obs_dir, progress=args.progress,
+            spans=args.spans,
+            shared_golden={"auto": None, "on": True, "off": False}[args.shm],
+            target_halfwidth=args.target_halfwidth,
+            stop_stratify=args.stop_stratify,
+            stop_check_every=args.stop_check_every,
+        )
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     targets = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for exp_id in targets:
         if exp_id not in EXPERIMENTS:

@@ -105,8 +105,8 @@ class _Chunk:
 def _init_worker(task_factory: Callable[[], object]) -> None:
     global _WORKER_TASK
     # Worker-lifetime task cache, rebound exactly once per process at
-    # pool start; the sanctioned RP621 exemption (see --explain RP621).
-    _WORKER_TASK = task_factory()  # repro: noqa[RP621]
+    # pool start.
+    _WORKER_TASK = task_factory()
 
 
 def exc_summary(exc: BaseException, frames: int = 3) -> str:

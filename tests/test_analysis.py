@@ -49,19 +49,6 @@ def ids(findings: list[Finding]) -> set[str]:
     return {f.rule_id for f in findings}
 
 
-def lint_tree(
-    tmp_path: Path,
-    files: dict[str, str],
-    config: LintConfig | None = None,
-) -> list[Finding]:
-    """Write a fixture tree (relpath -> code) and lint the whole of it."""
-    for relpath, code in files.items():
-        target = tmp_path / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(code))
-    return lint_paths([tmp_path], config=config)
-
-
 def by_rule(findings: list[Finding], rule_id: str) -> list[Finding]:
     return [f for f in findings if f.rule_id == rule_id]
 
@@ -69,15 +56,14 @@ def by_rule(findings: list[Finding], rule_id: str) -> list[Finding]:
 class TestRegistry:
     def test_all_rule_families_present(self):
         families = {rule.id[:3] for rule in all_rules()}
-        assert families == {"RP1", "RP2", "RP3", "RP4", "RP5", "RP6"}
+        assert families == {"RP1", "RP2", "RP3", "RP4", "RP5"}
 
     def test_ids_are_stable_and_unique(self):
         rule_ids = [rule.id for rule in all_rules()]
         assert len(rule_ids) == len(set(rule_ids))
         assert {"RP101", "RP102", "RP103", "RP104", "RP105", "RP106", "RP108",
                 "RP201", "RP202", "RP203",
-                "RP301", "RP302", "RP401", "RP402", "RP501", "RP502", "RP503",
-                "RP601", "RP611", "RP612", "RP621", "RP622"} <= set(rule_ids)
+                "RP301", "RP302", "RP401", "RP402", "RP501", "RP502", "RP503"} <= set(rule_ids)
 
     def test_get_rule_unknown_raises(self):
         with pytest.raises(KeyError):
@@ -517,7 +503,8 @@ class TestAtomicityRule:
 
 
 class TestRegistrySyncRules:
-    def _experiment_tree(self, tmp_path: Path, register_orphan: bool) -> Path:
+    @staticmethod
+    def _experiment_tree(tmp_path: Path, register_orphan: bool) -> Path:
         pkg = tmp_path / "repro" / "experiments"
         pkg.mkdir(parents=True)
         registered = "'orphan': orphan," if register_orphan else ""
@@ -609,6 +596,14 @@ class TestEngine:
         assert PARSE_ERROR_ID in ids(findings)
         assert "RP102" in ids(findings)  # the broken file did not mask the good one
 
+    def test_parse_error_does_not_hide_project_findings(self, tmp_path):
+        tree = TestRegistrySyncRules._experiment_tree(tmp_path, register_orphan=False)
+        (tree / "repro" / "experiments" / "broken.py").write_text("def broken(:\n")
+        findings = lint_paths([tree])
+        assert [Path(f.file).name for f in by_rule(findings, PARSE_ERROR_ID)] == ["broken.py"]
+        orphans = by_rule(findings, "RP401")
+        assert len(orphans) == 1 and "orphan" in orphans[0].message
+
     def test_blanket_noqa_suppresses(self, tmp_path):
         findings = lint_snippet(tmp_path, "__all__ = []\nimport random  # repro: noqa\n")
         assert "RP102" not in ids(findings)
@@ -686,8 +681,10 @@ class TestReporters:
 
     def test_json_round_trip_fields(self):
         doc = json.loads(render_json(self._findings()))
+        assert doc["version"] == 2
         assert doc["count"] == 1
         (entry,) = doc["findings"]
+        assert set(entry) == {"file", "line", "col", "rule_id", "rule-id", "message"}
         assert entry["file"] == "a.py"
         assert entry["line"] == 3
         assert entry["rule_id"] == "RP101" == entry["rule-id"]
@@ -727,365 +724,7 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
 
-class TestFlowTaint:
-    """RP601: flows a syntactic rule cannot see (see --explain RP601)."""
-
-    def test_clock_through_helper_reaches_seed_sink(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "pkg/helpers.py": """
-            __all__ = ["fresh_token"]
-            import time
-
-            def fresh_token():
-                stamp = time.time()
-                return stamp
-            """,
-            "pkg/run.py": """
-            __all__ = ["main"]
-            from pkg.helpers import fresh_token
-
-            def main(rng):
-                token = fresh_token()
-                return rng.spawn_rngs(token)
-            """,
-        })
-        flagged = by_rule(findings, "RP601")
-        assert flagged, findings
-        (finding,) = flagged
-        assert finding.file.endswith("run.py")
-        # The trace walks source -> assignment -> cross-file return -> sink,
-        # with a concrete file/line for every hop.
-        notes = [hop.note for hop in finding.trace]
-        assert any("time.time()" in note for note in notes)
-        assert any("returned" in note for note in notes)
-        assert any("spawn_rngs" in note for note in notes)
-        assert {hop.file.rsplit("/", 1)[-1] for hop in finding.trace} == {"helpers.py", "run.py"}
-        assert all(hop.line >= 1 and hop.col >= 1 for hop in finding.trace)
-
-    def test_seed_keyword_is_a_sink_anywhere(self, tmp_path):
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["main"]
-        import time
-
-        def main(rig):
-            t = time.time()
-            return rig.configure(seed=t)
-        """)
-        assert "RP601" in ids(findings)
-
-    def test_fs_order_sanitized_by_sorted(self, tmp_path):
-        dirty = lint_snippet(tmp_path, """
-        __all__ = ["fingerprint_inputs"]
-        import os
-
-        def fingerprint_inputs(h, root):
-            names = os.listdir(root)
-            return h.fingerprint(names)
-        """)
-        clean = lint_snippet(tmp_path, """
-        __all__ = ["fingerprint_inputs"]
-        import os
-
-        def fingerprint_inputs(h, root):
-            names = sorted(os.listdir(root))
-            return h.fingerprint(names)
-        """, relpath="clean.py")
-        assert "RP601" in ids(dirty)
-        assert "RP601" not in ids(clean)
-
-    def test_rebinding_with_clean_value_clears_taint(self, tmp_path):
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["main"]
-        import time
-
-        def main(rig):
-            t = time.time()
-            t = 0
-            return rig.configure(seed=t)
-        """)
-        assert "RP601" not in ids(findings)
-
-    def test_constant_seed_is_clean(self, tmp_path):
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["main"]
-
-        def main(rig):
-            return rig.configure(seed=1234)
-        """)
-        assert "RP601" not in ids(findings)
-
-    def test_taint_through_callee_parameter_sink(self, tmp_path):
-        # The sink is inside a helper; taint enters through its parameter.
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["derive", "main"]
-        import time
-
-        def derive(rng, value):
-            return rng.spawn_rngs(value)
-
-        def main(rng):
-            now = time.time()
-            return derive(rng, now)
-        """)
-        flagged = by_rule(findings, "RP601")
-        assert flagged
-        # Reported at the call in main() that feeds the tainted argument.
-        assert any("passed into derive()" in hop.note for f in flagged for hop in f.trace)
-
-
-class TestFlowDtype:
-    """RP611/RP612: dtype flows into the int-input codec boundary."""
-
-    def test_rp611_default_float64_reaches_decode(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "pkg/bufs.py": """
-            __all__ = ["make_bits"]
-            import numpy as np
-
-            def make_bits():
-                bits = np.zeros(16)
-                return bits
-            """,
-            "pkg/use.py": """
-            __all__ = ["decode_all"]
-            from pkg.bufs import make_bits
-
-            def decode_all(codec):
-                bits = make_bits()
-                return codec.decode(bits)
-            """,
-        })
-        flagged = by_rule(findings, "RP611")
-        assert flagged, findings
-        (finding,) = flagged
-        assert finding.file.endswith("use.py")
-        assert any("float64 default" in hop.note for hop in finding.trace)
-        assert any("decode" in hop.note for hop in finding.trace)
-
-    def test_rp611_astype_sanitizes(self, tmp_path):
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["decode_all"]
-        import numpy as np
-
-        def decode_all(codec):
-            bits = np.zeros(16).astype("uint16")
-            return codec.decode(bits)
-        """)
-        assert "RP611" not in ids(findings)
-
-    def test_rp611_int_literal_array_is_not_float64(self, tmp_path):
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["decode_one"]
-        import numpy as np
-
-        def decode_one(codec):
-            return codec.decode(np.array([0x8000]))
-        """)
-        assert "RP611" not in ids(findings)
-
-    def test_rp612_bare_float_promotion_reaches_from_int(self, tmp_path):
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["run"]
-        import numpy as np
-
-        def run(codec):
-            acc = np.zeros(8, dtype=np.int32)
-            acc = acc * 0.5
-            return codec.from_int(acc)
-        """)
-        flagged = by_rule(findings, "RP612")
-        assert flagged, findings
-        assert any("bare Python float" in hop.note for f in flagged for hop in f.trace)
-
-    def test_rp612_int_scalar_arith_is_clean(self, tmp_path):
-        findings = lint_snippet(tmp_path, """
-        __all__ = ["run"]
-        import numpy as np
-
-        def run(codec):
-            acc = np.zeros(8, dtype=np.int32)
-            acc = acc * 2
-            return codec.from_int(acc)
-        """)
-        assert "RP612" not in ids(findings)
-
-
-class TestFlowFork:
-    """RP621/RP622: bugs that only exist across the process boundary."""
-
-    def _pool_tree(self, mutate: str) -> dict[str, str]:
-        return {
-            "pkg/state.py": """
-            __all__ = ["CACHE"]
-            CACHE = {}
-            """,
-            "pkg/pool.py": f"""
-            __all__ = ["helper"]
-            from pkg.state import CACHE
-
-            def _init_worker(task):
-                helper(task)
-
-            def helper(task):
-                {mutate}
-            """,
-        }
-
-    def test_rp621_cross_module_write_reachable_from_worker(self, tmp_path):
-        findings = lint_tree(tmp_path, self._pool_tree('CACHE["t"] = task'))
-        flagged = by_rule(findings, "RP621")
-        assert flagged, findings
-        (finding,) = flagged
-        notes = [hop.note for hop in finding.trace]
-        assert any("entry point _init_worker()" in note for note in notes)
-        assert any("_init_worker() calls helper()" in note for note in notes)
-        assert any("defined here" in note for note in notes)
-        assert notes[-1] == "written here inside a forked worker"
-
-    def test_rp621_mutator_method_flagged(self, tmp_path):
-        findings = lint_tree(tmp_path, self._pool_tree("CACHE.update(task)"))
-        assert "RP621" in ids(findings)
-
-    def test_rp621_local_shadow_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, self._pool_tree('CACHE = {}; CACHE["t"] = task'))
-        assert "RP621" not in ids(findings)
-
-    def test_rp621_unreachable_function_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "pkg/state.py": """
-            __all__ = ["CACHE"]
-            CACHE = {}
-            """,
-            "pkg/other.py": """
-            __all__ = ["not_a_worker"]
-            from pkg.state import CACHE
-
-            def not_a_worker(task):
-                CACHE["t"] = task
-            """,
-        })
-        assert "RP621" not in ids(findings)
-
-    def test_rp622_temp_from_factory_never_published(self, tmp_path):
-        code = (  # repro: noqa[RP302] — fixture string mentions tmp/getpid
-            """
-        __all__ = ["make_temp", "save"]
-        import os
-
-        def make_temp(path):
-            staging = str(path) + ".tmp." + str(os.getpid())
-            return staging
-
-        def save(path, data):
-            out = make_temp(path)
-            with open(out, "w") as fh:
-                fh.write(data)
-        """
-        )
-        findings = lint_snippet(tmp_path, code)
-        flagged = by_rule(findings, "RP622")
-        assert flagged, findings
-        (finding,) = flagged
-        notes = [hop.note for hop in finding.trace]
-        assert notes[0] == "temp path created here"
-        assert any("returned to caller" in note for note in notes)
-        assert any("never published" in note for note in notes)
-
-    def test_rp622_published_call_site_clean(self, tmp_path):
-        code = (  # repro: noqa[RP302] — fixture string mentions tmp/getpid
-            """
-        __all__ = ["make_temp", "save"]
-        import os
-
-        def make_temp(path):
-            staging = str(path) + ".tmp." + str(os.getpid())
-            return staging
-
-        def save(path, data):
-            out = make_temp(path)
-            with open(out, "w") as fh:
-                fh.write(data)
-            os.replace(out, path)
-        """
-        )
-        findings = lint_snippet(tmp_path, code)
-        assert "RP622" not in ids(findings)
-
-
-class TestFlowReportingAndSuppression:
-    """Traces in both reporters, family noqa, RP000 interplay."""
-
-    _BUG = """
-    __all__ = ["main"]
-    import time
-
-    def main(rig):
-        t = time.time()
-        return rig.configure(seed=t)
-    """
-
-    def test_trace_rendered_by_text_reporter(self, tmp_path):
-        findings = lint_snippet(tmp_path, self._BUG)
-        text = render_text(by_rule(findings, "RP601"))
-        assert "flow:" in text
-        assert "source: time.time()" in text
-
-    def test_trace_in_json_reporter_with_stable_keys(self, tmp_path):
-        findings = lint_snippet(tmp_path, self._BUG)
-        raw = render_json(by_rule(findings, "RP601"))
-        # Both spellings of the rule-id key survive alongside the trace.
-        assert '"rule_id"' in raw and '"rule-id"' in raw
-        doc = json.loads(raw)
-        (entry,) = doc["findings"]
-        assert entry["rule_id"] == "RP601" == entry["rule-id"]
-        assert entry["trace"], "flow finding must carry a machine-readable trace"
-        for hop in entry["trace"]:
-            assert set(hop) == {"file", "line", "col", "note"}
-        assert any(h["note"] == "source: time.time()" for h in entry["trace"])
-
-    def test_trace_does_not_perturb_equality_or_order(self):
-        from repro.analysis.findings import TraceHop
-
-        bare = Finding(file="a.py", line=1, col=1, rule_id="RP601", message="m")
-        traced = Finding(
-            file="a.py", line=1, col=1, rule_id="RP601", message="m",
-            trace=(TraceHop(file="a.py", line=1, col=1, note="source"),),
-        )
-        assert bare == traced
-        assert sorted([traced, bare]) == [traced, bare]
-
-    @pytest.mark.parametrize("token", ["RP601", "RP6", "RP60", "RP6xx"])
-    def test_family_prefix_noqa_suppresses(self, tmp_path, token):
-        code = self._BUG.replace(
-            "return rig.configure(seed=t)",
-            f"return rig.configure(seed=t)  # repro: noqa[{token}]",
-        )
-        assert "RP601" not in ids(lint_snippet(tmp_path, code))
-
-    def test_other_family_noqa_does_not_suppress(self, tmp_path):
-        code = self._BUG.replace(
-            "return rig.configure(seed=t)",
-            "return rig.configure(seed=t)  # repro: noqa[RP1]",
-        )
-        assert "RP601" in ids(lint_snippet(tmp_path, code))
-
-    def test_parse_error_does_not_hide_flow_findings(self, tmp_path):
-        findings = lint_tree(tmp_path, {
-            "pkg/broken.py": "def broken(:\n",
-            "pkg/bug.py": self._BUG,
-        })
-        assert PARSE_ERROR_ID in ids(findings)
-        assert "RP601" in ids(findings)
-
-
 class TestExplainCli:
-    def test_explain_flow_rule_documents_trace(self, capsys):
-        assert lint_main(["--explain", "RP601"]) == 0
-        out = capsys.readouterr().out
-        assert "RP601 nondeterminism-taint" in out
-        assert "flow:" in out  # the example source->sink trace
-        assert "Sources" in out and "Sinks" in out
-
     def test_explain_syntactic_rule(self, capsys):
         assert lint_main(["--explain", "rp104"]) == 0
         out = capsys.readouterr().out

@@ -48,6 +48,11 @@ class TestCampaignCli:
         assert main(["--network", "ConvNet", "--trials", "5", "--burst", "0"]) == 2
         assert "invalid campaign" in capsys.readouterr().err
 
+    def test_negative_jobs_rejected(self, capsys):
+        assert main(["--network", "ConvNet", "--trials", "5", "--jobs", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "jobs must be >= 0" in captured.err and captured.out == ""
+
     def test_unknown_network_rejected(self):
         with pytest.raises(SystemExit):
             main(["--network", "ResNet"])

@@ -164,3 +164,14 @@ class TestRunner:
 
     def test_cli_unknown(self, capsys):
         assert main(["nope"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--jobs", "-1"],
+        ["fig3", "--trials", "0"],
+        ["all", "--jobs", "-1"],
+    ])
+    def test_cli_usage_error_before_any_work(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no experiment ran, not even table1
+        assert "invalid configuration" in captured.err
