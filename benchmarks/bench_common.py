@@ -13,4 +13,4 @@ __all__ = ["TRIALS", "BENCH_CFG"]
 TRIALS = 250
 
 #: Standard benchmark configuration (reduced-scale networks, seed 0).
-BENCH_CFG = ExperimentConfig(trials=TRIALS, scale="reduced", seed=0, jobs=1)
+BENCH_CFG = ExperimentConfig(trials=TRIALS, scale="reduced", seed=0)

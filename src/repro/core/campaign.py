@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -38,8 +38,8 @@ from repro.core.injector import (
 )
 from repro.core.outcome import SDC_CLASSES, Outcome, classify_outcome
 from repro.core.stats import RateEstimate, wilson_halfwidth
-from repro.core.tracing import EventRecorder
 from repro.dtypes.registry import get_dtype
+from repro.obs.events import EventRecorder
 from repro.obs.metrics import (
     MetricsRegistry,
     empty_snapshot,
@@ -66,6 +66,7 @@ __all__ = [
     "ExecutionStats",
     "CampaignAbortedError",
     "CampaignResult",
+    "RunOptions",
     "record_trial_metrics",
     "record_skip_metrics",
     "stratum_key",
@@ -93,10 +94,12 @@ class CampaignSpec:
         n_inputs: Distinct golden inputs rotated across trials.
         seed: Root seed; every trial derives its own stream.
         latch: Pin the datapath latch class (None = uniform).
-        bit: Pin the flipped bit position (None = uniform).
+        bit: Pin the flipped bit position (None = uniform); it must lie
+            in the faulted word (``storage_dtype`` for a buffer target).
         burst: Adjacent bits flipped per fault (1 = the paper's
             single-event-upset model; >1 models multi-cell upsets).
-        layer_index: Pin the victim MAC layer (None = MAC-weighted).
+        layer_index: Pin the victim MAC layer (None = MAC-weighted);
+            datapath targets only.
         with_detection: Evaluate the symptom detector on each trial.
         sed_cushion: Detector range cushion (paper: 0.10).
         sed_learn_inputs: Fault-free inputs used by the SED learning
@@ -209,6 +212,21 @@ class CampaignSpec:
             )
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
+        if self.bit is not None:
+            # Buffer flips land in the storage word (Proteus-aware).
+            word = (self.target != "datapath" and self.storage_dtype) or self.dtype
+            width = get_dtype(word).width
+            if not 0 <= self.bit < width:
+                raise ValueError(f"bit must be in [0, {width}) for {word}, got {self.bit}")
+        if self.layer_index is not None:
+            if self.target != "datapath":
+                raise ValueError(f"layer_index pins a datapath fault, not a {self.target} one")
+            mac_layers = get_network(self.network, self.scale).mac_layer_indices()
+            if self.layer_index not in mac_layers:
+                raise ValueError(
+                    f"layer_index must be a MAC layer of {self.network} {mac_layers}, "
+                    f"got {self.layer_index}"
+                )
 
 
 @dataclass(frozen=True)
@@ -999,48 +1017,20 @@ class _EarlyStopPlanner:
         return None
 
 
-def run_campaign(
-    spec: CampaignSpec,
-    jobs: int | None = 1,
-    *,
-    batch: int = 1,
-    chunk: int = 64,
-    shared_golden: bool | None = None,
-    checkpoint: str | Path | None = None,
-    resume: bool = False,
-    checkpoint_every: int = 64,
-    trial_timeout: float | None = None,
-    max_retries: int = 2,
-    max_error_frac: float = 0.0,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 8.0,
-    timeout_grace: float = 5.0,
-    events: EventRecorder | None = None,
-    metrics: MetricsRegistry | None = None,
-    spans: bool = False,
-    manifest: str | Path | None = None,
-    run_log: str | Path | None = None,
-    progress_every: float = 0.0,
-    trace_path: str | Path | None = None,
-) -> CampaignResult:
-    """Execute a campaign resiliently, optionally across a process pool.
+@dataclass(frozen=True)
+class RunOptions:
+    """How a campaign executes; an invalid value raises ``ValueError``.
 
-    Trial ``i`` always uses the RNG stream ``child_rng(spec.seed, i)``,
-    so results are identical for any ``jobs`` value — and, because a
-    trial's outcome depends only on its index, a checkpointed campaign
-    resumes bit-identically after a kill.
+    No field is part of the campaign identity: results, checkpoints and
+    metric counters are bit-identical for every value, so none is in the
+    checkpoint fingerprint, and a campaign checkpointed under one set of
+    options resumes correctly under another.
 
-    Args:
-        spec: Campaign configuration.
+    Attributes:
         jobs: Worker processes (1 = inline, None/0 = all cores).
         batch: Maximum group size: trials propagated per
-            ``forward_from_batch`` call.  An execution knob, not part of
-            the campaign identity: results, checkpoints and metric
-            counters are bit-identical for every value (each trial's
-            arithmetic is independent of its batch-mates), so it is
-            deliberately *not* in :class:`CampaignSpec` or the
-            checkpoint fingerprint — a campaign checkpointed at one
-            batch size resumes correctly at another.
+            ``forward_from_batch`` call (each trial's arithmetic is
+            independent of its batch-mates).
         chunk: Trials per slice handed to a worker (or run inline) at
             once; with a checkpoint, capped at ``checkpoint_every`` so
             completed trials reach the checkpoint at that cadence.
@@ -1049,9 +1039,7 @@ def run_campaign(
             segment computed once by the parent; workers attach
             read-only views instead of re-running golden inference.
             ``None`` (the default) auto-enables it for multi-worker
-            runs.  Like ``batch``, a pure execution knob: the golden
-            bits are identical either way, so results, checkpoints and
-            metric counters are bit-identical with it on or off.
+            runs.  The golden bits are identical either way.
         checkpoint: JSONL checkpoint path; completed trials are logged
             there (see :mod:`repro.core.checkpoint`).
         resume: Skip trial indices already present in ``checkpoint``.
@@ -1072,14 +1060,6 @@ def run_campaign(
             statement that partial campaigns are acceptable.
         backoff_base / backoff_cap: Pool-rebuild backoff schedule.
         timeout_grace: Flat per-chunk allowance for worker startup.
-        events: :class:`~repro.core.tracing.EventRecorder` observing
-            retry/rebuild/quarantine/resume events (a fresh one is used
-            when None; note ``stats`` counts reflect every emission the
-            recorder has seen).
-        metrics: :class:`~repro.obs.metrics.MetricsRegistry` that worker
-            delta snapshots merge into (a fresh one when None).  Resumed
-            checkpoint records are replayed into it, so a resumed run's
-            totals equal an uninterrupted run's.
         spans: Enable hierarchical timing spans — in this process and in
             every worker (``trial``, ``golden_infer``, per-layer forward,
             injection phases).  Off by default; the disabled path is a
@@ -1105,95 +1085,182 @@ def run_campaign(
             row had not reached disk (re-deriving identical bytes)
             instead of leaving a hole.
     """
-    recorder = events if events is not None else EventRecorder()
-    registry = metrics if metrics is not None else MetricsRegistry()
-    if spans:
-        enable_spans()
-    writer = None
-    done: dict[int, TrialRecord | TrialError | TrialSkip] = {}
-    resumed = 0
-    resumed_skips = 0
-    tracing = spec.trace_mode != "off"
-    trace_writer = None
-    trace_rows: dict[int, dict] = {}
-    if tracing:
-        if trace_path is None and checkpoint is not None:
-            trace_path = default_trace_path(checkpoint)
-        if trace_path is not None:
+
+    jobs: int | None = 1
+    batch: int = 1
+    chunk: int = 64
+    shared_golden: bool | None = None
+    checkpoint: str | Path | None = None
+    resume: bool = False
+    checkpoint_every: int = 64
+    trial_timeout: float | None = None
+    max_retries: int = 2
+    max_error_frac: float = 0.0
+    backoff_base: float = 0.5
+    backoff_cap: float = 8.0
+    timeout_grace: float = 5.0
+    spans: bool = False
+    manifest: str | Path | None = None
+    run_log: str | Path | None = None
+    progress_every: float = 0.0
+    trace_path: str | Path | None = None
+
+    def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
+        effective_jobs(self.jobs)
+        for name in ("batch", "chunk", "checkpoint_every"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.trial_timeout is not None and not self.trial_timeout > 0:
+            raise ValueError(
+                f"trial_timeout must be > 0 (None disables it), got {self.trial_timeout}"
+            )
+        if not self.max_retries >= 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not 0.0 <= self.max_error_frac <= 1.0:
+            raise ValueError(f"max_error_frac must be in [0, 1], got {self.max_error_frac}")
+        if not self.progress_every >= 0:
+            raise ValueError(f"progress_every must be >= 0, got {self.progress_every}")
+
+
+def run_campaign(spec: CampaignSpec, jobs: int | None = 1, *,
+                 events: EventRecorder | None = None, **options) -> CampaignResult:
+    """Execute a campaign resiliently, optionally across a process pool.
+
+    Trial ``i`` always uses the RNG stream ``child_rng(spec.seed, i)``,
+    so results are identical for any ``jobs`` value — and, because a
+    trial's outcome depends only on its index, a checkpointed campaign
+    resumes bit-identically after a kill.
+
+    Args:
+        spec: Campaign configuration.
+        jobs: Worker processes (1 = inline, None/0 = all cores).
+        events: :class:`~repro.obs.events.EventRecorder` observing
+            retry/rebuild/quarantine/resume events (a fresh one is used
+            when None; note ``stats`` counts reflect every emission the
+            recorder has seen).
+        **options: The other :class:`RunOptions` fields; an unknown name
+            raises ``TypeError`` before any work runs.
+    """
+    return _CampaignRun(spec, RunOptions(jobs=jobs, **options), events).execute()
+
+
+class _CampaignRun:
+    """One execution of a campaign.
+
+    Setup (the constructor): checkpoint and trace sinks, resume, the
+    early-stop planner, the shared-memory decision and the run observer.
+    :meth:`execute` runs the trial loop, closes the sinks and seals the
+    manifest once, whatever the outcome.
+    """
+
+    def __init__(self, spec: CampaignSpec, options: RunOptions,
+                 events: EventRecorder | None):
+        self.spec = spec
+        self.options = options
+        self.recorder = events if events is not None else EventRecorder()
+        self.registry = MetricsRegistry()
+        if options.spans:
+            enable_spans()
+        self.done: dict[int, TrialRecord | TrialError | TrialSkip] = {}
+        self.trace_rows: dict[int, dict] = {}
+        self.resumed = 0
+        self.resumed_skips = 0
+        self.trace_writer = None
+        trace_path = options.trace_path
+        if trace_path is None and options.checkpoint is not None:
+            trace_path = default_trace_path(options.checkpoint)
+        if spec.trace_mode != "off" and trace_path is not None:
             # Imported lazily: checkpoint.py depends on this module's types.
             from repro.core.checkpoint import campaign_fingerprint
 
-            trace_writer = TraceWriter(
+            self.trace_writer = TraceWriter(
                 trace_path, campaign_fingerprint(spec), spec.trace_mode, spec.trace_every
             )
-    if checkpoint is not None:
-        # Imported lazily: checkpoint.py depends on this module's types.
-        from repro.core.checkpoint import CheckpointWriter, load_checkpoint
+        self.writer = None
+        if options.checkpoint is not None:
+            from repro.core.checkpoint import CheckpointWriter
 
-        writer = CheckpointWriter(checkpoint, spec)
-        if resume:
-            state = load_checkpoint(checkpoint, spec=spec)
-            if state is not None:
-                retrace: set[int] = set()
-                if tracing:
-                    if trace_writer is not None:
-                        prior_header, prior_rows = load_trace(trace_writer.path)
-                        if (
-                            prior_header is not None
-                            and prior_header.get("fingerprint") == trace_writer.fingerprint
-                        ):
-                            trace_writer.preload(prior_rows)
-                            trace_rows.update(prior_rows)
-                    # Checkpointed trials whose trace row never reached
-                    # disk re-run purely for their trace: outcomes are
-                    # pure functions of the trial index, so the re-run
-                    # re-derives identical records and identical trace
-                    # bytes (already-traced trials are skipped as usual).
-                    retrace = {
-                        i for i in state.records
-                        if spec.trace_selected(i) and i not in trace_rows
-                    }
-                done.update(
-                    {i: r for i, r in state.records.items() if i not in retrace}
-                )
-                done.update(state.errors)
-                done.update(state.skips)
-                writer.preload(state)
-                resumed = state.n_completed - len(retrace)
-                resumed_skips = len(state.skips)
-                # Replay completed trials into the registry so resumed
-                # totals match an uninterrupted run's exactly (re-traced
-                # trials are excluded: their live re-run counts them).
-                for index, prior in state.records.items():
-                    if index not in retrace:
-                        record_trial_metrics(registry, prior)
-                for prior_skip in state.skips.values():
-                    record_skip_metrics(registry, spec, prior_skip)
-                recorder.emit("resume", completed=resumed, path=str(checkpoint))
+            self.writer = CheckpointWriter(options.checkpoint, spec)
+            if options.resume:
+                self._resume()
+        self.remaining = [i for i in range(spec.n_trials) if i not in self.done]
+        self.planner = (
+            _EarlyStopPlanner(spec, self.done, self.recorder)
+            if spec.target_halfwidth is not None else None
+        )
+        # Shared golden state pays off exactly when more than one worker
+        # would otherwise duplicate golden inference; ``shared_golden``
+        # forces it either way (it is outcome-neutral).
+        self.use_shm = (
+            options.shared_golden
+            if options.shared_golden is not None
+            else effective_jobs(options.jobs) > 1 and len(self.remaining) > 1
+        )
+        # After resume and the shm decision: the observer records both.
+        self.observer = self._open_observer()
+        self.error_budget = options.max_error_frac * spec.n_trials
+        # Resumed quarantines count against the budget too.
+        self.n_errors = sum(1 for v in self.done.values() if isinstance(v, TrialError))
+        self.n_skips = 0
+        self.since_flush = 0
+        self.start = self.last_progress = time.perf_counter()
 
-    if checkpoint is not None and (manifest is None or run_log is None):
-        from repro.obs.manifest import default_obs_paths
+    def _resume(self) -> None:
+        """Take over the checkpoint's trials and replay their metrics.
 
-        auto_manifest, auto_log = default_obs_paths(checkpoint)
-        manifest = manifest if manifest is not None else auto_manifest
-        run_log = run_log if run_log is not None else auto_log
+        A checkpointed trial whose trace row never reached disk re-runs
+        purely for its trace: its outcome is a pure function of its
+        index, so the re-run re-derives identical record and trace bytes.
+        """
+        from repro.core.checkpoint import load_checkpoint
 
-    remaining = [i for i in range(spec.n_trials) if i not in done]
-    planner = _EarlyStopPlanner(spec, done, recorder) if spec.target_halfwidth is not None else None
-    # Shared golden state pays off exactly when more than one worker
-    # would otherwise duplicate golden inference; ``shared_golden``
-    # forces it either way (it is outcome-neutral, see the docstring).
-    use_shm = (
-        shared_golden
-        if shared_golden is not None
-        else effective_jobs(jobs) > 1 and len(remaining) > 1
-    )
+        spec = self.spec
+        state = load_checkpoint(self.options.checkpoint, spec=spec)
+        if state is None:
+            return
+        retrace: set[int] = set()
+        if spec.trace_mode != "off":
+            if self.trace_writer is not None:
+                prior_header, prior_rows = load_trace(self.trace_writer.path)
+                if (
+                    prior_header is not None
+                    and prior_header.get("fingerprint") == self.trace_writer.fingerprint
+                ):
+                    self.trace_writer.preload(prior_rows)
+                    self.trace_rows.update(prior_rows)
+            retrace = {
+                i for i in state.records if spec.trace_selected(i) and i not in self.trace_rows
+            }
+        self.done.update({i: r for i, r in state.records.items() if i not in retrace})
+        self.done.update(state.errors)
+        self.done.update(state.skips)
+        self.writer.preload(state)
+        self.resumed = state.n_completed - len(retrace)
+        self.resumed_skips = len(state.skips)
+        # Resumed totals then match an uninterrupted run's exactly
+        # (re-traced trials are excluded: their live re-run counts them).
+        for index, prior in state.records.items():
+            if index not in retrace:
+                record_trial_metrics(self.registry, prior)
+        for prior_skip in state.skips.values():
+            record_skip_metrics(self.registry, spec, prior_skip)
+        self.recorder.emit("resume", completed=self.resumed, path=str(self.options.checkpoint))
 
-    observer = None
-    if manifest is not None or run_log is not None:
+    def _open_observer(self):
+        """Begin the manifest and run log, or return None when neither is set."""
+        from repro.obs.manifest import RunObserver, default_obs_paths
+
+        spec, options = self.spec, self.options
+        manifest, run_log = options.manifest, options.run_log
+        if options.checkpoint is not None:
+            auto_manifest, auto_log = default_obs_paths(options.checkpoint)
+            manifest = manifest if manifest is not None else auto_manifest
+            run_log = run_log if run_log is not None else auto_log
+        if manifest is None and run_log is None:
+            return None
         from repro.core.checkpoint import campaign_fingerprint
         from repro.core.serialize import to_jsonable
-        from repro.obs.manifest import RunObserver
 
         observer = RunObserver(
             manifest_path=manifest,
@@ -1206,76 +1273,119 @@ def run_campaign(
                 "target": spec.target,
                 "seed": spec.seed,
                 "n_trials": spec.n_trials,
-                "jobs": jobs,
-                "batch": batch,
-                "resumed": resumed > 0,
-                "resumed_trials": resumed,
-                "shared_golden": use_shm,
+                "jobs": options.jobs,
+                "batch": options.batch,
+                "resumed": self.resumed > 0,
+                "resumed_trials": self.resumed,
+                "shared_golden": self.use_shm,
                 "trace": {
                     "mode": spec.trace_mode,
                     "every": spec.trace_every,
-                    "path": str(trace_writer.path) if trace_writer is not None else None,
+                    "path": str(self.trace_writer.path) if self.trace_writer is not None else None,
                 },
                 "spec": to_jsonable(spec),
             },
         )
         observer.begin()
-        recorder.add_sink(observer.event_sink)
+        self.recorder.add_sink(observer.event_sink)
+        return observer
 
-    error_budget = max_error_frac * spec.n_trials
-    n_errors = sum(1 for v in done.values() if isinstance(v, TrialError))
-    n_skips = 0
-    since_flush = 0
-    start = time.perf_counter()
-    last_progress = start
+    def execute(self) -> CampaignResult:
+        """Run the remaining trials, close the sinks, seal the manifest."""
+        status, result = "failed", None
+        try:
+            try:
+                if self.remaining:
+                    self._map()
+                elif self.planner is not None:
+                    # Fully-resumed early-stopping run: no trials to
+                    # execute, but the stop boundary must still be
+                    # replayed from the checkpointed prefix so
+                    # ``stopped_at`` is reproduced.
+                    while self.planner() is not None:
+                        pass
+            finally:
+                # Completed, aborted or failed: publish both files in
+                # index order (the last obs payload can arrive after the
+                # last cadence flush).  A checkpoint without trials is
+                # never written: there would be nothing to resume.
+                if self.trace_writer is not None:
+                    self.trace_writer.close()
+                if self.writer is not None and len(self.writer):
+                    with span("checkpoint_flush"):
+                        self.writer.close()
+            if self.remaining:
+                self._emit_progress(final=True)
+            result = self._result()
+            status = "completed"
+        except CampaignAbortedError:
+            status = "aborted"
+            raise
+        finally:
+            if self.observer is not None:
+                self._finish(status, result)
+        return result
 
-    def emit_progress(final: bool = False) -> None:
-        # Early-stopped (skipped) trials count toward completion — they
-        # are resolved indices — but are also reported separately so the
-        # progress reporter can show a ``skipped`` column and compute
-        # trials/s over trials that actually propagated.
-        recorder.emit(
-            "progress",
-            completed=len(done),
-            total=spec.n_trials,
-            completed_here=len(done) - resumed,
-            skipped=resumed_skips + n_skips,
-            skipped_here=n_skips,
-            quarantined=n_errors,
-            elapsed_s=round(time.perf_counter() - start, 3),
-            final=final,
-        )
+    def _map(self) -> None:
+        """Run the remaining trials, with the golden segment published around them."""
+        spec, options = self.spec, self.options
+        chunk = options.chunk
+        if self.writer is not None:
+            # A slice's trials return together; capping the slice lets
+            # completed trials reach the checkpoint at its cadence.
+            chunk = min(chunk, options.checkpoint_every)
+        descriptor = shm_handle = None
+        try:
+            if self.use_shm:
+                from repro.core.sharedgolden import publish_golden_state
 
-    def quarantined_total() -> int:
-        return sum(1 for v in done.values() if isinstance(v, TrialError))
+                # The parent pays for golden inference / detector
+                # learning exactly once; workers attach read-only.
+                with span("shm_publish"):
+                    descriptor, shm_handle = publish_golden_state(_CampaignTask(spec))
+                self.recorder.emit(
+                    "shm_publish", segment=descriptor.segment, nbytes=descriptor.nbytes
+                )
+            # functools.partial (not a lambda) so the factory pickles
+            # into workers.
+            map_trials(
+                partial(
+                    _CampaignTask, spec, spans=options.spans, batch=options.batch,
+                    golden=descriptor,
+                ),
+                n_trials=0,
+                jobs=options.jobs,
+                chunk=chunk,
+                indices=self.remaining,
+                plan=self.planner,
+                timeout=options.trial_timeout,
+                timeout_grace=options.timeout_grace,
+                max_retries=options.max_retries,
+                backoff_base=options.backoff_base,
+                backoff_cap=options.backoff_cap,
+                on_event=self.recorder.emit,
+                on_result=self._absorb,
+                on_obs=self._absorb_obs,
+            )
+        finally:
+            if shm_handle is not None:
+                from repro.core.sharedgolden import release_segment
 
-    def build_stats() -> ExecutionStats:
-        return ExecutionStats(
-            resumed=resumed,
-            retries=recorder.count("retry"),
-            rebuilds=recorder.count("rebuild"),
-            timeouts=recorder.count("timeout"),
-            bisections=recorder.count("bisect"),
-            quarantined=quarantined_total(),
-            degraded=recorder.count("degrade") > 0,
-        )
+                release_segment(shm_handle)
+                self.recorder.emit("shm_unlink", segment=descriptor.segment)
 
-    def drain_spans() -> None:
-        # Parent-side span timings (checkpoint flushes, the inline
-        # chunk loop) fold into the same registry as worker timings.
-        registry.merge_snapshot({"timing": timing_snapshot(reset=True)})
-
-    def absorb_obs(snapshot: dict) -> None:
+    def _absorb_obs(self, snapshot: dict) -> None:
         # Trace rows ride in the obs payload (same message as the
         # chunk's results); strip them before the metrics merge.
         for row in snapshot.pop("traces", None) or ():
-            trace_rows[int(row["index"])] = row
-            if trace_writer is not None:
-                trace_writer.add_row(row)
-        registry.merge_snapshot(snapshot)
+            self.trace_rows[int(row["index"])] = row
+            if self.trace_writer is not None:
+                self.trace_writer.add_row(row)
+        self.registry.merge_snapshot(snapshot)
 
-    def absorb(index: int, value: object) -> None:
-        nonlocal n_errors, n_skips, since_flush, last_progress
+    def _absorb(self, index: int, value: object) -> None:
+        """Take one resolved trial: checkpoint it, report, enforce the budget."""
+        options, recorder, writer = self.options, self.recorder, self.writer
         if isinstance(value, TrialFailure):
             # The supervised pool already emitted the quarantine event.
             value = TrialError(
@@ -1285,11 +1395,11 @@ def run_campaign(
         elif isinstance(value, TrialError):
             recorder.emit("quarantine", index=index, reason=value.reason,
                           exc_type=value.exc_type)
-        done[index] = value
+        self.done[index] = value
         if isinstance(value, TrialError):
-            n_errors += 1
+            self.n_errors += 1
         elif isinstance(value, TrialSkip):
-            n_skips += 1
+            self.n_skips += 1
         if writer is not None:
             if isinstance(value, TrialError):
                 writer.add_error(index, value)
@@ -1297,170 +1407,120 @@ def run_campaign(
                 writer.add_skip(index, value)
             else:
                 writer.add_record(index, value)
-            since_flush += 1
-            if since_flush >= checkpoint_every:
+            self.since_flush += 1
+            if self.since_flush >= options.checkpoint_every:
                 # Trace rows received so far go to disk first; any trial
                 # the checkpoint holds without a trace row (a kill can
                 # always land between result and obs arrival) is re-run
                 # on resume purely for its trace, so no flush ordering
                 # can leave a permanent hole.
-                if trace_writer is not None:
-                    trace_writer.flush()
+                if self.trace_writer is not None:
+                    self.trace_writer.flush()
                 with span("checkpoint_flush"):
                     writer.flush()
-                since_flush = 0
-                recorder.emit("checkpoint", completed=len(done))
-        if progress_every > 0:
+                self.since_flush = 0
+                recorder.emit("checkpoint", completed=len(self.done))
+        if options.progress_every > 0:
             now = time.perf_counter()
-            if now - last_progress >= progress_every:
-                last_progress = now
-                emit_progress()
-        if n_errors > error_budget:
+            if now - self.last_progress >= options.progress_every:
+                self.last_progress = now
+                self._emit_progress()
+        if self.n_errors > self.error_budget:
             # The writers are closed (completed trials kept) on the way out.
-            recorder.emit("abort", errors=n_errors, completed=len(done))
+            recorder.emit("abort", errors=self.n_errors, completed=len(self.done))
             raise CampaignAbortedError(
-                f"{n_errors} quarantined trials exceed max_error_frac="
-                f"{max_error_frac} of {spec.n_trials} trials",
-                n_errors=n_errors,
-                n_completed=len(done),
-                checkpoint=Path(checkpoint) if checkpoint is not None else None,
+                f"{self.n_errors} quarantined trials exceed max_error_frac="
+                f"{options.max_error_frac} of {self.spec.n_trials} trials",
+                n_errors=self.n_errors,
+                n_completed=len(self.done),
+                checkpoint=Path(options.checkpoint) if options.checkpoint is not None else None,
             )
 
-    if writer is not None:
-        # A slice's trials return together; capping the slice lets
-        # completed trials reach the checkpoint at its cadence.
-        chunk = min(chunk, max(1, checkpoint_every))
-    descriptor = None
-    shm_handle = None
-    try:
-        try:
-            if remaining:
-                if use_shm:
-                    from repro.core.sharedgolden import publish_golden_state
+    def _emit_progress(self, final: bool = False) -> None:
+        # Early-stopped (skipped) trials count toward completion — they
+        # are resolved indices — but are also reported separately so the
+        # progress reporter can show a ``skipped`` column and compute
+        # trials/s over trials that actually propagated.
+        self.recorder.emit(
+            "progress",
+            completed=len(self.done),
+            total=self.spec.n_trials,
+            completed_here=len(self.done) - self.resumed,
+            skipped=self.resumed_skips + self.n_skips,
+            skipped_here=self.n_skips,
+            quarantined=self.n_errors,
+            elapsed_s=round(time.perf_counter() - self.start, 3),
+            final=final,
+        )
 
-                    # The parent pays for golden inference / detector
-                    # learning exactly once; workers attach read-only.
-                    with span("shm_publish"):
-                        proto = _CampaignTask(spec)
-                        descriptor, shm_handle = publish_golden_state(proto)
-                    recorder.emit(
-                        "shm_publish",
-                        segment=descriptor.segment,
-                        nbytes=descriptor.nbytes,
-                    )
-                # functools.partial (not a lambda) so the factory pickles
-                # into workers.
-                map_trials(
-                    partial(
-                        _CampaignTask, spec, spans=spans, batch=batch, golden=descriptor
-                    ),
-                    n_trials=0,
-                    jobs=jobs,
-                    chunk=chunk,
-                    indices=remaining,
-                    plan=planner,
-                    timeout=trial_timeout,
-                    timeout_grace=timeout_grace,
-                    max_retries=max_retries,
-                    backoff_base=backoff_base,
-                    backoff_cap=backoff_cap,
-                    on_event=recorder.emit,
-                    on_result=absorb,
-                    on_obs=absorb_obs,
-                )
-            elif planner is not None:
-                # Fully-resumed early-stopping run: no trials to execute,
-                # but the stop boundary must still be replayed from the
-                # checkpointed prefix so ``stopped_at`` is reproduced.
-                while planner() is not None:
-                    pass
-        finally:
-            if shm_handle is not None:
-                from repro.core.sharedgolden import release_segment
+    def _metrics(self) -> dict:
+        # Parent-side span timings (checkpoint flushes, the inline
+        # chunk loop) fold into the same registry as worker timings.
+        self.registry.merge_snapshot({"timing": timing_snapshot(reset=True)})
+        return self.registry.snapshot()
 
-                release_segment(shm_handle)
-                recorder.emit("shm_unlink", segment=descriptor.segment)
-            # Completed, aborted or failed: publish both files in index
-            # order (the last obs payload can arrive after the last
-            # cadence flush).  A checkpoint without trials is never
-            # written: there would be nothing to resume.
-            if trace_writer is not None:
-                trace_writer.close()
-            if writer is not None and len(writer):
-                with span("checkpoint_flush"):
-                    writer.close()
-    except BaseException as exc:
-        if observer is not None:
-            drain_spans()
-            status = "aborted" if isinstance(exc, CampaignAbortedError) else "failed"
-            observer.finish(
-                status=status,
-                stats=_stats_dict(build_stats()),
-                metrics=registry.snapshot(),
-                events=recorder.counts,
-                event_tail=_encode_events(recorder.tail()),
-            )
-        raise
+    def _stats(self) -> ExecutionStats:
+        recorder = self.recorder
+        return ExecutionStats(
+            resumed=self.resumed,
+            retries=recorder.count("retry"),
+            rebuilds=recorder.count("rebuild"),
+            timeouts=recorder.count("timeout"),
+            bisections=recorder.count("bisect"),
+            quarantined=self.n_errors,
+            degraded=recorder.count("degrade") > 0,
+        )
 
-    if remaining:
-        emit_progress(final=True)
-    drain_spans()
-    records = [v for _, v in sorted(done.items()) if isinstance(v, TrialRecord)]
-    errors = [v for _, v in sorted(done.items()) if isinstance(v, TrialError)]
-    skips = [v for _, v in sorted(done.items()) if isinstance(v, TrialSkip)]
-    stats = build_stats()
-    result = CampaignResult(
-        spec=spec, records=records, errors=errors, stats=stats,
-        metrics=registry.snapshot(), skips=skips,
-        stopped_at=planner.stopped_at if planner is not None else None,
-        traces={index: trace_rows[index] for index in sorted(trace_rows)},
-    )
-    if observer is not None:
-        summary = {
-            "n_records": len(records),
-            "n_errors": len(errors),
-            "masked_fraction": result.masked_fraction,
-            "sdc": {cls: result.sdc_rate(cls).p for cls in SDC_CLASSES},
-        }
-        if planner is not None:
-            # Deterministic: skip decisions are a pure function of the
-            # spec and trial indices, so these agree across serial /
-            # parallel / shared-mem / resumed executions.
-            summary["early_stop"] = {
-                "n_skips": len(skips),
-                "stopped_at": result.stopped_at,
+    def _result(self) -> CampaignResult:
+        done = sorted(self.done.items())
+        return CampaignResult(
+            spec=self.spec,
+            records=[v for _, v in done if isinstance(v, TrialRecord)],
+            errors=[v for _, v in done if isinstance(v, TrialError)],
+            stats=self._stats(),
+            metrics=self._metrics(),
+            skips=[v for _, v in done if isinstance(v, TrialSkip)],
+            stopped_at=self.planner.stopped_at if self.planner is not None else None,
+            traces={index: self.trace_rows[index] for index in sorted(self.trace_rows)},
+        )
+
+    def _finish(self, status: str, result: CampaignResult | None) -> None:
+        """Seal the manifest; a completed run (``result``) adds its summary."""
+        from repro.core.serialize import to_jsonable
+
+        spec = self.spec
+        summary = None
+        if result is not None:
+            summary = {
+                "n_records": len(result.records),
+                "n_errors": len(result.errors),
+                "masked_fraction": result.masked_fraction,
+                "sdc": {cls: result.sdc_rate(cls).p for cls in SDC_CLASSES},
             }
-        if tracing:
-            # Deterministic: the traced subset is selected by trial
-            # index, so the row count agrees across execution shapes.
-            summary["trace"] = {
-                "mode": spec.trace_mode,
-                "every": spec.trace_every,
-                "rows": len(result.traces),
-            }
-        observer.finish(
-            status="completed",
-            stats=_stats_dict(stats),
-            metrics=result.metrics,
-            events=recorder.counts,
-            event_tail=_encode_events(recorder.tail()),
+            if self.planner is not None:
+                # Deterministic: skip decisions are a pure function of the
+                # spec and trial indices, so these agree across serial /
+                # parallel / shared-mem / resumed executions.
+                summary["early_stop"] = {
+                    "n_skips": len(result.skips),
+                    "stopped_at": result.stopped_at,
+                }
+            if spec.trace_mode != "off":
+                # Deterministic: the traced subset is selected by trial
+                # index, so the row count agrees across execution shapes.
+                summary["trace"] = {
+                    "mode": spec.trace_mode,
+                    "every": spec.trace_every,
+                    "rows": len(result.traces),
+                }
+        self.observer.finish(
+            status=status,
+            stats=asdict(self._stats()),
+            metrics=self._metrics() if result is None else result.metrics,
+            events=self.recorder.counts,
+            event_tail=[
+                {"seq": e.seq, "event": e.kind, "detail": to_jsonable(e.detail)}
+                for e in self.recorder.tail()
+            ],
             summary=summary,
         )
-    return result
-
-
-def _stats_dict(stats: ExecutionStats) -> dict:
-    """JSON-safe form of :class:`ExecutionStats` for the manifest."""
-    import dataclasses
-
-    return dataclasses.asdict(stats)
-
-
-def _encode_events(events: list) -> list[dict]:
-    """JSON-safe form of a :class:`CampaignEvent` tail for the manifest."""
-    from repro.core.serialize import to_jsonable
-
-    return [
-        {"seq": e.seq, "event": e.kind, "detail": to_jsonable(e.detail)}
-        for e in events
-    ]

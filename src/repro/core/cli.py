@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.campaign import TARGETS, CampaignAbortedError, CampaignSpec, run_campaign
+from repro.core.campaign import TARGETS, CampaignAbortedError, CampaignSpec, RunOptions, _CampaignRun
 from repro.core.checkpoint import CheckpointMismatchError
 from repro.core.fault import DATAPATH_LATCHES
 from repro.core.serialize import campaign_summary, save_json
-from repro.core.tracing import EventRecorder
 from repro.dtypes.registry import DTYPES
-from repro.utils.parallel import effective_jobs
+from repro.obs.events import EventRecorder
 from repro.utils.tables import format_table
 from repro.zoo.registry import NETWORKS
 
-__all__ = ["main", "build_spec"]
+__all__ = ["main", "build_spec", "add_run_arguments", "run_options"]
 
 
 def build_spec(args: argparse.Namespace) -> CampaignSpec:
@@ -51,6 +50,65 @@ def build_spec(args: argparse.Namespace) -> CampaignSpec:
     )
 
 
+def add_run_arguments(parser: argparse.ArgumentParser) -> tuple:
+    """Declare the run flags ``repro-campaign`` and ``repro-exp`` share.
+
+    Returns the ``(stopping, resilience, observability)`` argument
+    groups; each CLI adds its own flags to them.
+    """
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
+    parser.add_argument("--batch", type=int, default=1,
+                        help="maximum group size: trials propagated per batched "
+                             "forward pass (results are bit-identical)")
+    parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
+                        help="shared-memory golden state: the parent computes golden "
+                             "activations/weights once, workers attach read-only "
+                             "(auto = on for multi-worker runs; bit-identical)")
+    stopping = parser.add_argument_group("early stopping (docs/architecture.md)")
+    stopping.add_argument("--target-halfwidth", type=float, default=None, metavar="W",
+                          help="stop sampling a stratum once its Wilson 95%% "
+                               "half-width drops to W (part of the campaign "
+                               "identity; deterministic across jobs/batch/resume)")
+    stopping.add_argument("--stop-stratify", choices=("overall", "site", "block", "bit"),
+                          default="overall",
+                          help="stratum key the stopping rule tracks")
+    stopping.add_argument("--stop-check-every", type=int, default=64, metavar="N",
+                          help="trial-index boundary between stop decisions")
+    resilience = parser.add_argument_group("resilience (docs/resilience.md)")
+    resilience.add_argument("--resume", action="store_true",
+                            help="skip trial indices already in the checkpoint")
+    resilience.add_argument("--trial-timeout", type=float, default=None, metavar="SEC",
+                            help="per-trial time budget; hung chunks are killed and retried")
+    resilience.add_argument("--max-retries", type=int, default=2, metavar="N",
+                            help="retry budget per failing chunk before bisection/quarantine")
+    resilience.add_argument("--max-error-frac", type=float, default=0.0, metavar="F",
+                            help="abort once more than this fraction of trials is quarantined")
+    obs = parser.add_argument_group("observability (docs/observability.md)")
+    obs.add_argument("--progress", type=float, default=0.0, metavar="SEC", nargs="?",
+                     const=2.0,
+                     help="print live progress (trials/s, ETA, RSS) every SEC "
+                          "seconds (default 2.0 when given without a value)")
+    obs.add_argument("--spans", action="store_true",
+                     help="collect hierarchical timing spans (per-layer forward, "
+                          "injection, checkpoint flushes) into the manifest")
+    return stopping, resilience, obs
+
+
+def run_options(args: argparse.Namespace, **extra) -> RunOptions:
+    """The :class:`RunOptions` the shared flags select.
+
+    ``extra`` holds the options a CLI declares itself.  An invalid value
+    raises ``ValueError``, which both CLIs turn into exit 2.
+    """
+    return RunOptions(
+        jobs=args.jobs, batch=args.batch,
+        shared_golden={"auto": None, "on": True, "off": False}[args.shm],
+        resume=args.resume, trial_timeout=args.trial_timeout, max_retries=args.max_retries,
+        max_error_frac=args.max_error_frac, progress_every=args.progress, spans=args.spans,
+        **extra,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -72,56 +130,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="track survival to the final fmap (Table 5)")
     parser.add_argument("--storage-dtype", choices=sorted(DTYPES), default=None,
                         help="Proteus-style reduced-precision buffer storage")
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--batch", type=int, default=1,
-                        help="maximum group size: trials propagated per batched "
-                             "forward pass (results are bit-identical)")
-    parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
-                        help="shared-memory golden state: parent computes golden "
-                             "activations/weights once, workers attach read-only "
-                             "(auto = on for multi-worker runs; bit-identical)")
     parser.add_argument("--out", default=None, help="write the JSON summary here")
-    stopping = parser.add_argument_group("early stopping (docs/architecture.md)")
-    stopping.add_argument("--target-halfwidth", type=float, default=None, metavar="W",
-                          help="stop sampling a stratum once its Wilson 95%% "
-                               "half-width drops to W (part of the campaign "
-                               "identity; deterministic across jobs/batch/resume)")
-    stopping.add_argument("--stop-stratify", choices=("overall", "site", "block", "bit"),
-                          default="overall",
-                          help="stratum key the stopping rule tracks")
-    stopping.add_argument("--stop-check-every", type=int, default=64, metavar="N",
-                          help="trial-index boundary between stop decisions")
+    stopping, resilience, obs = add_run_arguments(parser)
     stopping.add_argument("--stop-sdc-class", choices=("sdc1", "sdc5", "sdc10", "sdc20"),
                           default="sdc1",
                           help="SDC class whose confidence interval drives stopping")
-    resilience = parser.add_argument_group("resilience (docs/resilience.md)")
     resilience.add_argument("--checkpoint", default=None, metavar="PATH",
                             help="periodically snapshot completed trials to this JSONL file")
-    resilience.add_argument("--resume", action="store_true",
-                            help="skip trial indices already in --checkpoint")
     resilience.add_argument("--checkpoint-every", type=int, default=64, metavar="N",
                             help="completed trials between checkpoint flushes")
-    resilience.add_argument("--trial-timeout", type=float, default=None, metavar="SEC",
-                            help="per-trial time budget; hung chunks are killed and retried")
-    resilience.add_argument("--max-retries", type=int, default=2, metavar="N",
-                            help="retry budget per failing chunk before bisection/quarantine")
-    resilience.add_argument("--max-error-frac", type=float, default=0.0, metavar="F",
-                            help="abort once more than this fraction of trials is quarantined")
     resilience.add_argument("--events", action="store_true",
                             help="stream retry/rebuild/quarantine events to stderr")
-    obs = parser.add_argument_group("observability (docs/observability.md)")
     obs.add_argument("--manifest", default=None, metavar="PATH",
                      help="write the run-manifest JSON here (defaults next to "
                           "--checkpoint when one is set)")
     obs.add_argument("--run-log", default=None, metavar="PATH",
                      help="append the structured JSONL run log here (same default)")
-    obs.add_argument("--progress", type=float, default=0.0, metavar="SEC", nargs="?",
-                     const=2.0,
-                     help="print live progress (trials/s, ETA, RSS) every SEC "
-                          "seconds (default 2.0 when given without a value)")
-    obs.add_argument("--spans", action="store_true",
-                     help="collect hierarchical timing spans (per-layer forward, "
-                          "injection, checkpoint flushes) into the manifest")
     obs.add_argument("--trace", choices=("off", "sample", "all"), default="off",
                      help="record per-layer propagation traces for a subset of "
                           "trials selected by index (part of the campaign "
@@ -136,7 +160,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         spec = build_spec(args)
-        effective_jobs(args.jobs)  # raises on a negative worker count
+        if args.resume and args.checkpoint is None:
+            raise ValueError("--resume requires --checkpoint")
+        options = run_options(
+            args, checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
+            manifest=args.manifest, run_log=args.run_log, trace_path=args.trace_file,
+        )
     except (ValueError, KeyError) as exc:
         print(f"invalid campaign: {exc}", file=sys.stderr)
         return 2
@@ -149,24 +178,7 @@ def main(argv: list[str] | None = None) -> int:
 
         recorder.add_sink(ProgressReporter(stream=sys.stderr, min_interval=args.progress))
     try:
-        result = run_campaign(
-            spec,
-            jobs=args.jobs,
-            batch=args.batch,
-            shared_golden={"auto": None, "on": True, "off": False}[args.shm],
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            trial_timeout=args.trial_timeout,
-            max_retries=args.max_retries,
-            max_error_frac=args.max_error_frac,
-            events=recorder,
-            spans=args.spans,
-            manifest=args.manifest,
-            run_log=args.run_log,
-            progress_every=args.progress,
-            trace_path=args.trace_file,
-        )
+        result = _CampaignRun(spec, options, recorder).execute()
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return 2

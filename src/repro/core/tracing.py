@@ -1,5 +1,4 @@
-"""Error-propagation tracing (Figure 7 and Table 5 machinery) and
-campaign-execution event tracing.
+"""Error-propagation tracing (Figure 7 and Table 5 machinery).
 
 Figure 7 measures, per layer, the Euclidean distance between the faulty
 and golden ACT values after a fault is injected at layer 1 — showing LRN
@@ -7,20 +6,9 @@ slashing the deviation while plain stacks carry it flat.  Table 5 counts
 the fraction of faults whose corruption is still present bit-wise in the
 final fmap (the campaign's ``record_propagation`` covers the rates; this
 module provides the per-block distance trace).
-
-The second half of the module makes *long campaigns* observable: the
-supervised pool (:mod:`repro.utils.parallel`) and the campaign runner
-emit ``retry`` / ``rebuild`` / ``timeout`` / ``bisect`` / ``quarantine``
-/ ``degrade`` / ``resume`` / ``checkpoint`` events, which an
-:class:`EventRecorder` counts (and optionally forwards to a sink such as
-``print``) so a multi-hour run reports what its harness survived.
 """
 
 from __future__ import annotations
-
-from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -32,90 +20,7 @@ __all__ = [
     "relu_trace_layers",
     "euclidean_by_block",
     "bitwise_mismatch_by_block",
-    "CampaignEvent",
-    "EventRecorder",
 ]
-
-
-@dataclass(frozen=True)
-class CampaignEvent:
-    """One supervision event emitted while executing a campaign.
-
-    Attributes:
-        seq: Monotonic sequence number within the recorder.
-        kind: Event kind (``retry``, ``rebuild``, ``timeout``,
-            ``bisect``, ``quarantine``, ``degrade``, ``resume``,
-            ``checkpoint``, ``abort``).
-        detail: Kind-specific payload (chunk span, attempt count, ...).
-    """
-
-    seq: int
-    kind: str
-    detail: dict = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        parts = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
-        return f"[campaign:{self.kind}] {parts}".rstrip()
-
-
-class EventRecorder:
-    """Collects campaign supervision events; the pool's ``on_event`` hook.
-
-    Retains the **most recent** ``max_events`` events in a ring buffer (a
-    multi-million-trial campaign must not grow an unbounded log, but the
-    tail of a long run is exactly what post-mortem debugging needs) and
-    counts every emission, so :meth:`count` stays exact regardless of
-    truncation.
-
-    Args:
-        sink: Optional callable invoked with every :class:`CampaignEvent`
-            as it is emitted (e.g. ``lambda e: print(e, file=sys.stderr)``
-            for live progress on a long run).  Further sinks — a
-            :class:`~repro.obs.progress.ProgressReporter`, a run-log
-            writer — attach via :meth:`add_sink`.
-        max_events: Retention cap for the in-memory event buffer.
-    """
-
-    def __init__(
-        self,
-        sink: Callable[[CampaignEvent], None] | None = None,
-        max_events: int = 1000,
-    ):
-        self.events: deque[CampaignEvent] = deque(maxlen=max_events)
-        self._counts: Counter[str] = Counter()
-        self._sinks: list[Callable[[CampaignEvent], None]] = [] if sink is None else [sink]
-        self._seq = 0
-
-    def add_sink(self, sink: Callable[[CampaignEvent], None]) -> None:
-        """Attach one more per-event observer (all sinks see all events)."""
-        self._sinks.append(sink)
-
-    def emit(self, kind: str, detail: dict | None = None, **extra) -> CampaignEvent:
-        """Record one event; signature matches the pool's ``on_event``."""
-        payload = dict(detail or {})
-        payload.update(extra)
-        event = CampaignEvent(seq=self._seq, kind=kind, detail=payload)
-        self._seq += 1
-        self._counts[kind] += 1
-        self.events.append(event)
-        for sink in self._sinks:
-            sink(event)
-        return event
-
-    def count(self, kind: str) -> int:
-        """Total emissions of ``kind`` (unaffected by retention cap)."""
-        return self._counts[kind]
-
-    @property
-    def counts(self) -> dict[str, int]:
-        """Emission totals by kind."""
-        return dict(self._counts)
-
-    def tail(self, n: int = 50) -> list[CampaignEvent]:
-        """The most recent ``n`` retained events, oldest first."""
-        if n <= 0:
-            return []
-        return list(self.events)[-n:]
 
 
 def block_output_layers(network: Network) -> dict[int, int]:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core.campaign import CampaignResult, CampaignSpec, run_campaign
-from repro.utils.parallel import effective_jobs
+from repro.core.campaign import CampaignResult, CampaignSpec, RunOptions, _CampaignRun
+from repro.core.checkpoint import campaign_fingerprint
 
 __all__ = ["ExperimentConfig", "campaign", "PAPER_NETWORKS", "IMAGENET_NETWORKS"]
 
@@ -23,6 +23,10 @@ __all__ = ["ExperimentConfig", "campaign", "PAPER_NETWORKS", "IMAGENET_NETWORKS"
 PAPER_NETWORKS = ("ConvNet", "AlexNet", "CaffeNet", "NiN")
 #: Networks using the ImageNet-like corpus (everything but ConvNet).
 IMAGENET_NETWORKS = ("AlexNet", "CaffeNet", "NiN")
+#: ``RunOptions`` fields an experiment leaves at their defaults
+#: (:func:`campaign` sets the paths per campaign).
+_FIXED_RUN_FIELDS = ("chunk", "checkpoint", "checkpoint_every", "backoff_base",
+                     "backoff_cap", "timeout_grace", "manifest", "run_log", "trace_path")
 
 
 @dataclass(frozen=True)
@@ -34,28 +38,14 @@ class ExperimentConfig:
             this down for fine-grained sweeps such as per-bit campaigns).
         scale: Network scale profile.
         seed: Root seed.
-        jobs: Worker processes for campaigns (1 = inline).
-        batch: Maximum group size: trials propagated per batched
-            forward pass (results are bit-identical at every value).
-        trial_timeout: Per-trial seconds before a hung chunk is killed
-            and retried (None disables deadlines).
-        max_retries: Retry budget per failing chunk / raising trial.
-        max_error_frac: Quarantined-trial fraction tolerated per campaign
-            before aborting (see docs/resilience.md).
+        run: How every campaign executes (:class:`~repro.core.campaign.RunOptions`);
+            its path and tuning fields keep their defaults, and
+            ``checkpoint_dir`` and ``obs_dir`` set its paths per campaign.
         checkpoint_dir: When set, every campaign snapshots completed
             trials to ``<dir>/<fingerprint>.jsonl``.
-        resume: Skip trial indices already present in a campaign's
-            checkpoint file (requires ``checkpoint_dir``).
         obs_dir: When set, every campaign writes a run manifest and a
             structured JSONL run log to ``<dir>/<fingerprint>.manifest.json``
             / ``<dir>/<fingerprint>.runlog.jsonl`` (docs/observability.md).
-        progress: Seconds between live progress lines on stderr
-            (0 disables).
-        spans: Collect hierarchical timing spans in every campaign.
-        shared_golden: Tri-state shared-memory golden state: None lets
-            :func:`~repro.core.campaign.run_campaign` auto-enable it for
-            multi-worker runs; True/False force it on/off.  Bit-identical
-            either way (docs/architecture.md, "Shared golden state").
         target_halfwidth: When set, overrides every campaign spec's
             Wilson-CI early-stopping target (docs/architecture.md,
             "Early stopping").  Spec-identity caveat: this *changes* the
@@ -70,17 +60,9 @@ class ExperimentConfig:
     trials: int = 300
     scale: str = "reduced"
     seed: int = 0
-    jobs: int = 1
-    batch: int = 1
-    trial_timeout: float | None = None
-    max_retries: int = 2
-    max_error_frac: float = 0.0
+    run: RunOptions = RunOptions()
     checkpoint_dir: str | None = None
-    resume: bool = False
     obs_dir: str | None = None
-    progress: float = 0.0
-    spans: bool = False
-    shared_golden: bool | None = None
     target_halfwidth: float | None = None
     stop_stratify: str = "overall"
     stop_check_every: int = 64
@@ -88,26 +70,21 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        effective_jobs(self.jobs)  # raises on a negative worker count
+        fixed = [f for f in _FIXED_RUN_FIELDS if getattr(self.run, f) != getattr(RunOptions, f)]
+        if fixed:
+            raise ValueError(f"experiments leave run options at their defaults: {', '.join(fixed)}")
 
 
 _campaign_cache: dict[CampaignSpec, CampaignResult] = {}
 
 
-def campaign(spec: CampaignSpec, jobs: int = 1, cfg: ExperimentConfig | None = None) -> CampaignResult:
-    """Run (or reuse) a campaign; memoized per spec within the process.
+def campaign(spec: CampaignSpec, cfg: ExperimentConfig) -> CampaignResult:
+    """Run (or reuse) a campaign under ``cfg``; memoized per spec within the process.
 
     Several experiments share identical campaigns (e.g. Figure 3's rates
     feed Table 6's FIT calculation); the memo avoids re-running them.
-
-    Args:
-        spec: Campaign to run.
-        jobs: Worker processes; superseded by ``cfg.jobs`` when ``cfg``
-            is given.
-        cfg: When given, its resilience knobs (timeout, retries, error
-            budget, checkpointing) are applied to the run.
     """
-    if cfg is not None and cfg.target_halfwidth is not None:
+    if cfg.target_halfwidth is not None:
         # Early stopping is part of the campaign identity (it changes
         # which trials run), so it belongs on the spec — and must be
         # applied *before* the memo lookup and fingerprinting.
@@ -119,38 +96,21 @@ def campaign(spec: CampaignSpec, jobs: int = 1, cfg: ExperimentConfig | None = N
         )
     cached = _campaign_cache.get(spec)
     if cached is None:
-        kwargs: dict = {}
-        if cfg is not None:
-            jobs = cfg.jobs
-            kwargs = dict(
-                batch=cfg.batch,
-                trial_timeout=cfg.trial_timeout,
-                max_retries=cfg.max_retries,
-                max_error_frac=cfg.max_error_frac,
-                spans=cfg.spans,
-                progress_every=cfg.progress,
-                shared_golden=cfg.shared_golden,
-            )
-            if cfg.checkpoint_dir is not None or cfg.obs_dir is not None:
-                from repro.core.checkpoint import campaign_fingerprint
+        fingerprint = campaign_fingerprint(spec)
+        ck, obs = cfg.checkpoint_dir, cfg.obs_dir
+        options = replace(
+            cfg.run,  # every path is this campaign's own
+            checkpoint=None if ck is None else Path(ck) / f"{fingerprint}.jsonl",
+            manifest=None if obs is None else Path(obs) / f"{fingerprint}.manifest.json",
+            run_log=None if obs is None else Path(obs) / f"{fingerprint}.runlog.jsonl",
+        )
+        recorder = None
+        if options.progress_every > 0:
+            from repro.obs.events import EventRecorder
+            from repro.obs.progress import ProgressReporter
 
-                fingerprint = campaign_fingerprint(spec)
-                if cfg.checkpoint_dir is not None:
-                    kwargs["checkpoint"] = (
-                        Path(cfg.checkpoint_dir) / f"{fingerprint}.jsonl"
-                    )
-                    kwargs["resume"] = cfg.resume
-                if cfg.obs_dir is not None:
-                    obs_dir = Path(cfg.obs_dir)
-                    kwargs["manifest"] = obs_dir / f"{fingerprint}.manifest.json"
-                    kwargs["run_log"] = obs_dir / f"{fingerprint}.runlog.jsonl"
-            if cfg.progress > 0:
-                from repro.core.tracing import EventRecorder
-                from repro.obs.progress import ProgressReporter
-
-                recorder = EventRecorder()
-                recorder.add_sink(ProgressReporter(min_interval=cfg.progress))
-                kwargs["events"] = recorder
-        cached = run_campaign(spec, jobs=jobs, **kwargs)
+            recorder = EventRecorder()
+            recorder.add_sink(ProgressReporter(min_interval=options.progress_every))
+        cached = _CampaignRun(spec, options, recorder).execute()
         _campaign_cache[spec] = cached
     return cached

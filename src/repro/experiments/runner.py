@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 
+from repro.core.cli import add_run_arguments, run_options
 from repro.experiments import (
     e2e_protected_fit,
     ext_depth,
@@ -100,7 +101,7 @@ def run_experiment(exp_id: str, cfg: ExperimentConfig, out_dir: str | None = Non
                 "trials": cfg.trials,
                 "scale": cfg.scale,
                 "seed": cfg.seed,
-                "jobs": cfg.jobs,
+                "jobs": cfg.run.jobs,
             },
         )
         observer.begin()
@@ -137,47 +138,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trials", type=int, default=300, help="injections per campaign")
     parser.add_argument("--scale", choices=("reduced", "full"), default="reduced")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
-    parser.add_argument("--batch", type=int, default=1,
-                        help="maximum group size: trials propagated per batched "
-                             "forward pass (results are bit-identical)")
-    parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
-                        help="shared-memory golden state: compute goldens once in "
-                             "the parent, workers attach read-only (auto = on for "
-                             "multi-worker campaigns; bit-identical)")
     parser.add_argument("--out", default=None, help="directory for JSON/text artifacts")
-    stopping = parser.add_argument_group("early stopping (docs/architecture.md)")
-    stopping.add_argument("--target-halfwidth", type=float, default=None, metavar="W",
-                          help="stop sampling each campaign stratum once its Wilson "
-                               "95%% half-width drops to W (changes campaign "
-                               "fingerprints; deterministic across jobs/batch/resume)")
-    stopping.add_argument("--stop-stratify", choices=("overall", "site", "block", "bit"),
-                          default="overall",
-                          help="stratum key the stopping rule tracks")
-    stopping.add_argument("--stop-check-every", type=int, default=64, metavar="N",
-                          help="trial-index boundary between stop decisions")
-    resilience = parser.add_argument_group("resilience (docs/resilience.md)")
-    resilience.add_argument("--trial-timeout", type=float, default=None, metavar="SEC",
-                            help="per-trial time budget; hung chunks are killed and retried")
-    resilience.add_argument("--max-retries", type=int, default=2, metavar="N",
-                            help="retry budget per failing chunk before bisection/quarantine")
-    resilience.add_argument("--max-error-frac", type=float, default=0.0, metavar="F",
-                            help="abort a campaign once more than this fraction of trials "
-                                 "is quarantined")
+    _, resilience, obs = add_run_arguments(parser)
     resilience.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                             help="snapshot each campaign to <DIR>/<fingerprint>.jsonl")
-    resilience.add_argument("--resume", action="store_true",
-                            help="skip trials already recorded under --checkpoint-dir")
-    obs = parser.add_argument_group("observability (docs/observability.md)")
     obs.add_argument("--obs-dir", default=None, metavar="DIR",
                      help="write each campaign's run manifest + JSONL run log to "
                           "<DIR>/<fingerprint>.*")
-    obs.add_argument("--progress", type=float, default=0.0, metavar="SEC", nargs="?",
-                     const=2.0,
-                     help="print live campaign progress every SEC seconds "
-                          "(default 2.0 when given without a value)")
-    obs.add_argument("--spans", action="store_true",
-                     help="collect hierarchical timing spans in every campaign")
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -191,13 +158,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = ExperimentConfig(
-            trials=args.trials, scale=args.scale, seed=args.seed, jobs=args.jobs,
-            batch=args.batch,
-            trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-            max_error_frac=args.max_error_frac, checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume, obs_dir=args.obs_dir, progress=args.progress,
-            spans=args.spans,
-            shared_golden={"auto": None, "on": True, "off": False}[args.shm],
+            trials=args.trials, scale=args.scale, seed=args.seed, run=run_options(args),
+            checkpoint_dir=args.checkpoint_dir, obs_dir=args.obs_dir,
             target_halfwidth=args.target_halfwidth,
             stop_stratify=args.stop_stratify,
             stop_check_every=args.stop_check_every,

@@ -1,7 +1,7 @@
 """Live progress reporting for long campaigns.
 
 The campaign runner emits a periodic ``progress`` event through its
-:class:`~repro.core.tracing.EventRecorder`; attaching a
+:class:`~repro.obs.events.EventRecorder`; attaching a
 :class:`ProgressReporter` as a recorder sink turns that stream into
 single-line status updates on stderr::
 
@@ -61,7 +61,7 @@ class ProgressReporter:
         self._counts: dict[str, int] = {}
 
     def __call__(self, event) -> None:
-        """Consume one :class:`~repro.core.tracing.CampaignEvent`."""
+        """Consume one :class:`~repro.obs.events.CampaignEvent`."""
         self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
         if event.kind == "progress":
             now = time.perf_counter()

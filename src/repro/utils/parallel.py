@@ -53,7 +53,7 @@ def effective_jobs(jobs: int | None) -> int:
     as ``jobs = cores - reserved`` going below zero) and raise rather
     than being silently coerced to serial execution.
     """
-    if jobs is not None and jobs < 0:
+    if jobs is not None and not jobs >= 0:
         raise ValueError(f"jobs must be >= 0 (0/None = all cores), got {jobs}")
     if jobs is None or jobs == 0:
         return max(1, os.cpu_count() or 1)

@@ -1,8 +1,11 @@
 """Campaign runner: determinism, parallel equivalence, aggregations."""
 
+import math
+
 import pytest
 
-from repro.core.campaign import CampaignResult, CampaignSpec, TrialRecord, run_campaign
+from repro.core import campaign as campaign_module
+from repro.core.campaign import CampaignResult, CampaignSpec, RunOptions, TrialRecord, run_campaign
 from repro.core.outcome import Outcome
 
 
@@ -35,6 +38,57 @@ class TestSpecValidation:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=-1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # A bit outside the faulted word: the dtype for a datapath fault...
+        (dict(dtype="FLOAT16", bit=16), r"bit must be in \[0, 16\) for FLOAT16"),
+        (dict(dtype="FLOAT16", bit=-1), r"bit must be in \[0, 16\)"),
+        # ...and the storage word for a buffer fault under Proteus storage.
+        (dict(dtype="FLOAT", target="next_layer", storage_dtype="16b_rb10", bit=20),
+         r"bit must be in \[0, 16\) for 16b_rb10"),
+        # Buffer targets draw their own victim layer.
+        (dict(dtype="FLOAT16", target="next_layer", layer_index=0), "datapath fault"),
+        # Layer 1 of ConvNet is its first ReLU: no datapath fault site.
+        (dict(dtype="FLOAT16", layer_index=1), "must be a MAC layer of ConvNet"),
+    ])
+    def test_unusable_fault_coordinate(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec(network="ConvNet", **kwargs)
+
+    def test_usable_fault_coordinates(self):
+        # The datapath computes in ``dtype`` even under Proteus storage.
+        CampaignSpec(network="ConvNet", dtype="FLOAT", storage_dtype="16b_rb10", bit=20)
+        CampaignSpec(network="ConvNet", dtype="FLOAT16", bit=15, layer_index=0)
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(jobs=-1), "jobs must be >= 0"),
+        (dict(batch=0), "batch must be >= 1"),
+        (dict(chunk=0), "chunk must be >= 1"),
+        (dict(checkpoint_every=0), "checkpoint_every must be >= 1"),
+        (dict(trial_timeout=0), "trial_timeout must be > 0"),
+        (dict(trial_timeout=-1), "trial_timeout must be > 0"),
+        (dict(max_retries=-1), "max_retries must be >= 0"),
+        (dict(max_error_frac=-0.1), r"max_error_frac must be in \[0, 1\]"),
+        (dict(max_error_frac=1.5), r"max_error_frac must be in \[0, 1\]"),
+        (dict(progress_every=-1), "progress_every must be >= 0"),
+    ])
+    def test_invalid_value_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RunOptions(**kwargs)
+
+    @pytest.mark.parametrize("name", [
+        "jobs", "batch", "chunk", "checkpoint_every", "trial_timeout", "max_retries",
+        "max_error_frac", "progress_every",
+    ])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError):
+            RunOptions(**{name: math.nan})
+
+    def test_boundary_values_accepted(self):
+        RunOptions(jobs=0, batch=1, chunk=1, checkpoint_every=1, trial_timeout=0.01,
+                   max_retries=0, max_error_frac=1.0, progress_every=0)
 
 
 class TestAggregations:
@@ -162,3 +216,14 @@ class TestRunCampaign:
         spec = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=0)
         res = run_campaign(spec)
         assert res.n_trials == 0
+
+    def test_invalid_option_raises_before_any_pool_starts(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(campaign_module, "map_trials", lambda *a, **k: calls.append(k))
+        with pytest.raises(ValueError, match="trial_timeout must be > 0"):
+            run_campaign(self.SPEC, jobs=2, trial_timeout=-1)
+        assert calls == []
+
+    def test_unknown_option_is_a_type_error(self):
+        with pytest.raises(TypeError, match="metrics"):
+            run_campaign(self.SPEC, metrics=None)

@@ -53,6 +53,39 @@ class TestCampaignCli:
         captured = capsys.readouterr()
         assert "jobs must be >= 0" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-error-frac", "-0.1"], "max_error_frac must be in [0, 1]"),
+        (["--trial-timeout", "-1", "--jobs", "2"], "trial_timeout must be > 0"),
+        (["--batch", "0"], "batch must be >= 1"),
+        (["--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
+        (["--max-retries", "-1"], "max_retries must be >= 0"),
+        (["--progress", "-1"], "progress_every must be >= 0"),
+        (["--resume"], "--resume requires --checkpoint"),
+    ])
+    def test_invalid_run_option_rejected(self, capsys, flags, message):
+        assert main(["--network", "ConvNet", "--trials", "8", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "invalid campaign" in captured.err and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dtype", "FLOAT16", "--bit", "16"], "bit must be in [0, 16)"),
+        (["--target", "next_layer", "--dtype", "FLOAT", "--storage-dtype", "16b_rb10",
+          "--bit", "20"], "bit must be in [0, 16)"),
+        (["--layer", "1"], "must be a MAC layer"),
+        (["--layer", "99", "--target", "next_layer"], "datapath fault"),
+    ])
+    def test_unusable_fault_coordinate_rejected(self, capsys, flags, message):
+        assert main(["--network", "ConvNet", "--trials", "8", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "invalid campaign" in captured.err and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [["--dtype", "FLOAT16", "--bit", "15"], ["--layer", "0"]])
+    def test_usable_fault_coordinate_runs(self, capsys, flags):
+        assert main(["--network", "ConvNet", "--trials", "8", *flags]) == 0
+        assert "SDC-1" in capsys.readouterr().out
+
     def test_unknown_network_rejected(self):
         with pytest.raises(SystemExit):
             main(["--network", "ResNet"])

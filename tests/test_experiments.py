@@ -6,7 +6,7 @@ import pytest
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS, main, run_experiment
 
-CFG = ExperimentConfig(trials=30, scale="reduced", seed=1, jobs=1)
+CFG = ExperimentConfig(trials=30, scale="reduced", seed=1)
 
 
 class TestStaticExperiments:
@@ -140,6 +140,47 @@ class TestCampaignExperiments:
             assert d["full"]["total"] <= d["sed_slh"]["total"] + 1e-12
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("chunk", 8), ("checkpoint", "ck.jsonl"), ("checkpoint_every", 8),
+        ("backoff_base", 0.1), ("backoff_cap", 1.0), ("timeout_grace", 1.0),
+        ("manifest", "run.manifest.json"), ("run_log", "run.runlog.jsonl"),
+        ("trace_path", "run.trace.jsonl"),
+    ])
+    def test_path_and_tuning_run_options_rejected(self, name, value):
+        # One path shared by every campaign of an experiment would make
+        # each campaign overwrite the previous one's checkpoint.
+        from repro.core.campaign import RunOptions
+
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(run=RunOptions(**{name: value}))
+
+    def test_settable_run_options_accepted(self):
+        from repro.core.campaign import RunOptions
+
+        ExperimentConfig(run=RunOptions(
+            jobs=2, batch=4, shared_golden=False, resume=True, trial_timeout=5.0,
+            max_retries=1, max_error_frac=0.5, spans=True, progress_every=1.0,
+        ))
+
+    def test_each_campaign_gets_its_own_paths(self, tmp_path):
+        from repro.core.campaign import CampaignSpec
+        from repro.core.checkpoint import campaign_fingerprint
+        from repro.experiments.common import campaign
+
+        cfg = ExperimentConfig(trials=8, checkpoint_dir=str(tmp_path / "ck"),
+                               obs_dir=str(tmp_path / "obs"))
+        specs = [CampaignSpec(network="ConvNet", dtype=dtype, n_trials=8, seed=4177)
+                 for dtype in ("FLOAT16", "16b_rb10")]
+        for spec in specs:
+            campaign(spec, cfg)
+        for spec in specs:
+            fingerprint = campaign_fingerprint(spec)
+            assert (tmp_path / "ck" / f"{fingerprint}.jsonl").is_file()
+            assert (tmp_path / "obs" / f"{fingerprint}.manifest.json").is_file()
+            assert (tmp_path / "obs" / f"{fingerprint}.runlog.jsonl").is_file()
+
+
 class TestRunner:
     def test_registry_complete(self):
         assert set(EXPERIMENTS) == {
@@ -169,6 +210,8 @@ class TestRunner:
         ["fig3", "--jobs", "-1"],
         ["fig3", "--trials", "0"],
         ["all", "--jobs", "-1"],
+        ["fig3", "--trials", "8", "--max-error-frac", "-0.1"],
+        ["all", "--batch", "0"],
     ])
     def test_cli_usage_error_before_any_work(self, capsys, argv):
         assert main(argv) == 2

@@ -31,8 +31,8 @@ from repro.core.campaign import (
 )
 from repro.core.checkpoint import load_checkpoint
 from repro.core.serialize import campaign_summary
-from repro.core.tracing import CampaignEvent, EventRecorder
 from repro.obs import cli as obs_cli
+from repro.obs.events import CampaignEvent, EventRecorder
 from repro.obs.manifest import RunObserver, default_obs_paths, load_run
 from repro.obs.metrics import (
     DEFAULT_MAGNITUDE_BUCKETS,

@@ -34,7 +34,7 @@ from repro.core.checkpoint import (
     load_checkpoint,
 )
 from repro.core.serialize import campaign_summary, to_jsonable
-from repro.core.tracing import EventRecorder
+from repro.obs.events import EventRecorder
 from repro.obs.tracer import default_trace_path
 from repro.utils.parallel import TrialFailure, map_trials
 
