@@ -86,19 +86,49 @@ class FixedPointType(DataType):
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.quantize(np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64))
 
+    def _saturating_cumsum(self, ints: np.ndarray) -> np.ndarray:
+        """Running sums of scaled integers along the last axis, saturated
+        after every step like the accumulator register:
+        ``acc_i = min(max(acc_{i-1} + v_i, imin), imax)`` from ``acc = 0``.
+
+        Plain ``cumsum`` is exact up to the first column ``p`` where any
+        row's running sum leaves the rails.  From there a log-depth prefix
+        scan finishes the job exactly: a step is the map ``x -> min(max(x
+        + a, b), c)``, and two such maps compose in closed form into a
+        third, ``(a1 + a2, clamp(b1 + a2, b2, c2), clamp(c1 + a2, b2,
+        c2))``, so ``ceil(log2 L)`` vectorized rounds give every clipped
+        partial sum.
+
+        Every intermediate is an int64 bounded by ``(L + 1) * 2**(width -
+        1)``, so the result is exact for chains of up to ``2**(64 - width)
+        - 2`` steps (about 4.3e9 for the 32-bit formats).
+        """
+        raw = np.cumsum(ints, axis=-1)
+        off = (raw > self._imax) | (raw < self._imin)
+        if not off.any():
+            return raw
+        p = int(off.reshape(-1, off.shape[-1]).any(axis=0).argmax())
+        # Restart the chain at column p from its saturated value, so only
+        # the tail past the first clip pays for the scan.
+        a = ints[..., p:].copy()
+        a[..., 0] = np.clip(raw[..., p], self._imin, self._imax)
+        b = np.full_like(a, self._imin)
+        c = np.full_like(a, self._imax)
+        d = 1
+        while d < a.shape[-1]:
+            # Compose each map with the one d steps earlier (earlier first).
+            a2, b2, c2 = a[..., d:], b[..., d:], c[..., d:]
+            nb = np.minimum(np.maximum(b[..., :-d] + a2, b2), c2)
+            nc = np.minimum(np.maximum(c[..., :-d] + a2, b2), c2)
+            a[..., d:] = a[..., :-d] + a2
+            b[..., d:] = nb
+            c[..., d:] = nc
+            d *= 2
+        raw[..., p:] = np.minimum(np.maximum(a, b), c)  # each prefix map applied to 0
+        return raw
+
     def partials(self, products: np.ndarray) -> np.ndarray:
-        ints = self.to_int(products)
-        raw = np.cumsum(ints)
-        if raw.size and (raw.max(initial=0) > self._imax or raw.min(initial=0) < self._imin):
-            # Saturation engaged mid-chain: replay sequentially so each
-            # partial sum clips exactly like the accumulator register.
-            out = np.empty_like(raw)
-            acc = 0
-            for i, v in enumerate(ints):
-                acc = min(max(acc + int(v), self._imin), self._imax)
-                out[i] = acc
-            raw = out
-        return self.from_int(raw)
+        return self.from_int(self._saturating_cumsum(self.to_int(products)))
 
     def accumulate(self, products: np.ndarray) -> float:
         chain = self.partials(products)
@@ -111,17 +141,12 @@ class FixedPointType(DataType):
             raise ValueError("products must be (n, length) with one bias per row")
         ints = self.to_int(np.concatenate([bias[:, None], products], axis=1))
         raw = np.cumsum(ints, axis=1)
-        # float64 here is a carrier for *exact* scaled integers (|acc| is
-        # clipped far below 2^53); from_int re-asserts the dtype itself.
-        out = raw[:, -1].astype(np.float64)
-        # Rows whose running sum ever left the rails need the exact
-        # saturating replay; everywhere else cumsum is already exact.
+        out = raw[:, -1]
+        # Only rows whose running sum ever left the rails need the exact
+        # saturating scan; everywhere else cumsum is already exact.
         bad = (raw.max(axis=1) > self._imax) | (raw.min(axis=1) < self._imin)
-        for r in np.nonzero(bad)[0]:
-            acc = 0
-            for v in ints[r]:
-                acc = min(max(acc + int(v), self._imin), self._imax)
-            out[r] = acc
+        if bad.any():
+            out[bad] = self._saturating_cumsum(ints[bad])[:, -1]
         return self.from_int(out)
 
     # -- range -------------------------------------------------------------- #

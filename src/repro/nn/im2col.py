@@ -5,6 +5,11 @@ it to a single BLAS matmul per layer via im2col (the standard
 vectorize-the-loop idiom from the HPC guides).  col2im is the adjoint,
 needed by the training engine's convolution backward pass.
 
+The conv and max-pool window gathers, for inference and training, copy
+:func:`row_windows`, a strided view of the padded input, into the column
+layout their caller uses.  The index arrays of :func:`col_indices` serve
+only col2im's scatter-add, whose accumulation order they fix.
+
 All fmaps are NCHW float64 arrays.
 """
 
@@ -13,13 +18,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "conv_out_size",
     "im2col",
     "col2im",
     "col_indices",
+    "pad_fmap",
     "patch_indices",
+    "row_windows",
     "window_out_span",
 ]
 
@@ -76,9 +84,8 @@ def col_indices(
     """Cached, read-only :func:`_col_indices` result.
 
     The index arrays depend only on the window geometry, never on the
-    data, and rebuilding them is a measurable slice of every partial
-    forward pass in an injection campaign; one cache entry per distinct
-    ``(c, h, w, kh, kw, stride, pad)`` covers all four paper networks.
+    data, so :func:`col2im` builds them once per distinct ``(c, h, w,
+    kh, kw, stride, pad)`` for a whole training run.
     """
     k, i, j, oh, ow = _col_indices(c, h, w, kh, kw, stride, pad)
     for arr in (k, i, j):
@@ -86,24 +93,82 @@ def col_indices(
     return k, i, j, oh, ow
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def pad_fmap(x: np.ndarray, pad: int, fill: float = 0.0) -> np.ndarray:
+    """``x`` with ``pad`` rows and columns of ``fill`` around its last two
+    axes; ``x`` itself when ``pad`` is 0."""
+    if not pad:
+        return x
+    *lead, h, w = x.shape
+    xp = np.full((*lead, h + 2 * pad, w + 2 * pad), fill, dtype=x.dtype)
+    xp[..., pad : pad + h, pad : pad + w] = x
+    return xp
+
+
+def row_windows(
+    xp: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int,
+    r0: int,
+    r1: int,
+    trials: list[int] | None = None,
+) -> np.ndarray:
+    """The sliding windows of output rows ``[r0, r1)``, tap-major.
+
+    Args:
+        xp: Already padded input ``(n, ..., H, W)``.
+        kh, kw, stride: Window geometry.
+        r0, r1: Output row span (non-empty).
+        trials: Indices into axis 0 to keep; only those samples' band of
+            input rows is copied, never their whole fmaps.
+
+    Returns:
+        A read-only view of shape ``(n, ..., kh, kw, r1 - r0, ow)`` whose
+        element ``[..., ky, kx, oy - r0, ox]`` is ``xp[..., oy * stride +
+        ky, ox * stride + kx]``.  Reshaped to ``(n, -1, (r1 - r0) * ow)``
+        it holds exactly the values of the :func:`col_indices` gather.
+
+    Raises:
+        ValueError: if ``xp`` holds no such windows.
+    """
+    band = xp[..., r0 * stride : (r1 - 1) * stride + kh, :]
+    if trials is not None:
+        band = band[trials]
+    *lead, bh, w = band.shape
+    if not 0 <= r0 < r1 or bh != (r1 - r0 - 1) * stride + kh or w < kw:
+        raise ValueError(f"no {kh}x{kw} windows of output rows [{r0}, {r1}) in {xp.shape}")
+    # sliding_window_view(band, (kh, kw), axis=(-2, -1))[..., ::stride,
+    # ::stride, :, :], transposed, built in one call without its argument
+    # checks, which cost more than the copy of a small window band.
+    *lead_strides, sh, sw = band.strides
+    return as_strided(
+        band,
+        (*lead, kh, kw, r1 - r0, (w - kw) // stride + 1),
+        (*lead_strides, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+
+
+def im2col(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int, fill: float = 0.0
+) -> np.ndarray:
     """Unfold sliding windows of ``x`` into columns.
 
     Args:
         x: Input of shape ``(n, c, h, w)``.
         kh, kw: Kernel extent.
         stride: Window stride (same in both dims).
-        pad: Zero padding (same on all sides).
+        pad: Padding (same on all sides).
+        fill: Padding value: 0 for convolution, ``-inf`` for max pooling.
 
     Returns:
         Array of shape ``(c * kh * kw, n * oh * ow)`` where column
         ``(img, oy, ox)`` holds the receptive field of that output pixel.
     """
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    k, i, j, oh, ow = col_indices(c, h, w, kh, kw, stride, pad)
-    cols = xp[:, k, i, j]  # (n, c*kh*kw, oh*ow)
-    return cols.transpose(1, 0, 2).reshape(c * kh * kw, n * oh * ow)
+    _, c, h, _ = x.shape
+    oh = conv_out_size(h, kh, stride, pad)
+    win = row_windows(pad_fmap(x, pad, fill), kh, kw, stride, 0, oh)  # (n, c, kh, kw, oh, ow)
+    return win.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, -1)
 
 
 def col2im(

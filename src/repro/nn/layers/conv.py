@@ -1,14 +1,25 @@
 """2-D convolution layer (the paper's CONV), lowered to im2col + GEMM.
 
 The inference GEMM is computed in a *fixed partition* of column tiles
-(whole output rows, grouped to at least ``_TILE_COLS`` columns).  BLAS
-picks different accumulation orders for different matrix extents, so a
-fixed partition is what makes results invariant to how much of the
-output is computed at once: a single sample, a stack of B corrupted
-samples (``Network.forward_from_batch``), or a partial recomputation of
-only the rows a fault can reach (``forward_rows``) all issue GEMM calls
-of identical shapes over identical data and therefore produce
-bit-identical values.
+(whole output rows, grouped to at least ``_TILE_COLS`` columns), one
+GEMM per sample and tile.  BLAS picks different accumulation orders for
+different matrix extents, so a fixed partition is what makes results
+invariant to how much of the output is computed at once: a single
+sample, a stack of B corrupted samples (``Network.forward_from_batch``),
+or a partial recomputation of only the rows a fault can reach
+(``forward_rows``) all issue GEMM calls of identical shapes over
+identical data and therefore produce bit-identical values.  Both halves
+are load-bearing on real DOUBLE and FLOAT data: one ``(K, Bt * tc)``
+GEMM over a tile's whole stack, or column extents below a tile, move
+bits (``TestRoundingFormatParity`` catches the former).
+
+The GEMM operands are copied from a strided window view of the padded
+input (:func:`~repro.nn.im2col.row_windows`) into C-contiguous
+``(K, columns)`` matrices holding the values of the ``col_indices``
+index gather they replace.  That gather laid a stack out sample-innermost,
+which BLAS cannot read, so numpy's matmul copied each sample's matrix
+to a contiguous buffer first: every GEMM call still receives the same
+contiguous matrices.
 """
 
 from __future__ import annotations
@@ -18,10 +29,11 @@ import numpy as np
 from repro.dtypes.base import DataType
 from repro.nn.im2col import (
     col2im,
-    col_indices,
     conv_out_size,
     im2col,
+    pad_fmap,
     patch_indices,
+    row_windows,
     window_out_span,
 )
 from repro.nn.layers.base import MacChain, MacLayer, Shape
@@ -127,23 +139,19 @@ class Conv2D(MacLayer):
         composition and row-aligned partial recomputation cannot change
         a single output bit (see the module docstring).
         """
-        n, c, h, w = x.shape
-        xp = (
-            np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-            if self.pad
-            else x
-        )
-        k, i, j, _, ow = col_indices(c, h, w, self.kernel, self.kernel, self.stride, self.pad)
-        c0, c1 = r0 * ow, r1 * ow
-        cols = xp[:, k, i[:, c0:c1], j[:, c0:c1]]  # (n, c*kh*kw, ncols)
+        n = x.shape[0]
+        win = row_windows(pad_fmap(x, self.pad), self.kernel, self.kernel, self.stride, r0, r1)
+        ow = win.shape[-1]
+        ncols = (r1 - r0) * ow
+        cols = np.ascontiguousarray(win.reshape(n, -1, ncols))  # (n, c*kh*kw, ncols)
         wmat = weight.reshape(self.out_channels, -1)
-        y = np.empty((n, self.out_channels, c1 - c0), dtype=np.float64)
+        y = np.empty((n, self.out_channels, ncols), dtype=np.float64)
         step = self._rows_per_tile(ow) * ow
         with np.errstate(invalid="ignore", over="ignore"):
             # inf/NaN operands are legal here: corrupted activations
             # propagate through the GEMM like they would through the MACs.
-            for s in range(0, c1 - c0, step):
-                e = min(s + step, c1 - c0)
+            for s in range(0, ncols, step):
+                e = min(s + step, ncols)
                 if n == 1:
                     y[0, :, s:e] = wmat @ cols[0, :, s:e]
                 else:
@@ -182,8 +190,10 @@ class Conv2D(MacLayer):
         tile: every tile GEMM runs at its fixed ``(K, tile_cols)`` shape
         over a stack holding only the samples whose span covers that
         tile.  FLOPs stay proportional to each sample's own span while
-        the padding / index-gather / dispatch overhead is paid per tile
-        instead of per sample.
+        the padding and dispatch overhead is paid per call and per tile
+        instead of per sample.  A tile copies its samples' windows
+        straight from the band of input rows it reads, never their whole
+        fmaps.
 
         Args:
             x: Stacked inputs ``(B, c, h, w)``.
@@ -192,19 +202,11 @@ class Conv2D(MacLayer):
         Returns:
             One ``(y, a0, a1)`` per sample, as :meth:`forward_rows`.
         """
-        n, c, h, w = x.shape
-        _, oh, ow = self.out_shape((c, h, w))
+        _, oh, ow = self.out_shape(x.shape[1:])
         rpt = self._rows_per_tile(ow)
         weight, bias = self.quantized_weights(dtype)
         wmat = weight.reshape(self.out_channels, -1)
-        xp = (
-            np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-            if self.pad
-            else x
-        )
-        k, i, j, _, _ = col_indices(c, h, w, self.kernel, self.kernel, self.stride, self.pad)
-        step = rpt * ow
-        total = oh * ow
+        xp = pad_fmap(x, self.pad)
         aligned: list[tuple[int, int]] = []
         bufs: list[np.ndarray] = []
         need: dict[int, list[int]] = {}
@@ -217,15 +219,15 @@ class Conv2D(MacLayer):
                 need.setdefault(t, []).append(b)
         with np.errstate(invalid="ignore", over="ignore"):
             for t, sel in need.items():
-                c0 = t * step
-                c1 = min(c0 + step, total)
-                sub = xp if len(sel) == n else xp[sel]
-                cols = sub[:, k, i[:, c0:c1], j[:, c0:c1]]  # (Bt, K, tc)
+                t0, t1 = t * rpt, min((t + 1) * rpt, oh)
+                tc = (t1 - t0) * ow
+                win = row_windows(xp, self.kernel, self.kernel, self.stride, t0, t1, sel)
+                cols = np.ascontiguousarray(win.reshape(len(sel), -1, tc))  # (Bt, K, tc)
                 yt = np.matmul(wmat, cols)  # per-slice canonical GEMMs
                 yt += bias[:, None]
                 for pos, b in enumerate(sel):
-                    o0 = c0 - aligned[b][0] * ow
-                    bufs[b][:, o0 : o0 + (c1 - c0)] = yt[pos]
+                    o0 = (t0 - aligned[b][0]) * ow
+                    bufs[b][:, o0 : o0 + tc] = yt[pos]
         out = []
         for b, (a0, a1) in enumerate(aligned):
             y = bufs[b].reshape(self.out_channels, a1 - a0, ow)

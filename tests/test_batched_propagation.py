@@ -21,6 +21,7 @@ from repro.dtypes import DTYPES, FLOAT16
 from repro.nn.network import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.utils.rng import child_rng
+from repro.zoo import eval_inputs, get_network
 from tests.conftest import build_tiny_network, reference_campaign
 
 BUFFER_SCOPES = ("layer_weight", "row_activation", "next_layer", "single_read")
@@ -107,6 +108,54 @@ class TestSerialBatchedEquivalence:
             tiny_network.forward_from_batch(0, [], dtype=FLOAT16)
         with pytest.raises(ValueError):
             tiny_network.forward_from_batch(0, [np.zeros((1, 2, 3))], dtype=FLOAT16)
+
+
+class TestRoundingFormatParity:
+    """Batch composition must not move a bit in formats that round.
+
+    FLOAT16 and the fixed-point formats have float64 dot products that are
+    exact in any summation order, and ``tiny_network``'s convolutions are a
+    single 64-column tile, so the tests above cannot see a change in GEMM
+    accumulation order (say, one ``(K, Bt * tc)`` GEMM per tile instead of
+    one per trial).  DOUBLE and FLOAT sums round, and the reduced
+    ConvNet's convolutions span several tiles with K up to 800.
+    """
+
+    @pytest.mark.parametrize("target", ["datapath", "next_layer"])
+    @pytest.mark.parametrize("dtype_name", ["DOUBLE", "FLOAT"])
+    def test_groups_of_eight_match_solo(self, dtype_name, target):
+        network = get_network("ConvNet")
+        dtype = DTYPES[dtype_name]
+        golden = network.forward(eval_inputs("ConvNet", 1)[0], dtype=dtype, record=True)
+        groups: dict[int, list] = {}
+        for t in range(96):
+            rng = child_rng(5, t)
+            if target == "datapath":
+                fault = sample_datapath_fault(network, dtype, rng)
+                prep = prepare_datapath(network, dtype, fault, golden)
+            else:
+                fault = sample_buffer_fault(network, target, dtype, rng)
+                prep = prepare_buffer(network, dtype, fault, golden)
+            if not prep.masked:
+                groups.setdefault(prep.resume_index, []).append(prep)
+        assert sum(map(len, groups.values())) >= 48
+
+        def propagate(resume_index, preps):
+            return network.forward_from_batch(
+                resume_index, [p.act for p in preps], dtype=dtype, record=True,
+                goldens=[golden] * len(preps), dirty_rows=[p.dirty_rows for p in preps],
+            )
+
+        for resume_index, preps in groups.items():
+            for g0 in range(0, len(preps), 8):
+                group = preps[g0 : g0 + 8]
+                batch = propagate(resume_index, group)
+                for b, prep in enumerate(group):
+                    solo = propagate(resume_index, [prep])
+                    assert batch.scores[b].tobytes() == solo.scores[0].tobytes()
+                    assert len(batch.activations[b]) == len(solo.activations[0])
+                    for mine, theirs in zip(batch.activations[b], solo.activations[0]):
+                        assert mine.tobytes() == theirs.tobytes()
 
 
 class TestGoldenImmutability:

@@ -106,3 +106,39 @@ def test_quantize_error_bounded(name, x):
         # (and underflow to zero) have absolute, not relative, spacing.
         if np.isfinite(q) and q != 0 and abs(q) >= float(np.finfo(dt.np_dtype).tiny):
             assert abs(q - x) <= abs(x) * 2.0 ** (-7)  # coarsest: fp16, 10-bit mantissa
+
+
+def saturating_loop(ints, lo, hi):
+    """Scalar oracle: the accumulator register, one saturating add per step."""
+    out, acc = [], 0
+    for v in ints:
+        acc = min(max(acc + int(v), lo), hi)
+        out.append(acc)
+    return out
+
+
+@given(
+    name=st.sampled_from(["16b_rb10", "32b_rb10", "32b_rb26"]),
+    rows=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=1, max_value=900),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_fixed_point_saturation_matches_scalar_loop(name, rows, length, data):
+    """``partials`` and ``accumulate_batch`` equal the step-by-step
+    saturating accumulator on chains that hit the rails, from both sides,
+    any number of times."""
+    dt = DTYPES[name]
+    rail = dt.max_value
+    step = data.draw(st.sampled_from([0.02, 0.3, 1.5])) * rail
+    drift = data.draw(st.floats(min_value=-0.5, max_value=0.5)) * step
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    g = np.random.default_rng(seed)
+    chains = g.normal(drift, step, (rows, length))
+    chains.reshape(-1)[g.integers(0, chains.size, 3)] = [np.inf, -np.inf, np.nan]
+    lo, hi = dt.to_int(np.array([dt.min_value, dt.max_value]))
+    ints = dt.to_int(chains)
+    for r in range(rows):
+        assert dt.to_int(dt.partials(chains[r])).tolist() == saturating_loop(ints[r], lo, hi)
+    got = dt.to_int(dt.accumulate_batch(chains[:, 1:], chains[:, 0]))
+    assert got.tolist() == [saturating_loop(row, lo, hi)[-1] for row in ints]

@@ -208,6 +208,18 @@ class TestMaxPool:
         y = p.forward(x)
         assert (y == -5.0).all()  # zero padding must not win
 
+    def test_forward_train_matches_inference(self, rng):
+        """Training pads with -inf too, so a padded pool trains on the
+        function it infers and routes no gradient into the padding."""
+        p = MaxPool2D("p", 3, stride=2, pad=1)
+        x = -1.0 - rng.uniform(0, 4, (2, 3, 7, 7))  # all negative
+        x[0, 0, 0, 0] = -1.0
+        y, cache = p.forward_train(x)
+        assert y.tobytes() == p.forward(x).tobytes()
+        assert y[0, 0, 0, 0] == -1.0
+        dx, _ = p.backward(cache, np.ones_like(y))
+        assert dx.sum() == y.size
+
     def test_gradient_routes_to_argmax(self, rng):
         p = MaxPool2D("p", 2)
         x = rng.normal(0, 1, (1, 2, 4, 4))
