@@ -2,26 +2,23 @@
 
 The paper's conclusions rest on statistically valid fault-injection
 campaigns: ~3,000 injections per layer, bit-exact datatype semantics and
-deterministic re-execution.  Those properties are silently destroyed by
-unseeded global RNG use, implicit float64 promotion inside fixed-point
-paths, or non-atomic writes under the parallel campaign runner.  This
-package enforces the invariants mechanically, on every commit, via an
+deterministic re-execution.  The parity obligations and outcome digests
+check determinism end to end (``docs/release_gates.md``); this package
+checks, on every commit, the invariants no run can see, via an
 AST-visitor rule engine with five project-specific pass families:
 
-- ``RP1xx`` determinism — no legacy global-RNG APIs, no wall-clock reads
-  in campaign paths; everything flows through :mod:`repro.utils.rng`.
-- ``RP2xx`` dtype safety — no float ``==``/``!=``, no array constructors
-  without an explicit ``dtype=`` in numeric packages, no bare float
-  arithmetic in fixed-point kernels.
+- ``RP1xx`` library output — no bare ``print()`` in library code.
+- ``RP2xx`` dtype safety — no float ``==``/``!=`` outside the
+  bit-exactness test suites.
 - ``RP3xx`` atomic-write hygiene — write-then-``replace`` temp files must
   be unique per process.
 - ``RP4xx`` registry consistency — experiment modules and zoo networks
   must be registered, with no orphans.
-- ``RP5xx`` API hygiene — ``__all__`` present and accurate in every
+- ``RP5xx`` API hygiene — ``__all__`` present and complete in every
   public module.
 
-``repro-lint --explain RP101`` documents each rule.  Findings can be
-suppressed inline (``# repro: noqa[RP101]``) or steered via
+``repro-lint --explain RP201`` documents each rule.  Findings can be
+suppressed inline (``# repro: noqa[RP201]``) or steered via
 ``[tool.repro-lint]`` in ``pyproject.toml``.  Run as ``repro-lint`` or
 ``python -m repro.analysis``.
 """

@@ -6,26 +6,18 @@ Recognised keys (all optional)::
     exclude = ["tests/fixtures"]          # path fragments to skip
     select = ["RP1", "RP301"]             # restrict to these ids/families
     ignore = ["RP503"]                    # drop these ids/families
-    campaign-paths = ["repro/core", "repro/experiments"]
-    dtype-paths = ["repro/dtypes", "repro/nn"]
-    kernel-paths = ["repro/dtypes/fixedpoint.py"]
     library-paths = ["repro"]
     print-exempt-paths = ["repro/core/cli.py", "repro/obs/cli.py"]
+    float-eq-exempt-paths = ["tests", "benchmarks"]
+    script-paths = ["examples"]
 
-The ``*-paths`` keys scope the path-sensitive rule families: wall-clock
-reads (RP103) are only an error inside campaign paths, missing
-``dtype=`` (RP202) inside numeric packages, bare-float arithmetic (RP203)
-inside fixed-point kernels, and bare ``print()`` (RP105) inside library
-paths *except* the print-exempt CLI/reporter modules.  Path values match
-as posix fragments against each linted file's path, so ``repro/core``
-matches any layout that nests the package (``src/repro/core/...``).
-
+``library-paths`` scopes bare ``print()`` (RP105) to library code, and
+``print-exempt-paths`` carves the CLI/reporter modules out of it.
 ``float-eq-exempt-paths`` and ``script-paths`` carve the test/benchmark
 suites and example scripts out of RP201 and RP501, where exact
-comparison and script-style modules are deliberate.
-``obs-writer-exempt-paths`` names the sanctioned artifact writers
-(checkpoint, manifest, tracer; appends go through ``repro.obs.jsonlog``)
-that RP108 exempts from its ban on direct append-mode JSON writes.
+comparison and script-style modules are deliberate.  Path values match
+as posix fragments against each linted file's path, so ``repro/core``
+matches any layout that nests the package (``src/repro/core/...``).
 """
 
 from __future__ import annotations
@@ -52,11 +44,6 @@ class LintConfig:
     exclude: tuple[str, ...] = ()
     select: tuple[str, ...] = ()
     ignore: tuple[str, ...] = ()
-    campaign_paths: tuple[str, ...] = (
-        "repro/core", "repro/experiments", "repro/utils/parallel.py",
-    )
-    dtype_paths: tuple[str, ...] = ("repro/dtypes", "repro/nn")
-    kernel_paths: tuple[str, ...] = ("repro/dtypes/fixedpoint.py",)
     library_paths: tuple[str, ...] = ("repro",)
     print_exempt_paths: tuple[str, ...] = (
         "repro/core/cli.py",
@@ -65,15 +52,6 @@ class LintConfig:
         "repro/obs/cli.py",
         "repro/obs/progress.py",
         "repro/gate/cli.py",
-    )
-    #: The sanctioned JSONL/JSON writers (RP108): campaign-path code
-    #: appending JSON records directly can tear on SIGKILL and break the
-    #: byte-identity contract; these modules *are* the artifact writers
-    #: and are exempt from their own rule.
-    obs_writer_exempt_paths: tuple[str, ...] = (
-        "repro/core/checkpoint.py",
-        "repro/obs/manifest.py",
-        "repro/obs/tracer.py",
     )
     #: Paths where exact float ==/!= is the *point* (bit-exactness
     #: assertions in the test/benchmark suites) — RP201 skips them.

@@ -21,7 +21,7 @@ from repro.analysis.registry import ProjectRule, all_rules, expand_ids, known_id
 
 __all__ = ["FileContext", "ProjectContext", "lint_paths", "iter_python_files"]
 
-#: Inline suppression: ``# repro: noqa`` or ``# repro: noqa[RP101, RP201]``.
+#: Inline suppression: ``# repro: noqa`` or ``# repro: noqa[RP105, RP201]``.
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<ids>[^\]]*)\])?", re.IGNORECASE)
 
 
@@ -31,7 +31,6 @@ class FileContext:
 
     path: Path
     display_path: str
-    source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
 
@@ -42,7 +41,6 @@ class FileContext:
         return cls(
             path=path,
             display_path=display_path or str(path),
-            source=source,
             tree=tree,
             lines=source.splitlines(),
         )
@@ -69,7 +67,6 @@ class ProjectContext:
     """All linted files at once, for cross-file consistency rules."""
 
     files: list[FileContext]
-    config: LintConfig
 
     def find(self, fragment: str) -> list[FileContext]:
         """Files whose path contains the posix ``fragment``."""
@@ -156,7 +153,7 @@ def lint_paths(
                 continue
             findings.extend(f for f in rule.check(ctx) if not _suppressed(ctx, f))
 
-    project = ProjectContext(files=contexts, config=config)
+    project = ProjectContext(files=contexts)
     by_display = {ctx.display_path: ctx for ctx in contexts}
     for rule in project_rules:
         for finding in rule.check_project(project):

@@ -4,7 +4,7 @@ Rules self-register at import time via the :func:`register` decorator;
 importing :mod:`repro.analysis.rules` populates the registry.  Ids are
 grouped by family:
 
-- ``RP1xx`` determinism
+- ``RP1xx`` library output
 - ``RP2xx`` dtype safety
 - ``RP3xx`` atomic-write hygiene
 - ``RP4xx`` registry consistency
@@ -123,7 +123,7 @@ def known_ids() -> frozenset[str]:
 
 
 def expand_ids(selectors: Iterable[str]) -> set[str]:
-    """Expand id selectors (exact ``RP101`` or family prefix ``RP1``/``RP3xx``)."""
+    """Expand id selectors (exact ``RP201`` or family prefix ``RP2``/``RP4xx``)."""
     _ensure_loaded()
     out: set[str] = set()
     for sel in selectors:

@@ -3,7 +3,6 @@
 from repro.analysis.rules import (
     api_hygiene,
     atomicity,
-    determinism,
     dtype_safety,
     observability,
     registry_sync,
@@ -12,7 +11,6 @@ from repro.analysis.rules import (
 __all__ = [
     "api_hygiene",
     "atomicity",
-    "determinism",
     "dtype_safety",
     "observability",
     "registry_sync",

@@ -1,9 +1,10 @@
 """RP5xx — public API hygiene.
 
-Every public module declares an accurate ``__all__``: it is the contract
-the docs, the experiment runner and downstream users rely on, and a
-stale entry (or an unexported public function) is how half-migrated
-refactors linger unnoticed.
+Every public module declares ``__all__`` and lists its public
+definitions there: it is the contract the docs, the experiment runner
+and downstream users rely on, and an unexported public function is how
+half-migrated refactors linger unnoticed.  A stale entry naming nothing
+is ruff's F822, which CI runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
 
-__all__ = ["HasDunderAll", "DunderAllAccurate", "PublicDefExported"]
+__all__ = ["HasDunderAll", "PublicDefExported"]
 
 #: Module basenames exempt from the __all__ requirement.
 _EXEMPT = frozenset({"__main__.py", "conftest.py", "setup.py"})
@@ -33,51 +34,6 @@ def _literal_all(tree: ast.Module) -> tuple[ast.AST | None, list[str] | None]:
                 return node, [el.value for el in node.value.elts]
             return node, None
     return None, None
-
-
-def _toplevel_bindings(tree: ast.Module) -> tuple[set[str], bool]:
-    """Names bound at module top level; True when a star-import occurs.
-
-    Descends into top-level ``if``/``try`` blocks (conditional imports,
-    TYPE_CHECKING guards) but not into function or class bodies.
-    """
-    bound: set[str] = set()
-    has_star = False
-
-    def visit(body: list[ast.stmt]) -> None:
-        nonlocal has_star
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bound.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            bound.add(sub.id)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(node.target, ast.Name):
-                    bound.add(node.target.id)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound.add(alias.asname or alias.name.split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name == "*":
-                        has_star = True
-                    else:
-                        bound.add(alias.asname or alias.name)
-            elif isinstance(node, ast.If):
-                visit(node.body)
-                visit(node.orelse)
-            elif isinstance(node, ast.Try):
-                visit(node.body)
-                for handler in node.handlers:
-                    visit(handler.body)
-                visit(node.orelse)
-                visit(node.finalbody)
-
-    visit(tree.body)
-    return bound, has_star
 
 
 @register
@@ -105,28 +61,6 @@ class HasDunderAll(Rule):
             yield self.finding(
                 ctx, ctx.tree, "public module does not declare __all__"
             )
-
-
-@register
-class DunderAllAccurate(Rule):
-    """Flag ``__all__`` entries that name nothing in the module."""
-
-    id = "RP502"
-    name = "stale-dunder-all"
-    summary = "__all__ must only list names actually bound in the module"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        node, names = _literal_all(ctx.tree)
-        if node is None or names is None:
-            return
-        bound, has_star = _toplevel_bindings(ctx.tree)
-        if has_star:
-            return
-        for name in names:
-            if name not in bound:
-                yield self.finding(
-                    ctx, node, f"__all__ lists {name!r} but the module never binds it"
-                )
 
 
 @register

@@ -17,9 +17,8 @@ from typing import Iterator
 from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
-from repro.analysis.rules.determinism import _attr_chain
 
-__all__ = ["SharedTempReplace", "TempWithoutPublish"]
+__all__ = ["SharedTempReplace"]
 
 #: Identifiers anywhere in the temp-name expression (or the value it was
 #: built from) that make the name unique per process or per call.
@@ -28,6 +27,18 @@ _UNIQUENESS_TOKENS = (
     "namedtemporaryfile", "temporaryfile", "token_hex", "token_urlsafe",
     "unique", "nonce", "getrandbits",
 )
+
+
+def _attr_chain(node: ast.expr) -> list[str]:
+    """Flatten ``a.b.c`` into ``["a", "b", "c"]`` (empty if not a chain)."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return parts[::-1]
+    return []
 
 
 def _mentions_tmp(node: ast.expr) -> bool:
@@ -110,41 +121,3 @@ class SharedTempReplace(Rule):
                         "— embed os.getpid()/uuid4() in the name (or use tempfile.mkstemp)",
                     )
 
-
-@register
-class TempWithoutPublish(Rule):
-    """Flag unique temp files that are written but never atomically published.
-
-    The complement of RP301: the checkpoint writer's discipline is
-    pid-unique temp + ``os.replace`` — both halves.  A function that
-    builds a per-process ``*.tmp`` name but never renames it into place
-    either leaks the temp file or (worse) readers are pointed at the
-    temp path directly, losing the atomicity the unique name implies.
-    """
-
-    id = "RP302"
-    name = "temp-without-publish"
-    summary = "unique temp file written but never published via os.replace/rename"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        scopes: list[ast.AST] = [
-            node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for scope in scopes or [ctx.tree]:
-            replaced = _replace_targets(scope)
-            for node in ast.walk(scope):
-                if not isinstance(node, ast.Assign):
-                    continue
-                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
-                if not names or names & replaced:
-                    continue
-                if _mentions_tmp(node.value) and _has_uniqueness_token(node.value):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "per-process temp filename is never renamed into place in this "
-                        "function; finish the atomic-write pattern with "
-                        "os.replace(tmp, final) (and unlink the temp on failure)",
-                    )

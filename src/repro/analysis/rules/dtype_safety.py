@@ -1,11 +1,9 @@
 """RP2xx — bit-exact datatype safety.
 
 Table 3's datatype comparison is only meaningful if every value in a
-fixed-point campaign actually lives in the declared format.  An array
-materialized without an explicit ``dtype=`` silently defaults to
-float64, a bare Python float in kernel arithmetic promotes the whole
-expression to float64, and ``==`` on floats compares bit patterns the
-formats may not even be able to represent.
+fixed-point campaign actually lives in the declared format, and ``==``
+on floats compares bit patterns the formats may not even be able to
+represent.
 """
 
 from __future__ import annotations
@@ -16,13 +14,9 @@ from typing import Iterator
 from repro.analysis.engine import FileContext
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
-from repro.analysis.rules.determinism import _attr_chain, numpy_aliases
+from repro.analysis.rules.atomicity import _attr_chain
 
-__all__ = ["FloatEquality", "MissingDtype", "BareFloatKernelArithmetic"]
-
-#: Array constructors whose dtype defaults to float64 (the ``*_like``
-#: family inherits its dtype from the prototype and is exempt).
-_DEFAULT_FLOAT_CTORS = frozenset({"zeros", "ones", "empty", "full", "array"})
+__all__ = ["FloatEquality"]
 
 #: Non-finite sentinels that float equality can never match reliably.
 _NONFINITE_ATTRS = frozenset({"inf", "nan", "NAN", "NaN", "Inf", "Infinity", "NINF", "PINF"})
@@ -69,61 +63,3 @@ class FloatEquality(Rule):
                     )
                     break
 
-
-@register
-class MissingDtype(Rule):
-    """Flag float-defaulting array constructors without ``dtype=``."""
-
-    id = "RP202"
-    name = "missing-dtype"
-    summary = "np.zeros/ones/empty/full/array without dtype= defaults to float64"
-    scope_key = "dtype_paths"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        nps = numpy_aliases(ctx.tree) | {"numpy"}
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attr_chain(node.func)
-            if len(chain) != 2 or chain[0] not in nps or chain[1] not in _DEFAULT_FLOAT_CTORS:
-                continue
-            if any(kw.arg == "dtype" for kw in node.keywords):
-                continue
-            # np.array copying an existing array preserves its dtype; only
-            # literal element lists silently default to float64.
-            if chain[1] == "array" and node.args and not isinstance(node.args[0], (ast.List, ast.Tuple)):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"{'.'.join(chain)}(...) without an explicit dtype= silently "
-                "materializes float64 inside a bit-exact numeric path",
-            )
-
-
-@register
-class BareFloatKernelArithmetic(Rule):
-    """Flag bare Python-float arithmetic inside fixed-point kernels."""
-
-    id = "RP203"
-    name = "bare-float-kernel-arith"
-    summary = "float literals in fixed-point kernel arithmetic promote to float64"
-    scope_key = "kernel_paths"
-
-    _OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, self._OPS):
-                sides = (node.left, node.right)
-            elif isinstance(node, ast.AugAssign) and isinstance(node.op, self._OPS):
-                sides = (node.value,)
-            else:
-                continue
-            if any(_is_float_operand(side) for side in sides):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "bare Python-float arithmetic in a fixed-point kernel promotes "
-                    "to float64; quantize through the codec (to_int/from_int) instead",
-                )

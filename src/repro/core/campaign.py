@@ -544,9 +544,9 @@ def _maybe_test_fault(trial: int) -> None:
         os._exit(41)
     elif kind == "hang":
         # Deliberate wedge so the supervisor's deadline machinery fires.
-        time.sleep(float(arg) if arg else 3600.0)  # repro: noqa[RP104]
+        time.sleep(float(arg) if arg else 3600.0)
     elif kind == "slow":
-        time.sleep(float(arg) if arg else 0.05)  # repro: noqa[RP104]
+        time.sleep(float(arg) if arg else 0.05)
     elif kind == "raise":
         raise RuntimeError(f"injected test fault at trial {trial}")
 
@@ -1058,8 +1058,6 @@ class RunOptions:
             than this fraction of ``spec.n_trials`` is quarantined.  The
             default 0.0 tolerates no errors — raising it is an explicit
             statement that partial campaigns are acceptable.
-        backoff_base / backoff_cap: Pool-rebuild backoff schedule.
-        timeout_grace: Flat per-chunk allowance for worker startup.
         spans: Enable hierarchical timing spans — in this process and in
             every worker (``trial``, ``golden_infer``, per-layer forward,
             injection phases).  Off by default; the disabled path is a
@@ -1096,9 +1094,6 @@ class RunOptions:
     trial_timeout: float | None = None
     max_retries: int = 2
     max_error_frac: float = 0.0
-    backoff_base: float = 0.5
-    backoff_cap: float = 8.0
-    timeout_grace: float = 5.0
     spans: bool = False
     manifest: str | Path | None = None
     run_log: str | Path | None = None
@@ -1359,10 +1354,7 @@ class _CampaignRun:
                 indices=self.remaining,
                 plan=self.planner,
                 timeout=options.trial_timeout,
-                timeout_grace=options.timeout_grace,
                 max_retries=options.max_retries,
-                backoff_base=options.backoff_base,
-                backoff_cap=options.backoff_cap,
                 on_event=self.recorder.emit,
                 on_result=self._absorb,
                 on_obs=self._absorb_obs,

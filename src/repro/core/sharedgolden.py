@@ -41,7 +41,7 @@ Golden immutability
 -------------------
 All reconstructed views have ``writeable = False``: the injection engine
 only ever *reads* goldens (it copies before corrupting — see
-``repro.core.injector`` and the RP106 lint rule), and a stray in-place
+``repro.core.injector`` and OBL-GOLDEN-IMMUTABLE), and a stray in-place
 write in a worker raises immediately instead of silently corrupting
 every other worker's golden reference.
 """

@@ -53,9 +53,11 @@ class FixedPointType(DataType):
         """Quantize to the scaled-integer representation (int64)."""
         x = np.asarray(x, dtype=np.float64)
         scaled = np.rint(x * self._scale)
-        # NaN (possible after a float-side computation) saturates to 0,
-        # matching a hardware fixed-point converter's flush behaviour.
-        scaled = np.nan_to_num(scaled, nan=0.0, posinf=self._imax, neginf=self._imin)
+        # NaN (possible after a float-side computation) flushes to 0,
+        # matching a hardware fixed-point converter; clip sends +-inf to
+        # the rails.  np.where, not item assignment: rint of a 0-d input
+        # is a numpy scalar.
+        scaled = np.where(np.isnan(scaled), 0.0, scaled)
         return np.clip(scaled, self._imin, self._imax).astype(np.int64)
 
     def from_int(self, ints: np.ndarray) -> np.ndarray:
@@ -162,7 +164,7 @@ class FixedPointType(DataType):
     def resolution(self) -> float:
         """Smallest representable increment (one LSB)."""
         # Reporting-side float: the LSB value leaves the codec by design.
-        return 1.0 / self._scale  # repro: noqa[RP203]
+        return 1.0 / self._scale
 
 
 #: 16-bit: 1 sign, 5 integer, 10 fraction bits (Eyeriss's native format).

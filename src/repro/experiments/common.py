@@ -25,8 +25,8 @@ PAPER_NETWORKS = ("ConvNet", "AlexNet", "CaffeNet", "NiN")
 IMAGENET_NETWORKS = ("AlexNet", "CaffeNet", "NiN")
 #: ``RunOptions`` fields an experiment leaves at their defaults
 #: (:func:`campaign` sets the paths per campaign).
-_FIXED_RUN_FIELDS = ("chunk", "checkpoint", "checkpoint_every", "backoff_base",
-                     "backoff_cap", "timeout_grace", "manifest", "run_log", "trace_path")
+_FIXED_RUN_FIELDS = ("chunk", "checkpoint", "checkpoint_every", "manifest", "run_log",
+                     "trace_path")
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ cleanliness — used to be enforced by an ad-hoc scatter of CI jobs and
 test asserts.  This package lifts them into data:
 
 - :mod:`repro.gate.spec` — declarative obligation specs
-  (``obligations/*.yaml``): id, invariant in prose, severity, evidence
+  (``obligations/*.json``): id, invariant in prose, severity, evidence
   recipes, expiring waivers;
 - :mod:`repro.gate.recipes` — recipe executors (pytest node ids,
   benchmark gauge floors over ``BENCH_<date>.json``, campaign-parity
-  probes, obs-manifest diffs, lint sweeps, commands);
+  probes, lint sweeps, commands);
 - :mod:`repro.gate.runner` — supervised recipe fan-out (reusing
   :func:`repro.utils.parallel.map_trials` so a wedged recipe cannot
   stall the release) and the verdict algebra;

@@ -34,7 +34,6 @@ Recipe types
   ``resume`` variant restarts from a half-truncated trace and has to
   re-derive the missing rows identically.
 - ``lint`` — in-process ``repro-lint`` sweep; any finding is a failure.
-- ``obs_diff`` — compare two existing run manifests / run logs.
 - ``command`` — arbitrary argv; exit 0 is the invariant.
 """
 
@@ -360,30 +359,6 @@ def _recipe_lint(params: dict, root: Path, timeout: float) -> dict:
                          "findings": len(findings), "first": shown}}
 
 
-# -- obs diff --------------------------------------------------------------- #
-def _recipe_obs_diff(params: dict, root: Path, timeout: float) -> dict:
-    del timeout
-    from repro.obs.cli import compare_runs
-    from repro.obs.manifest import load_run
-
-    run_a, run_b = params.get("run_a"), params.get("run_b")
-    if not run_a or not run_b:
-        return {"status": "error", "pointer": "obs_diff needs 'run_a' and 'run_b'",
-                "evidence": {}}
-    paths = [Path(p) if Path(p).is_absolute() else root / p for p in (run_a, run_b)]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        return {"status": "error", "pointer": f"run file(s) missing: {', '.join(missing)}",
-                "evidence": {"missing": missing}}
-    diverged = compare_runs(load_run(paths[0]), load_run(paths[1]))
-    pointer = (f"{paths[0].name} == {paths[1].name} on every deterministic fact"
-               if not diverged else
-               f"{paths[0].name} != {paths[1].name}: {len(diverged)} fact(s) differ")
-    return {"status": "pass" if not diverged else "fail", "pointer": pointer,
-            "evidence": {"run_a": str(paths[0]), "run_b": str(paths[1]),
-                         "diverged": diverged[:20]}}
-
-
 # -- command ---------------------------------------------------------------- #
 def _recipe_command(params: dict, root: Path, timeout: float) -> dict:
     argv = params.get("argv")
@@ -404,7 +379,6 @@ _RUNNERS = {
     "bench": _recipe_bench,
     "campaign_parity": _recipe_campaign_parity,
     "lint": _recipe_lint,
-    "obs_diff": _recipe_obs_diff,
     "command": _recipe_command,
 }
 

@@ -12,11 +12,11 @@ the existence of a CI job.  Each obligation declares:
   ``advisory`` (reported, never blocks);
 - ``recipes`` — how to *check* the promise: pytest node ids, benchmark
   gauge floors over ``BENCH_<date>.json``, campaign-parity probes,
-  obs-manifest diffs, lint sweeps, or a plain command;
+  lint sweeps, or a plain command;
 - ``waiver`` — an explicit, expiring acknowledgement that the
   obligation is allowed to fail (reason + expiry date + who).
 
-Specs live in ``obligations/*.yaml`` packs at the repo root; the gate
+Specs live in ``obligations/*.json`` packs at the repo root; the gate
 (:mod:`repro.gate.runner`) resolves them, executes the recipes, and
 emits an evidence manifest (:mod:`repro.gate.evidence`).
 """
@@ -24,11 +24,10 @@ emits an evidence manifest (:mod:`repro.gate.evidence`).
 from __future__ import annotations
 
 import datetime as _dt
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from repro.gate.yamlio import MiniYamlError, load_path
 
 __all__ = [
     "OBLIGATION_ID_RE",
@@ -54,7 +53,7 @@ OBLIGATION_ID_RE = re.compile(r"OBL-[A-Z0-9][A-Z0-9-]*")
 SEVERITIES = ("release-blocking", "advisory")
 
 #: Recipe executors the gate knows how to run (repro.gate.recipes).
-RECIPE_TYPES = ("pytest", "bench", "campaign_parity", "lint", "obs_diff", "command")
+RECIPE_TYPES = ("pytest", "bench", "campaign_parity", "lint", "command")
 
 #: Recipe wall-clock ceiling when a spec does not declare one (seconds).
 DEFAULT_RECIPE_TIMEOUT = 900.0
@@ -113,8 +112,6 @@ class RecipeSpec:
                     f" x{p.get('trials')} vs {','.join(p.get('variants', []))}")
         if self.type == "lint":
             return "repro-lint " + " ".join(p.get("paths", []))
-        if self.type == "obs_diff":
-            return f"obs_diff {p.get('run_a')} vs {p.get('run_b')}"
         if self.type == "command":
             return "command " + " ".join(str(a) for a in p.get("argv", []))
         return self.type
@@ -210,12 +207,12 @@ def _parse_obligation(raw: object, pack: str, path: Path) -> Obligation:
 
 
 def load_pack(path: str | Path) -> list[Obligation]:
-    """Parse one ``obligations/*.yaml`` pack into validated obligations."""
+    """Parse one ``obligations/*.json`` pack into validated obligations."""
     path = Path(path)
     try:
-        doc = load_path(path)
-    except MiniYamlError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), f"{path}: pack must be a mapping")
     assert isinstance(doc, dict)
     _require(doc.get("format") == SPEC_FORMAT,
@@ -233,8 +230,8 @@ def load_pack(path: str | Path) -> list[Obligation]:
 def load_specs(spec_dir: str | Path) -> list[Obligation]:
     """Load every pack under ``spec_dir``, enforcing repo-unique ids."""
     spec_dir = Path(spec_dir)
-    paths = sorted(spec_dir.glob("*.yaml")) + sorted(spec_dir.glob("*.yml"))
-    _require(bool(paths), f"no obligation packs (*.yaml) under {spec_dir}")
+    paths = sorted(spec_dir.glob("*.json"))
+    _require(bool(paths), f"no obligation packs (*.json) under {spec_dir}")
     obligations: list[Obligation] = []
     seen: dict[str, str] = {}
     for path in paths:
@@ -252,9 +249,7 @@ def default_spec_dir(start: str | Path | None = None) -> Path:
     here = Path(start) if start is not None else Path.cwd()
     for candidate in (here, *here.resolve().parents):
         spec_dir = candidate / "obligations"
-        if spec_dir.is_dir() and (
-            list(spec_dir.glob("*.yaml")) or list(spec_dir.glob("*.yml"))
-        ):
+        if spec_dir.is_dir() and any(spec_dir.glob("*.json")):
             return spec_dir
     # Fall back to the checkout that repro itself was imported from.
     pkg_root = Path(__file__).resolve().parents[3]

@@ -6,8 +6,8 @@ GEMM per sample and tile.  BLAS picks different accumulation orders for
 different matrix extents, so a fixed partition is what makes results
 invariant to how much of the output is computed at once: a single
 sample, a stack of B corrupted samples (``Network.forward_from_batch``),
-or a partial recomputation of only the rows a fault can reach
-(``forward_rows``) all issue GEMM calls of identical shapes over
+or a recomputation of only the output rows a fault can reach
+(``forward_rows_batch``) all issue GEMM calls of identical shapes over
 identical data and therefore produce bit-identical values.  Both halves
 are load-bearing on real DOUBLE and FLOAT data: one ``(K, Bt * tc)``
 GEMM over a tile's whole stack, or column extents below a tile, move
@@ -118,31 +118,23 @@ class Conv2D(MacLayer):
         weight: np.ndarray,
         bias: np.ndarray,
     ) -> np.ndarray:
-        _, oh, _ = self.out_shape(x.shape[1:])
-        y = self._gemm_rows(x, weight, bias, 0, oh)
+        y = self._gemm(x, weight, bias)
         return dtype.quantize(y) if dtype is not None else y
 
     def _rows_per_tile(self, ow: int) -> int:
         return max(1, _TILE_COLS // ow)
 
-    def _gemm_rows(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        bias: np.ndarray,
-        r0: int,
-        r1: int,
-    ) -> np.ndarray:
-        """Float64 GEMM of output rows ``[r0, r1)``; ``r0`` tile-aligned.
+    def _gemm(self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """Float64 GEMM of every output row.
 
         Per-sample GEMM calls over the fixed tile partition: batch
         composition and row-aligned partial recomputation cannot change
         a single output bit (see the module docstring).
         """
         n = x.shape[0]
-        win = row_windows(pad_fmap(x, self.pad), self.kernel, self.kernel, self.stride, r0, r1)
-        ow = win.shape[-1]
-        ncols = (r1 - r0) * ow
+        _, oh, ow = self.out_shape(x.shape[1:])
+        win = row_windows(pad_fmap(x, self.pad), self.kernel, self.kernel, self.stride, 0, oh)
+        ncols = oh * ow
         cols = np.ascontiguousarray(win.reshape(n, -1, ncols))  # (n, c*kh*kw, ncols)
         wmat = weight.reshape(self.out_channels, -1)
         y = np.empty((n, self.out_channels, ncols), dtype=np.float64)
@@ -157,24 +149,7 @@ class Conv2D(MacLayer):
                 else:
                     y[:, :, s:e] = np.matmul(wmat, cols[:, :, s:e])
             y += bias[:, None]
-        return y.reshape(n, self.out_channels, r1 - r0, ow)
-
-    def forward_rows(
-        self, x: np.ndarray, dtype: DataType | None, r0: int, r1: int
-    ) -> tuple[np.ndarray, int, int]:
-        """Recompute output rows covering ``[r0, r1)`` bit-identically.
-
-        The request is expanded to the canonical tile partition; returns
-        ``(y, a0, a1)`` where ``y`` holds rows ``[a0, a1)`` and equals
-        the same slice of :meth:`forward` on the same input.
-        """
-        _, oh, ow = self.out_shape(x.shape[1:])
-        rpt = self._rows_per_tile(ow)
-        a0 = (r0 // rpt) * rpt
-        a1 = min(oh, -(-r1 // rpt) * rpt)
-        w, b = self.quantized_weights(dtype)
-        y = self._gemm_rows(x, w, b, a0, a1)
-        return (dtype.quantize(y) if dtype is not None else y), a0, a1
+        return y.reshape(n, self.out_channels, oh, ow)
 
     def forward_rows_batch(
         self,
@@ -184,9 +159,10 @@ class Conv2D(MacLayer):
     ) -> list[tuple[np.ndarray, int, int]]:
         """Per-sample row-span recomputation, batched tile by tile.
 
-        For each sample ``b`` of ``x`` this computes exactly what
-        ``forward_rows(x[b:b+1], dtype, *spans[b])`` would — the same
-        aligned span, the same bits — but the work is grouped by canonical
+        For each sample ``b`` of ``x`` this computes rows ``[a0, a1)`` of
+        ``forward(x[b:b+1], dtype)`` with the same bits, where
+        ``[a0, a1)`` is the requested span ``spans[b]`` expanded to the
+        canonical tile partition.  The work is grouped by canonical
         tile: every tile GEMM runs at its fixed ``(K, tile_cols)`` shape
         over a stack holding only the samples whose span covers that
         tile.  FLOPs stay proportional to each sample's own span while
@@ -200,7 +176,8 @@ class Conv2D(MacLayer):
             spans: Per-sample requested output row spans (non-empty).
 
         Returns:
-            One ``(y, a0, a1)`` per sample, as :meth:`forward_rows`.
+            One ``(y, a0, a1)`` per sample; ``y`` holds output rows
+            ``[a0, a1)``.
         """
         _, oh, ow = self.out_shape(x.shape[1:])
         rpt = self._rows_per_tile(ow)

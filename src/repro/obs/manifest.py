@@ -17,9 +17,8 @@ checkpoint / output artifact:
   log alone is enough for ``repro-obs summarize``.
 
 Wall-clock reads are deliberately confined to this module: campaign code
-(``repro/core``, RP103-scoped) calls in here for timestamps instead of
-touching ``time.time`` itself, keeping trial behaviour a function of
-seeds only.
+(``repro/core``) calls in here for timestamps instead of touching
+``time.time`` itself, keeping trial behaviour a function of seeds only.
 """
 
 from __future__ import annotations

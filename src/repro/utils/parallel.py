@@ -294,7 +294,7 @@ class _Supervisor:
                   consecutive=self.consecutive_rebuilds, backoff=delay)
             # A real wall-clock pause between pool rebuilds: backoff must
             # scale with elapsed time, not with seeded campaign state.
-            time.sleep(delay)  # repro: noqa[RP104]
+            time.sleep(delay)
         self.pool = ProcessPoolExecutor(
             max_workers=self.n_jobs,
             initializer=_init_worker,

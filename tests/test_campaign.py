@@ -227,3 +227,5 @@ class TestRunCampaign:
     def test_unknown_option_is_a_type_error(self):
         with pytest.raises(TypeError, match="metrics"):
             run_campaign(self.SPEC, metrics=None)
+        with pytest.raises(TypeError, match="backoff_base"):
+            run_campaign(self.SPEC, backoff_base=0.5)

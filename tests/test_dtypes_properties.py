@@ -142,3 +142,33 @@ def test_fixed_point_saturation_matches_scalar_loop(name, rows, length, data):
         assert dt.to_int(dt.partials(chains[r])).tolist() == saturating_loop(ints[r], lo, hi)
     got = dt.to_int(dt.accumulate_batch(chains[:, 1:], chains[:, 0]))
     assert got.tolist() == [saturating_loop(row, lo, hi)[-1] for row in ints]
+
+
+def nan_to_num_to_int(dt, x):
+    """Oracle: the ``nan_to_num`` + ``clip`` form of ``to_int``."""
+    scaled = np.rint(np.asarray(x, dtype=np.float64) * dt._scale)
+    scaled = np.nan_to_num(scaled, nan=0.0, posinf=dt._imax, neginf=dt._imin)
+    return np.clip(scaled, dt._imin, dt._imax).astype(np.int64)
+
+
+#: Finite values around and far past every format's rails, plus the
+#: non-finite values ``to_int`` must flush (NaN) or saturate (+-inf).
+edge_floats = st.one_of(
+    st.floats(min_value=-3e6, max_value=3e6, allow_nan=False),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 32.0, -32.0, 2.0**21, -(2.0**21)]),
+)
+
+
+@given(
+    name=st.sampled_from(["16b_rb10", "32b_rb10", "32b_rb26"]),
+    x=st.lists(edge_floats, min_size=1, max_size=32),
+)
+@settings(max_examples=80, deadline=None)
+def test_fixed_point_to_int_matches_nan_to_num_form(name, x):
+    """``to_int`` equals the ``nan_to_num`` form, bit for bit and in
+    type, on arrays, 0-d arrays and Python floats."""
+    dt = DTYPES[name]
+    for value in (np.array(x), np.array(x[0]), x[0]):
+        got, want = dt.to_int(value), nan_to_num_to_int(dt, value)
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -143,7 +143,6 @@ class TestCampaignExperiments:
 class TestExperimentConfig:
     @pytest.mark.parametrize("name, value", [
         ("chunk", 8), ("checkpoint", "ck.jsonl"), ("checkpoint_every", 8),
-        ("backoff_base", 0.1), ("backoff_cap", 1.0), ("timeout_grace", 1.0),
         ("manifest", "run.manifest.json"), ("run_log", "run.runlog.jsonl"),
         ("trace_path", "run.trace.jsonl"),
     ])

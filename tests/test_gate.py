@@ -1,12 +1,11 @@
 """Release gate: obligation specs, recipe executors, runner, CLI.
 
 The gate is release-critical tooling, so the tests treat it the way the
-gate treats the repo: the YAML subset parser is cross-checked against
-PyYAML on every shipped pack, spec validation is probed with malformed
-packs, and the tamper-detection property — a deliberately violated
-invariant must fail ``repro-gate check`` with a pointer to the failing
-evidence — is exercised end to end through the real CLI against a
-sandbox spec directory.
+gate treats the repo: spec validation is probed with malformed packs
+and with one that is not JSON at all, and the tamper-detection property
+— a deliberately violated invariant must fail ``repro-gate check`` with
+a pointer to the failing evidence — is exercised end to end through the
+real CLI against a sandbox spec directory.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import datetime as dt
 import json
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,90 +35,40 @@ from repro.gate.spec import (
     load_pack,
     load_specs,
 )
-from repro.gate.yamlio import MiniYamlError, _mini_loads
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = REPO_ROOT / "obligations"
 
 
-def _pack(tmp_path: Path, body: str, name: str = "pack.yaml") -> Path:
+def _pack(tmp_path: Path, doc: dict, name: str = "pack.json") -> Path:
     path = tmp_path / name
-    path.write_text(textwrap.dedent(body), encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     return path
 
 
-MINIMAL_PACK = """\
-format: repro-obligations
-version: 1
-pack: sandbox
-obligations:
-  - id: OBL-{id}
-    title: {title}
-    severity: {severity}
-    invariant: {invariant}
-    recipes:
-      - type: command
-        argv: [{python}, -c, "raise SystemExit({exit})"]
-        timeout: 60
-"""
+def _minimal_pack(*, obl_id="SANDBOX", exit_code=0, severity="release-blocking") -> dict:
+    return {
+        "format": "repro-obligations",
+        "version": 1,
+        "pack": "sandbox",
+        "obligations": [{
+            "id": f"OBL-{obl_id}",
+            "title": "sandbox obligation",
+            "severity": severity,
+            "invariant": "the sandbox command exits zero",
+            "recipes": [{
+                "type": "command",
+                "argv": [sys.executable, "-c", f"raise SystemExit({exit_code})"],
+                "timeout": 60,
+            }],
+        }],
+    }
 
 
 def _command_pack(tmp_path, *, obl_id="SANDBOX", exit_code=0,
-                  severity="release-blocking", name="pack.yaml"):
-    return _pack(tmp_path, MINIMAL_PACK.format(
-        id=obl_id, title="sandbox obligation", severity=severity,
-        invariant="the sandbox command exits zero",
-        python=sys.executable, exit=exit_code), name=name)
-
-
-class TestMiniYaml:
-    def test_matches_pyyaml_on_every_shipped_pack(self):
-        yaml = pytest.importorskip("yaml")
-        packs = sorted(SPEC_DIR.glob("*.yaml"))
-        assert packs, "shipped obligation packs must exist"
-        for pack in packs:
-            text = pack.read_text(encoding="utf-8")
-            assert _mini_loads(text) == yaml.safe_load(text), pack.name
-
-    def test_scalars_lists_and_nesting(self):
-        doc = _mini_loads(textwrap.dedent("""\
-            a: 1
-            b: 2.5
-            c: true
-            d: null
-            e: 'quoted: text'
-            flow: [x, 2, false]
-            block:
-              - first
-              - second
-            items:
-              - id: one
-                n: 1
-              - id: two
-                n: 2
-            """))
-        assert doc == {
-            "a": 1, "b": 2.5, "c": True, "d": None, "e": "quoted: text",
-            "flow": ["x", 2, False],
-            "block": ["first", "second"],
-            "items": [{"id": "one", "n": 1}, {"id": "two", "n": 2}],
-        }
-
-    def test_multiline_plain_scalar_folds(self):
-        doc = _mini_loads("key:\n  first line\n  second line\n")
-        assert doc == {"key": "first line second line"}
-
-    def test_comments_and_same_indent_sequences(self):
-        doc = _mini_loads("# header\nitems:\n- a  # trailing\n- b\n")
-        assert doc == {"items": ["a", "b"]}
-
-    def test_rejects_tabs_duplicates_and_bare_inline_maps(self):
-        with pytest.raises(MiniYamlError):
-            _mini_loads("a:\n\tb: 1\n")
-        with pytest.raises(MiniYamlError):
-            _mini_loads("a: 1\na: 2\n")
-        with pytest.raises(MiniYamlError):
-            _mini_loads("items:\n  - id:\n      nested: 1\n")
+                  severity="release-blocking", name="pack.json"):
+    return _pack(tmp_path, _minimal_pack(obl_id=obl_id, exit_code=exit_code,
+                                         severity=severity), name=name)
 
 
 class TestSpecLoading:
@@ -139,48 +87,39 @@ class TestSpecLoading:
         assert obl.recipes[0].type == "command"
         assert obl.recipes[0].timeout == 60.0
 
+    # Each id reads "<field: old>-<field: new>".
     @pytest.mark.parametrize("mutation, needle", [
-        ("format: repro-obligations", "format: wrong"),
-        ("version: 1", "version: 99"),
-        ("pack: sandbox", "pack:"),
-        ("id: OBL-SANDBOX", "id: not-an-id"),
-        ("severity: release-blocking", "severity: whenever"),
-        ("title: sandbox obligation", "bogus_key: sandbox obligation"),
+        pytest.param('"format": "repro-obligations"', '"format": "wrong"',
+                     id="format: repro-obligations-format: wrong"),
+        pytest.param('"version": 1', '"version": 99', id="version: 1-version: 99"),
+        pytest.param('"pack": "sandbox"', '"pack": null', id="pack: sandbox-pack:"),
+        pytest.param('"id": "OBL-SANDBOX"', '"id": "not-an-id"',
+                     id="id: OBL-SANDBOX-id: not-an-id"),
+        pytest.param('"severity": "release-blocking"', '"severity": "whenever"',
+                     id="severity: release-blocking-severity: whenever"),
+        pytest.param('"title": ', '"bogus_key": ',
+                     id="title: sandbox obligation-bogus_key: sandbox obligation"),
+        pytest.param('"format": "repro-obligations"', 'format: repro-obligations',
+                     id="not JSON"),
     ])
     def test_malformed_pack_raises_spec_error(self, tmp_path, mutation, needle):
-        good = textwrap.dedent(MINIMAL_PACK.format(
-            id="SANDBOX", title="sandbox obligation",
-            severity="release-blocking",
-            invariant="the sandbox command exits zero",
-            python=sys.executable, exit=0))
-        path = tmp_path / "bad.yaml"
+        path = tmp_path / "bad.json"
+        good = json.dumps(_minimal_pack(), indent=2)
         path.write_text(good.replace(mutation, needle), encoding="utf-8")
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="bad.json"):
             load_pack(path)
 
     def test_duplicate_ids_across_packs_rejected(self, tmp_path):
-        _command_pack(tmp_path, name="a.yaml")
-        _command_pack(tmp_path, name="b.yaml")
+        _command_pack(tmp_path, name="a.json")
+        _command_pack(tmp_path, name="b.json")
         with pytest.raises(SpecError, match="duplicate obligation id"):
             load_specs(tmp_path)
 
     def test_waiver_parsing_and_expiry(self, tmp_path):
-        path = _pack(tmp_path, f"""\
-            format: repro-obligations
-            version: 1
-            pack: sandbox
-            obligations:
-              - id: OBL-WAIVED
-                title: waived obligation
-                invariant: known-red until the fix lands
-                waiver:
-                  reason: tracking issue 42
-                  expires: "2026-09-01"
-                  by: maintainer
-                recipes:
-                  - type: command
-                    argv: [{sys.executable}, -c, "raise SystemExit(1)"]
-            """)
+        doc = _minimal_pack(obl_id="WAIVED", exit_code=1)
+        doc["obligations"][0]["waiver"] = {
+            "reason": "tracking issue 42", "expires": "2026-09-01", "by": "maintainer"}
+        path = _pack(tmp_path, doc)
         (obl,) = load_pack(path)
         assert obl.waiver is not None
         assert obl.waiver.active(dt.date(2026, 8, 31))
@@ -257,12 +196,6 @@ class TestRecipes:
         ]}, 60.0), tmp_path)
         assert out["status"] == "error"
         assert "no benchmark snapshot" in out["pointer"]
-
-    def test_obs_diff_missing_runs_is_an_error(self, tmp_path):
-        out = run_recipe(RecipeSpec("obs_diff", {
-            "run_a": "a.json", "run_b": "b.json"}, 60.0), tmp_path)
-        assert out["status"] == "error"
-        assert "missing" in out["pointer"]
 
     def test_unknown_recipe_type_is_an_error(self, tmp_path):
         out = run_recipe(RecipeSpec("pytest", {}, 60.0), tmp_path)
@@ -412,22 +345,19 @@ class TestCli:
         spec_dir = tmp_path / "obligations"
         spec_dir.mkdir()
         bench = _bench_file(tmp_path, {"sed/avg_precision": 0.42})
-        _pack(spec_dir, """\
-            format: repro-obligations
-            version: 1
-            pack: sandbox
-            obligations:
-              - id: OBL-TAMPERED
-                title: deliberately violated floor
-                invariant: precision stays above 0.85
-                recipes:
-                  - type: bench
-                    checks:
-                      - gauge: sed/avg_precision
-                        agg: min
-                        op: ">="
-                        value: 0.85
-            """)
+        _pack(spec_dir, {
+            "format": "repro-obligations",
+            "version": 1,
+            "pack": "sandbox",
+            "obligations": [{
+                "id": "OBL-TAMPERED",
+                "title": "deliberately violated floor",
+                "invariant": "precision stays above 0.85",
+                "recipes": [{"type": "bench", "checks": [
+                    {"gauge": "sed/avg_precision", "agg": "min", "op": ">=", "value": 0.85},
+                ]}],
+            }],
+        })
         out = tmp_path / "evidence.json"
         code = gate_cli.main(["check", "--all", "--specs", str(spec_dir),
                               "--root", str(tmp_path), "--out", str(out)])
@@ -453,7 +383,7 @@ class TestCli:
         assert "OBL-SANDBOX" in capsys.readouterr().out
 
     def test_spec_error_exits_2(self, tmp_path, capsys):
-        (tmp_path / "broken.yaml").write_text("format: wrong\n", encoding="utf-8")
+        (tmp_path / "broken.json").write_text('{"format": "wrong"}', encoding="utf-8")
         assert gate_cli.main(["list", "--specs", str(tmp_path)]) == 2
         assert "repro-gate" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,12 @@ MAIN_PID = os.getpid()
 #: Fast supervision knobs shared by the pool tests (real backoff would
 #: dominate test wall-time).
 FAST = dict(backoff_base=0.01, backoff_cap=0.02)
+
+#: ``map_trials`` with a short rebuild backoff and startup grace, patched
+#: into ``repro.core.campaign`` by the campaign-level pool tests (the
+#: supervisor runs in the parent, so nothing extra is pickled).
+FAST_CAMPAIGN_POOL = partial(map_trials, backoff_base=0.02, backoff_cap=0.05,
+                             timeout_grace=3.0)
 
 
 def _square_task():
@@ -178,10 +185,8 @@ def _records_key(result):
 class TestCampaignResilience:
     def test_parallel_campaign_survives_worker_crash(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_FAULT", "crash:7")
-        result = run_campaign(
-            SPEC, jobs=2, chunk=4, max_retries=1, max_error_frac=0.2,
-            backoff_base=0.02, backoff_cap=0.05,
-        )
+        monkeypatch.setattr("repro.core.campaign.map_trials", FAST_CAMPAIGN_POOL)
+        result = run_campaign(SPEC, jobs=2, chunk=4, max_retries=1, max_error_frac=0.2)
         assert len(result.records) == 11
         assert [(e.index, e.reason) for e in result.errors] == [(7, "crash")]
         assert result.stats.quarantined == 1
@@ -189,10 +194,9 @@ class TestCampaignResilience:
 
     def test_parallel_campaign_survives_hang(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_FAULT", "hang:3:600")
+        monkeypatch.setattr("repro.core.campaign.map_trials", FAST_CAMPAIGN_POOL)
         result = run_campaign(
-            SPEC, jobs=2, chunk=4, max_retries=0, max_error_frac=0.2,
-            trial_timeout=0.5, timeout_grace=3.0,
-            backoff_base=0.02, backoff_cap=0.05,
+            SPEC, jobs=2, chunk=4, max_retries=0, max_error_frac=0.2, trial_timeout=0.5,
         )
         assert len(result.records) == 11
         assert [(e.index, e.reason) for e in result.errors] == [(3, "timeout")]

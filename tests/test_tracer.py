@@ -264,7 +264,7 @@ class TestTraceWriterAndLoad:
         writer = TraceWriter(path, fingerprint="abc", mode="all", every=16)
         writer.add_row({"index": 0, "depth": 1})
         writer.flush()
-        with open(path, "a") as fh:  # repro: noqa[RP108] — simulating the tear
+        with open(path, "a") as fh:  # simulating the tear
             fh.write('{"index": 1, "dep')
         header, rows = load_trace(path)
         assert header is not None and sorted(rows) == [0]
