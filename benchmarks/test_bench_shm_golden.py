@@ -20,11 +20,12 @@ cache and the in-process network memo (inherited by forked workers, so
 neither mode pays weight generation).
 """
 
+import json
 from time import perf_counter
 
 from conftest import _registry
 from repro.core.campaign import CampaignSpec, run_campaign
-from repro.gate.recipes import _comparable_summary
+from repro.core.serialize import campaign_summary
 
 SPEC = CampaignSpec(
     network="NiN",
@@ -42,6 +43,12 @@ BATCH = 16
 CHUNK = 16  # 32 trials / 16 = one chunk per worker: both must initialise
 
 
+def _summary(result) -> dict:
+    summary = campaign_summary(result)
+    summary.pop("execution")  # harness counters, not physics
+    return json.loads(json.dumps(summary, sort_keys=True))
+
+
 def _timed(fn):
     start = perf_counter()
     result = fn()
@@ -55,7 +62,7 @@ def _measure():
     run(True)  # warm: weight cache on disk, network memo in the parent
     baseline_s, baseline = _timed(lambda: run(False))
     shm_s, shared = _timed(lambda: run(True))
-    identical = _comparable_summary(baseline) == _comparable_summary(shared)
+    identical = _summary(baseline) == _summary(shared)
     return baseline_s, shm_s, identical
 
 

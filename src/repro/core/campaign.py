@@ -1053,7 +1053,8 @@ class RunOptions:
             republished in index order (see :mod:`repro.obs.jsonlog`).
         trial_timeout: Per-trial seconds before a chunk is declared hung
             (see :func:`repro.utils.parallel.map_trials`); None disables.
-        max_retries: Retry budget per failing chunk / raising trial.
+        max_retries: Retry budget per crashed or timed-out chunk.  A
+            trial that raises is quarantined by the task, not retried.
         max_error_frac: Abort (:class:`CampaignAbortedError`) once more
             than this fraction of ``spec.n_trials`` is quarantined.  The
             default 0.0 tolerates no errors — raising it is an explicit
@@ -1348,7 +1349,6 @@ class _CampaignRun:
                     _CampaignTask, spec, spans=options.spans, batch=options.batch,
                     golden=descriptor,
                 ),
-                n_trials=0,
                 jobs=options.jobs,
                 chunk=chunk,
                 indices=self.remaining,
@@ -1380,10 +1380,7 @@ class _CampaignRun:
         options, recorder, writer = self.options, self.recorder, self.writer
         if isinstance(value, TrialFailure):
             # The supervised pool already emitted the quarantine event.
-            value = TrialError(
-                index=index, reason=value.reason, exc_type=value.exc_type,
-                message=value.message, attempts=value.attempts,
-            )
+            value = TrialError(index=index, reason=value.reason, attempts=value.attempts)
         elif isinstance(value, TrialError):
             recorder.emit("quarantine", index=index, reason=value.reason,
                           exc_type=value.exc_type)

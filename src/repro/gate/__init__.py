@@ -7,32 +7,27 @@ cleanliness — used to be enforced by an ad-hoc scatter of CI jobs and
 test asserts.  This package lifts them into data:
 
 - :mod:`repro.gate.spec` — declarative obligation specs
-  (``obligations/*.json``): id, invariant in prose, severity, evidence
-  recipes, expiring waivers;
-- :mod:`repro.gate.recipes` — recipe executors (pytest node ids,
-  benchmark gauge floors over ``BENCH_<date>.json``, campaign-parity
-  probes, lint sweeps, commands);
-- :mod:`repro.gate.runner` — supervised recipe fan-out (reusing
-  :func:`repro.utils.parallel.map_trials` so a wedged recipe cannot
-  stall the release) and the verdict algebra;
+  (``obligations/*.json``): id, invariant in prose, evidence recipes;
+- :mod:`repro.gate.recipes` — recipe executors (pytest node ids and
+  commands as subprocesses with deadlines, benchmark gauge floors over
+  ``BENCH_<date>.json``);
+- :mod:`repro.gate.runner` — recipe fan-out on threads and the verdict
+  algebra;
 - :mod:`repro.gate.evidence` — the atomic, machine-readable evidence
   manifest that is CI's release artifact;
 - :mod:`repro.gate.cli` — the ``repro-gate`` command
   (``list`` / ``check`` / ``evidence`` / ``explain`` / ``selfcheck``).
 
 Design grounding: POET's obligations/recipes/evidence model — an
-invariant is *satisfied* only while live evidence maps to it, and every
-exception is explicit, attributed and expiring.
+invariant is *satisfied* only while live evidence maps to it.
 """
 
 from repro.gate.spec import (
     OBLIGATION_ID_RE,
     RECIPE_TYPES,
-    SEVERITIES,
     Obligation,
     RecipeSpec,
     SpecError,
-    Waiver,
     default_spec_dir,
     load_pack,
     load_specs,
@@ -42,11 +37,9 @@ from repro.gate.runner import check_obligations, select_obligations
 __all__ = [
     "OBLIGATION_ID_RE",
     "RECIPE_TYPES",
-    "SEVERITIES",
     "Obligation",
     "RecipeSpec",
     "SpecError",
-    "Waiver",
     "check_obligations",
     "default_spec_dir",
     "load_pack",

@@ -2,15 +2,15 @@
 
 Subcommands:
 
-- ``list`` — every obligation with severity, recipes and waiver state.
+- ``list`` — every obligation with its pack, recipe count and title.
 - ``check [ID...] [--all]`` — execute the selected obligations' evidence
   recipes and atomically write the evidence manifest; exit 1 when any
-  unwaived release-blocking obligation fails.
+  obligation fails.
 - ``evidence <manifest>`` — render a previously written manifest.
-- ``explain <ID>`` — the obligation's invariant, recipes and policy.
+- ``explain <ID>`` — the obligation's invariant and recipes.
 - ``selfcheck`` — validate every pack, and cross-check CI: every
   obligation id referenced by the workflows exists, and the workflows
-  actually gate on every release-blocking obligation.
+  actually gate on every obligation.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.gate.spec import (
     default_spec_dir,
     load_specs,
 )
+from repro.utils.parallel import effective_jobs
 from repro.utils.tables import format_table
 
 __all__ = ["build_parser", "main", "selfcheck"]
@@ -45,20 +46,13 @@ def _cmd_list(args) -> int:
     _, obligations = _resolve_specs(args.specs)
     if args.format == "json":
         print(json.dumps([
-            {"id": o.id, "pack": o.pack, "severity": o.severity, "title": o.title,
-             "tags": list(o.tags), "recipes": [r.describe() for r in o.recipes],
-             "waived": o.waiver is not None and o.waiver.active()}
+            {"id": o.id, "pack": o.pack, "title": o.title, "tags": list(o.tags),
+             "recipes": [r.describe() for r in o.recipes]}
             for o in obligations
         ], indent=2))
         return 0
-    rows = []
-    for o in obligations:
-        waiver = "-"
-        if o.waiver is not None:
-            waiver = ("active until " + o.waiver.expires if o.waiver.active()
-                      else "EXPIRED " + o.waiver.expires)
-        rows.append([o.id, o.pack, o.severity, str(len(o.recipes)), waiver, o.title])
-    print(format_table(["obligation", "pack", "severity", "recipes", "waiver", "title"],
+    rows = [[o.id, o.pack, str(len(o.recipes)), o.title] for o in obligations]
+    print(format_table(["obligation", "pack", "recipes", "title"],
                        rows, title=f"{len(obligations)} obligations"))
     return 0
 
@@ -71,7 +65,7 @@ def _cmd_explain(args) -> int:
               file=sys.stderr)
         return 2
     o = matches[0]
-    print(f"{o.id} [{o.severity}] — {o.title}")
+    print(f"{o.id} — {o.title}")
     print(f"pack: {o.pack} ({o.path})")
     if o.tags:
         print(f"tags: {', '.join(o.tags)}")
@@ -79,13 +73,6 @@ def _cmd_explain(args) -> int:
     print("\nevidence recipes:")
     for i, r in enumerate(o.recipes, 1):
         print(f"  {i}. [{r.type}, timeout {r.timeout:g}s] {r.describe()}")
-    if o.waiver is not None:
-        state = "active" if o.waiver.active() else "EXPIRED"
-        print(f"\nwaiver ({state}): {o.waiver.reason}"
-              f" — expires {o.waiver.expires}"
-              + (f", by {o.waiver.by}" if o.waiver.by else ""))
-    else:
-        print("\nwaiver: none — failures block the release")
     return 0
 
 
@@ -96,24 +83,23 @@ def _cmd_check(args) -> int:
         return 2
     try:
         selected = select_obligations(obligations, args.ids or None)
+        jobs = effective_jobs(args.jobs)
     except KeyError as exc:
         print(f"repro-gate: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"repro-gate: --jobs: {exc}", file=sys.stderr)
         return 2
     root = Path(args.root) if args.root else spec_dir.parent
 
     def on_outcome(outcome: dict) -> None:
-        duration = outcome.get("duration_s")
-        shown = "n/a" if duration is None else f"{duration:.1f}s"
-        print(f"  {outcome.get('obligation')} · {outcome.get('type')}"
-              f" → {outcome.get('status')} ({shown})  {outcome.get('pointer', '')}")
+        print(f"  {outcome['obligation']} · {outcome['type']} → {outcome['status']}"
+              f" ({outcome['duration_s']:.1f}s)  {outcome['pointer']}")
 
     n_recipes = sum(len(o.recipes) for o in selected)
     print(f"repro-gate: checking {len(selected)} obligation(s), "
-          f"{n_recipes} recipe(s), jobs={args.jobs}")
-    report = check_obligations(
-        selected, root, jobs=args.jobs, timeout_scale=args.timeout_scale,
-        on_outcome=on_outcome,
-    )
+          f"{n_recipes} recipe(s), jobs={jobs}")
+    report = check_obligations(selected, root, jobs=jobs, on_outcome=on_outcome)
     manifest = build_manifest(report, spec_dir=spec_dir, argv=list(sys.argv))
     out = Path(args.out)
     write_manifest(out, manifest)
@@ -121,7 +107,7 @@ def _cmd_check(args) -> int:
     print(render_manifest(manifest))
     print(f"\nevidence manifest: {out}")
     if not report["ok"]:
-        print("repro-gate: FAIL — blocking obligations violated: "
+        print("repro-gate: FAIL — obligations violated: "
               + ", ".join(report["blocking_failures"]), file=sys.stderr)
         return 1
     return 0
@@ -153,8 +139,8 @@ def selfcheck(spec_dir: Path, ci_paths: list[Path]) -> list[str]:
        exists in the packs (a renamed obligation cannot leave a stale
        CI reference behind);
     3. the workflows run ``repro-gate check`` at all, and their explicit
-       id selections (or ``--all``) cover every release-blocking
-       obligation (a new obligation cannot silently stay ungated).
+       id selections (or ``--all``) cover every obligation (a new
+       obligation cannot silently stay ungated).
     """
     problems: list[str] = []
     try:
@@ -162,7 +148,6 @@ def selfcheck(spec_dir: Path, ci_paths: list[Path]) -> list[str]:
     except SpecError as exc:
         return [f"spec error: {exc}"]
     known = {o.id for o in obligations}
-    blocking = {o.id for o in obligations if o.blocking}
 
     gated: set[str] = set()
     saw_check = False
@@ -178,12 +163,12 @@ def selfcheck(spec_dir: Path, ci_paths: list[Path]) -> list[str]:
         for invocation in _CHECK_INVOCATION_RE.findall(text):
             saw_check = True
             if "--all" in invocation.split():
-                gated |= blocking
+                gated |= known
             gated |= set(OBLIGATION_ID_RE.findall(invocation))
     if ci_paths and not saw_check:
         problems.append("no workflow invokes 'repro-gate check'")
-    for obl_id in sorted(blocking - gated):
-        problems.append(f"release-blocking obligation {obl_id} is not gated by any workflow")
+    for obl_id in sorted(known - gated):
+        problems.append(f"obligation {obl_id} is not gated by any workflow")
     return problems
 
 
@@ -228,11 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", default="gate-evidence.json",
                          help="evidence manifest path (default: ./gate-evidence.json)")
     p_check.add_argument("--jobs", type=int, default=1,
-                         help="recipe worker processes (default 1 = inline)")
+                         help="recipes run at once (default 1; 0 = all cores)")
     p_check.add_argument("--root", default=None,
                          help="checkout to run recipes against (default: specs' parent)")
-    p_check.add_argument("--timeout-scale", type=float, default=1.0,
-                         help="multiply every recipe timeout (slow runners)")
 
     p_evidence = sub.add_parser("evidence", help="render an evidence manifest")
     p_evidence.add_argument("manifest")

@@ -2,10 +2,10 @@
 
 One ``repro-gate check`` run produces one manifest: a single atomic
 JSON document mapping every checked obligation to its verdict and the
-concrete evidence behind it (pytest node results, benchmark gauge
-values vs their floors, campaign-parity divergence lists, lint finding
-counts), plus env/git provenance so the artifact alone answers "what
-was promised, was it kept, on which code, and how do we know".
+concrete evidence behind it (pytest node results and output tails,
+benchmark gauge values vs their floors, command exit codes), plus
+env/git provenance so the artifact alone answers "what was promised,
+was it kept, on which code, and how do we know".
 
 The write goes through the same pid-unique-temp + ``os.replace``
 discipline as checkpoints and run manifests: a gate killed mid-write
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 EVIDENCE_FORMAT = "repro-evidence-manifest"
-EVIDENCE_VERSION = 1
+EVIDENCE_VERSION = 2
 
 
 def build_manifest(report: dict, *, spec_dir: str | Path, argv: list[str] | None = None) -> dict:
@@ -64,7 +64,7 @@ def load_manifest(path: str | Path) -> dict:
     return manifest
 
 
-_VERDICT_MARK = {"pass": "ok", "fail": "FAIL", "waived": "waived"}
+_VERDICT_MARK = {"pass": "ok", "fail": "FAIL"}
 
 
 def render_manifest(manifest: dict, only_id: str | None = None) -> str:
@@ -75,47 +75,31 @@ def render_manifest(manifest: dict, only_id: str | None = None) -> str:
         obligations = [o for o in obligations if o.get("id") == only_id]
         if not obligations:
             return f"no obligation {only_id} in this manifest"
-    rows = []
-    for obl in obligations:
-        rows.append([
-            obl.get("id", "?"),
-            obl.get("severity", "?"),
-            _VERDICT_MARK.get(obl.get("verdict"), str(obl.get("verdict"))),
-            obl.get("title", ""),
-        ])
+    rows = [
+        [obl.get("id", "?"), _VERDICT_MARK.get(obl.get("verdict"), str(obl.get("verdict"))),
+         obl.get("title", "")]
+        for obl in obligations
+    ]
     counts = manifest.get("counts", {})
     env = manifest.get("env", {})
     header = (
         f"gate: {manifest.get('status', '?')} — "
         f"{counts.get('passed', 0)}/{counts.get('total', 0)} passed, "
-        f"{counts.get('failed', 0)} failed, {counts.get('waived', 0)} waived"
+        f"{counts.get('failed', 0)} failed"
     )
     if env.get("git_rev"):
         header += f"  (git {str(env['git_rev'])[:12]})"
     blocks.append(header)
-    blocks.append(format_table(["obligation", "severity", "verdict", "title"], rows,
-                               title="verdicts"))
+    blocks.append(format_table(["obligation", "verdict", "title"], rows, title="verdicts"))
     for obl in obligations:
         if only_id is None and obl.get("verdict") == "pass":
             continue  # evidence detail on demand or on failure
-        detail_rows = []
-        for recipe in obl.get("recipes", []):
-            duration = recipe.get("duration_s")
-            detail_rows.append([
-                recipe.get("type", "?"),
-                recipe.get("status", "?"),
-                "n/a" if duration is None else f"{duration:.1f}s",
-                recipe.get("pointer", ""),
-            ])
+        detail_rows = [
+            [recipe.get("type", "?"), recipe.get("status", "?"),
+             f"{recipe.get('duration_s', 0.0):.1f}s", recipe.get("pointer", "")]
+            for recipe in obl.get("recipes", [])
+        ]
         blocks.append(format_table(
             ["recipe", "status", "time", "evidence"], detail_rows,
             title=f"{obl.get('id')}: {obl.get('verdict')}"))
-        if obl.get("waiver"):
-            w = obl["waiver"]
-            blocks.append(f"{obl.get('id')}: waived — {w.get('reason')} "
-                          f"(expires {w.get('expires')})")
-        if obl.get("waiver_expired"):
-            w = obl["waiver_expired"]
-            blocks.append(f"{obl.get('id')}: waiver EXPIRED {w.get('expires')} — "
-                          "failure counts again")
     return "\n\n".join(blocks)

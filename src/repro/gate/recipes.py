@@ -20,21 +20,11 @@ Recipe types
 - ``bench`` — evaluate gauge floor expressions against the newest
   ``benchmarks/BENCH_<date>.json`` snapshot, optionally (re)generating
   the gauges by running a benchmark file when they are absent.
-- ``campaign_parity`` — run one campaign under several execution
-  variants (``jobsN``, ``batchN``, ``shmN``, ``resume``) and require
-  every summary to be byte-identical to the serial baseline; the
-  ``resume`` variant also diffs the two run manifests through
-  :func:`repro.obs.cli.compare_runs`, and ``shmN`` forces the
-  shared-memory golden path on.  Optional ``target_halfwidth`` /
-  ``stop_stratify`` / ``stop_check_every`` params put the early-stopping
-  rule on the spec so its skip decisions are part of the parity.
-  Optional ``trace_mode`` / ``trace_every`` params turn on the
-  propagation flight recorder: every variant then writes its own trace
-  file and must match the serial one ``read_bytes``-for-byte; the
-  ``resume`` variant restarts from a half-truncated trace and has to
-  re-derive the missing rows identically.
-- ``lint`` — in-process ``repro-lint`` sweep; any finding is a failure.
 - ``command`` — arbitrary argv; exit 0 is the invariant.
+
+Every executor that runs anything runs it as a subprocess under the
+recipe's ``timeout``, so a wedged recipe ends as an ``error`` outcome
+instead of stalling the gate.
 """
 
 from __future__ import annotations
@@ -44,7 +34,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -199,166 +188,6 @@ def _recipe_bench(params: dict, root: Path, timeout: float) -> dict:
     return {"status": "pass" if ok else "fail", "pointer": pointer, "evidence": evidence}
 
 
-# -- campaign parity -------------------------------------------------------- #
-def _comparable_summary(result) -> dict:
-    from repro.core.serialize import campaign_summary
-
-    summary = campaign_summary(result)
-    # Execution counters describe the harness (retries, pool rebuilds,
-    # resumed trials), not the physics; identity is everything else.
-    summary.pop("execution", None)
-    return json.loads(json.dumps(summary, sort_keys=True))
-
-
-def _summary_divergences(base: dict, other: dict) -> list[str]:
-    from repro.obs.cli import _flatten
-
-    flat_a: dict = {}
-    flat_b: dict = {}
-    _flatten(base, "", flat_a)
-    _flatten(other, "", flat_b)
-    return sorted(
-        key for key in set(flat_a) | set(flat_b)
-        if flat_a.get(key, "<absent>") != flat_b.get(key, "<absent>")
-    )
-
-
-def _recipe_campaign_parity(params: dict, root: Path, timeout: float) -> dict:
-    del timeout  # the supervised pool's per-recipe deadline is the backstop
-    from repro.core.campaign import CampaignSpec, run_campaign
-    from repro.obs.cli import compare_runs
-    from repro.obs.manifest import load_run
-
-    network = params.get("network")
-    if not isinstance(network, str) or not network:
-        return {"status": "error", "pointer": "campaign_parity needs 'network'", "evidence": {}}
-    halfwidth = params.get("target_halfwidth")
-    spec = CampaignSpec(
-        network=network,
-        dtype=str(params.get("dtype", "FLOAT16")),
-        target=str(params.get("target", "datapath")),
-        n_trials=int(params.get("trials", 48)),
-        seed=int(params.get("seed", 9)),
-        target_halfwidth=float(halfwidth) if halfwidth is not None else None,
-        stop_stratify=str(params.get("stop_stratify", "overall")),
-        stop_check_every=int(params.get("stop_check_every", 64)),
-        trace_mode=str(params.get("trace_mode", "off")),
-        trace_every=int(params.get("trace_every", 16)),
-    )
-    variants = params.get("variants", ["jobs2", "batch16", "resume"])
-    tracing = spec.trace_mode != "off"
-
-    with tempfile.TemporaryDirectory(prefix="repro-gate-") as tmp:
-        tmpdir = Path(tmp)
-
-        def _trace_kwargs(label: str) -> dict:
-            # Each run writes its own trace file; the parity claim is
-            # that every one of them is byte-identical to serial's.
-            return {"trace_path": tmpdir / f"{label}.trace.jsonl"} if tracing else {}
-
-        def _trace_divergence(label: str) -> list[str]:
-            if not tracing:
-                return []
-            base = (tmpdir / "serial.trace.jsonl").read_bytes()
-            other = (tmpdir / f"{label}.trace.jsonl").read_bytes()
-            return [] if base == other else [f"trace:{label} bytes differ from serial"]
-
-        baseline = run_campaign(spec, **_trace_kwargs("serial"))
-        base_summary = _comparable_summary(baseline)
-        per_variant: dict[str, dict] = {}
-        for variant in variants:
-            if variant.startswith("shm"):
-                # Shared-memory golden state, forced on even for jobs=1 so
-                # the parity holds on single-core CI runners too.
-                result = run_campaign(spec, jobs=int(variant[3:] or 2),
-                                      shared_golden=True, **_trace_kwargs(variant))
-                diverged = _summary_divergences(base_summary, _comparable_summary(result))
-            elif variant.startswith("jobs"):
-                result = run_campaign(spec, jobs=int(variant[4:] or 2),
-                                      **_trace_kwargs(variant))
-                diverged = _summary_divergences(base_summary, _comparable_summary(result))
-            elif variant.startswith("batch"):
-                result = run_campaign(spec, batch=int(variant[5:] or 16),
-                                      **_trace_kwargs(variant))
-                diverged = _summary_divergences(base_summary, _comparable_summary(result))
-            elif variant == "resume":
-                # A kill at ~50%: the reference run's checkpoint truncated
-                # to its first half of entry lines (header preserved), then
-                # a resumed run on top of it.  Truncating the real file —
-                # rather than re-writing records by position — keeps trial
-                # indices and early-stop skip entries faithful.
-                ref_ck = tmpdir / "ref.jsonl"
-                run_campaign(spec, checkpoint=ref_ck, **_trace_kwargs("ref"))
-                half_ck = tmpdir / "half.jsonl"
-                lines = ref_ck.read_text(encoding="utf-8").splitlines()
-                header, entries = lines[0], lines[1:]
-                half_ck.write_text(
-                    "\n".join([header] + entries[: len(entries) // 2]) + "\n",
-                    encoding="utf-8",
-                )
-                if tracing:
-                    # The kill also tears the trace back: the resumed run
-                    # gets only the first half of the rows and must
-                    # re-derive the rest byte-for-byte.
-                    tlines = (tmpdir / "ref.trace.jsonl").read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                    (tmpdir / "resume.trace.jsonl").write_text(
-                        "\n".join([tlines[0]] + tlines[1: 1 + (len(tlines) - 1) // 2])
-                        + "\n",
-                        encoding="utf-8",
-                    )
-                result = run_campaign(spec, checkpoint=half_ck, resume=True,
-                                      **_trace_kwargs("resume"))
-                diverged = _summary_divergences(base_summary, _comparable_summary(result))
-                # The run manifests must agree on every deterministic
-                # fact too — the same check `repro-obs diff` enforces.
-                manifest_a = ref_ck.with_name(ref_ck.name + ".manifest.json")
-                manifest_b = half_ck.with_name(half_ck.name + ".manifest.json")
-                diverged += [
-                    f"manifest:{line}"
-                    for line in compare_runs(load_run(manifest_a), load_run(manifest_b))
-                ]
-            else:
-                per_variant[variant] = {"identical": False, "diverged": ["unknown variant"]}
-                continue
-            diverged += _trace_divergence(variant)
-            per_variant[variant] = {"identical": not diverged, "diverged": diverged[:20]}
-
-    ok = all(v["identical"] for v in per_variant.values())
-    bad = sorted(v for v, d in per_variant.items() if not d["identical"])
-    pointer = (
-        f"{network} x{spec.n_trials}: serial == {', '.join(per_variant)} (byte-identical)"
-        if ok else f"{network} x{spec.n_trials}: diverged under {', '.join(bad)}"
-    )
-    return {"status": "pass" if ok else "fail", "pointer": pointer,
-            "evidence": {"spec": {"network": spec.network, "dtype": spec.dtype,
-                                  "target": spec.target, "n_trials": spec.n_trials,
-                                  "seed": spec.seed},
-                         "variants": per_variant}}
-
-
-# -- lint ------------------------------------------------------------------- #
-def _recipe_lint(params: dict, root: Path, timeout: float) -> dict:
-    del timeout
-    from repro.analysis.config import find_pyproject, load_config
-    from repro.analysis.engine import lint_paths
-
-    rel_paths = params.get("paths", ["src", "tests", "benchmarks", "examples"])
-    targets = [root / p for p in rel_paths if (root / p).exists()]
-    if not targets:
-        return {"status": "error", "pointer": f"no lint targets exist under {root}",
-                "evidence": {"paths": rel_paths}}
-    config = load_config(find_pyproject(root))
-    findings = lint_paths(targets, config, root=root)
-    shown = [f"{f.file}:{f.line}: {f.rule_id} {f.message}" for f in findings[:10]]
-    pointer = ("repro-lint clean over " + " ".join(str(p) for p in rel_paths)
-               if not findings else f"repro-lint: {len(findings)} finding(s)")
-    return {"status": "pass" if not findings else "fail", "pointer": pointer,
-            "evidence": {"paths": [str(p) for p in rel_paths],
-                         "findings": len(findings), "first": shown}}
-
-
 # -- command ---------------------------------------------------------------- #
 def _recipe_command(params: dict, root: Path, timeout: float) -> dict:
     argv = params.get("argv")
@@ -377,8 +206,6 @@ def _recipe_command(params: dict, root: Path, timeout: float) -> dict:
 _RUNNERS = {
     "pytest": _recipe_pytest,
     "bench": _recipe_bench,
-    "campaign_parity": _recipe_campaign_parity,
-    "lint": _recipe_lint,
     "command": _recipe_command,
 }
 

@@ -1,68 +1,30 @@
 """Gate execution: resolve obligations, run recipes, collect verdicts.
 
-Recipes are independent work items, so they run through the same
-supervised pool that executes fault-injection trials
-(:func:`repro.utils.parallel.map_trials`): per-recipe deadlines mean a
-wedged recipe (a hung pytest subprocess, a stuck benchmark) is killed
-and reported as an ``error`` outcome instead of stalling the release
-forever, and a recipe that crashes its worker is quarantined without
-taking the other recipes down.  ``jobs=1`` runs everything inline for
-debugging.
+Every recipe that runs anything runs it as a subprocess under its own
+``timeout`` (:mod:`repro.gate.recipes`), so a wedged recipe bounds
+itself and ends as an ``error`` outcome.  Recipes therefore need no
+supervised pool: they run on ``jobs`` threads (one after another at
+``jobs=1``) and their outcomes stream from the calling thread as they
+finish.  ``bench`` recipes measure wall-clock ratios, which other
+recipes sharing the cores would skew into false floor violations, so
+they run one at a time after the rest.
 
-Verdict algebra per obligation:
-
-- every recipe ``pass``          → ``pass``
-- any recipe ``fail``/``error``  → ``fail``, unless an *active* waiver
-  covers the obligation          → ``waived``
-- an expired waiver does not shield (the failure counts) and is itself
-  flagged in the manifest.
-
-The gate as a whole fails iff any **release-blocking** obligation ends
-``fail``; ``advisory`` failures and waived failures are reported but
-never block.
+Verdict algebra per obligation: every recipe ``pass`` → ``pass``; any
+recipe ``fail`` or ``error`` → ``fail``.  The gate as a whole fails iff
+any obligation ends ``fail``.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 from collections.abc import Callable
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 
 from repro.gate.recipes import run_recipe
-from repro.gate.spec import Obligation, RecipeSpec
-from repro.utils.parallel import TrialFailure, map_trials
+from repro.gate.spec import Obligation
+from repro.utils.parallel import effective_jobs
 
 __all__ = ["check_obligations", "select_obligations"]
-
-#: Flat per-recipe allowance on top of its declared timeout, covering
-#: pool startup and result pickling (mirrors map_trials' grace idiom).
-_RECIPE_GRACE = 30.0
-
-
-class _RecipeTaskFactory:
-    """Picklable ``map_trials`` task factory over the flat recipe table.
-
-    The factory ships the whole (small) job table to each worker once;
-    the returned task maps a trial index to one executed recipe.
-    """
-
-    def __init__(self, jobs: list[tuple[str, RecipeSpec]], root: str):
-        self.jobs = jobs
-        self.root = root
-
-    def __call__(self, index: int | None = None):
-        # Factory protocol (no args) returns the task; the task itself
-        # is this same immutable object, called with a trial index.
-        if index is None:
-            return self
-        return self.run(index)
-
-    def run(self, index: int) -> dict:
-        obligation_id, recipe = self.jobs[index]
-        outcome = run_recipe(recipe, self.root)
-        outcome["obligation"] = obligation_id
-        return outcome
 
 
 def select_obligations(
@@ -85,30 +47,18 @@ def select_obligations(
     return picked
 
 
-def _obligation_verdict(obligation: Obligation, outcomes: list[dict],
-                        today: _dt.date | None) -> dict:
+def _obligation_verdict(obligation: Obligation, outcomes: list[dict]) -> dict:
     ok = all(o.get("status") == "pass" for o in outcomes)
-    waiver = obligation.waiver
-    verdict = "pass" if ok else "fail"
-    entry = {
+    return {
         "id": obligation.id,
         "title": obligation.title,
         "invariant": obligation.invariant,
-        "severity": obligation.severity,
         "pack": obligation.pack,
         "spec_path": obligation.path,
         "tags": list(obligation.tags),
         "recipes": outcomes,
+        "verdict": "pass" if ok else "fail",
     }
-    if not ok and waiver is not None:
-        if waiver.active(today):
-            verdict = "waived"
-            entry["waiver"] = {"reason": waiver.reason, "expires": waiver.expires,
-                               "by": waiver.by}
-        else:
-            entry["waiver_expired"] = {"reason": waiver.reason, "expires": waiver.expires}
-    entry["verdict"] = verdict
-    return entry
 
 
 def check_obligations(
@@ -116,8 +66,6 @@ def check_obligations(
     root: str | Path,
     *,
     jobs: int = 1,
-    timeout_scale: float = 1.0,
-    today: _dt.date | None = None,
     on_outcome: Callable[[dict], None] | None = None,
 ) -> dict:
     """Run every recipe of every obligation; return the gate report.
@@ -126,92 +74,48 @@ def check_obligations(
         obligations: Already-selected obligations (see
             :func:`select_obligations`).
         root: Repo checkout the recipes run against.
-        jobs: Worker processes for recipe fan-out (1 = inline).
-        timeout_scale: Multiplier on every recipe's declared timeout
-            (slow CI runners raise it rather than editing specs).
-        today: Waiver-expiry reference date (defaults to the wall clock;
-            tests pin it).
-        on_outcome: Streaming callback per finished recipe outcome.
+        jobs: Recipes run at once (1 = one after another, 0 = one per
+            core); ``bench`` recipes always run alone, after the rest.
+        on_outcome: Streaming callback per finished recipe outcome,
+            called from this thread.
 
     Returns the report dict that :mod:`repro.gate.evidence` wraps into
     the evidence manifest: per-obligation verdicts + recipe outcomes +
-    the overall ``ok`` flag (advisory/waived failures do not clear it).
+    the overall ``ok`` flag.
     """
-    flat: list[tuple[str, RecipeSpec]] = []
-    for obligation in obligations:
-        for recipe in obligation.recipes:
-            flat.append((obligation.id, replace(recipe, timeout=recipe.timeout * timeout_scale)))
+    flat = [(o.id, recipe) for o in obligations for recipe in o.recipes]
+    outcomes: dict[int, dict] = {}
 
-    outcomes_by_obligation: dict[str, list[dict]] = {o.id: [] for o in obligations}
-    if flat:
-        # Timing benchmarks measure wall-clock ratios; sharing cores
-        # with other recipes skews them into false floor violations, so
-        # `bench` recipes run *exclusively* after the pooled batch
-        # (override per recipe with `exclusive: false`).
-        exclusive = [i for i, (_, r) in enumerate(flat)
-                     if r.type == "bench" and r.params.get("exclusive", True)]
-        pooled = [i for i in range(len(flat)) if i not in set(exclusive)]
+    def run(index: int) -> dict:
+        obligation_id, recipe = flat[index]
+        return {"obligation": obligation_id, **run_recipe(recipe, root)}
 
-        # Uniform pool-level backstop: the widest declared deadline. The
-        # per-recipe subprocess timeouts are the tight bound; this one
-        # only catches recipes that wedge without ever timing out.
-        pool_timeout = max(recipe.timeout for _, recipe in flat) + _RECIPE_GRACE
+    def record(index: int, outcome: dict) -> None:
+        outcomes[index] = outcome
+        if on_outcome is not None:
+            on_outcome(outcome)
 
-        def _on_result(index: int, value: object) -> None:
-            if on_outcome is not None and isinstance(value, dict):
-                on_outcome(value)
+    pooled = [i for i, (_, recipe) in enumerate(flat) if recipe.type != "bench"]
+    benches = [i for i, (_, recipe) in enumerate(flat) if recipe.type == "bench"]
+    with ThreadPoolExecutor(max_workers=effective_jobs(jobs)) as pool:
+        futures = {pool.submit(run, i): i for i in pooled}
+        for future in as_completed(futures):
+            record(futures[future], future.result())
+    for index in benches:
+        record(index, run(index))
 
-        factory = _RecipeTaskFactory(flat, str(Path(root)))
-        results: list[object] = [None] * len(flat)
-        if pooled:
-            for index, value in zip(pooled, map_trials(
-                factory,
-                0,
-                jobs=jobs,
-                chunk=1,
-                indices=pooled,
-                timeout=pool_timeout,
-                timeout_grace=_RECIPE_GRACE,
-                max_retries=0,
-                on_result=_on_result,
-            )):
-                results[index] = value
-        for index in exclusive:
-            value = factory.run(index)
-            _on_result(index, value)
-            results[index] = value
-
-        for (obl_id, recipe), value in zip(flat, results):
-            if isinstance(value, TrialFailure):
-                value = {
-                    "obligation": obl_id,
-                    "type": recipe.type,
-                    "describe": recipe.describe(),
-                    "status": "error",
-                    "pointer": f"recipe {value.reason} after {value.attempts} attempt(s)"
-                               + (f": {value.message}" if value.message else ""),
-                    "evidence": {"reason": value.reason, "attempts": value.attempts},
-                    "duration_s": None,
-                }
-                if on_outcome is not None:
-                    on_outcome(value)
-            assert isinstance(value, dict)
-            outcomes_by_obligation[obl_id].append(value)
-
-    entries = [
-        _obligation_verdict(o, outcomes_by_obligation[o.id], today) for o in obligations
-    ]
-    blocking_failures = [e["id"] for e in entries
-                         if e["verdict"] == "fail" and e["severity"] == "release-blocking"]
-    counts = {
-        "total": len(entries),
-        "passed": sum(1 for e in entries if e["verdict"] == "pass"),
-        "failed": sum(1 for e in entries if e["verdict"] == "fail"),
-        "waived": sum(1 for e in entries if e["verdict"] == "waived"),
-    }
+    by_obligation: dict[str, list[dict]] = {o.id: [] for o in obligations}
+    for index, (obligation_id, _) in enumerate(flat):
+        by_obligation[obligation_id].append(outcomes[index])
+    entries = [_obligation_verdict(o, by_obligation[o.id]) for o in obligations]
+    failures = [e["id"] for e in entries if e["verdict"] == "fail"]
     return {
-        "ok": not blocking_failures,
-        "blocking_failures": blocking_failures,
-        "counts": counts,
+        "ok": not failures,
+        "blocking_failures": failures,
+        "counts": {
+            "total": len(entries),
+            "passed": len(entries) - len(failures),
+            "failed": len(failures),
+        },
         "obligations": entries,
     }

@@ -6,24 +6,21 @@ ISO 26262 budget, SED precision/recall floors, bench speedup floors,
 lint cleanliness...) written down as data instead of being implied by
 the existence of a CI job.  Each obligation declares:
 
-- ``id`` — stable ``OBL-...`` identifier CI and waivers refer to;
+- ``id`` — stable ``OBL-...`` identifier CI refers to;
+- ``title`` — a one-line label;
 - ``invariant`` — the promise in prose, for humans;
-- ``severity`` — ``release-blocking`` (gate fails the release) or
-  ``advisory`` (reported, never blocks);
 - ``recipes`` — how to *check* the promise: pytest node ids, benchmark
-  gauge floors over ``BENCH_<date>.json``, campaign-parity probes,
-  lint sweeps, or a plain command;
-- ``waiver`` — an explicit, expiring acknowledgement that the
-  obligation is allowed to fail (reason + expiry date + who).
+  gauge floors over ``BENCH_<date>.json``, or a plain command;
+- ``tags`` — free-form grouping labels.
 
-Specs live in ``obligations/*.json`` packs at the repo root; the gate
+Every obligation blocks the release when its evidence fails.  Specs
+live in ``obligations/*.json`` packs at the repo root; the gate
 (:mod:`repro.gate.runner`) resolves them, executes the recipes, and
 emits an evidence manifest (:mod:`repro.gate.evidence`).
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import re
 from dataclasses import dataclass, field
@@ -32,13 +29,11 @@ from pathlib import Path
 __all__ = [
     "OBLIGATION_ID_RE",
     "RECIPE_TYPES",
-    "SEVERITIES",
     "SPEC_FORMAT",
     "SPEC_VERSION",
     "Obligation",
     "RecipeSpec",
     "SpecError",
-    "Waiver",
     "default_spec_dir",
     "load_pack",
     "load_specs",
@@ -50,41 +45,15 @@ SPEC_VERSION = 1
 #: Obligation identifiers: stable, grep-able, CI-referenceable.
 OBLIGATION_ID_RE = re.compile(r"OBL-[A-Z0-9][A-Z0-9-]*")
 
-SEVERITIES = ("release-blocking", "advisory")
-
 #: Recipe executors the gate knows how to run (repro.gate.recipes).
-RECIPE_TYPES = ("pytest", "bench", "campaign_parity", "lint", "command")
+RECIPE_TYPES = ("pytest", "bench", "command")
 
 #: Recipe wall-clock ceiling when a spec does not declare one (seconds).
 DEFAULT_RECIPE_TIMEOUT = 900.0
 
 
 class SpecError(ValueError):
-    """An obligation pack is malformed (parse, schema, or policy error)."""
-
-
-@dataclass(frozen=True)
-class Waiver:
-    """An expiring permission for an obligation to fail.
-
-    A waiver is never silent: the evidence manifest records it, and an
-    *expired* waiver stops shielding the obligation — the failure counts
-    again, plus the manifest flags the stale waiver itself.
-    """
-
-    reason: str
-    expires: str  # ISO date, YYYY-MM-DD
-    by: str = ""
-
-    def expiry_date(self) -> _dt.date:
-        try:
-            return _dt.date.fromisoformat(self.expires)
-        except ValueError as exc:
-            raise SpecError(f"waiver expiry {self.expires!r} is not YYYY-MM-DD") from exc
-
-    def active(self, today: _dt.date | None = None) -> bool:
-        today = today if today is not None else _dt.date.today()
-        return today <= self.expiry_date()
+    """An obligation pack is malformed (parse or schema error)."""
 
 
 @dataclass(frozen=True)
@@ -107,11 +76,6 @@ class RecipeSpec:
             checks = p.get("checks", [])
             parts = [f"{c.get('gauge')} {c.get('op', '>=')} {c.get('value')}" for c in checks]
             return "bench " + "; ".join(parts)
-        if self.type == "campaign_parity":
-            return (f"campaign_parity {p.get('network')}/{p.get('dtype', 'FLOAT16')}"
-                    f" x{p.get('trials')} vs {','.join(p.get('variants', []))}")
-        if self.type == "lint":
-            return "repro-lint " + " ".join(p.get("paths", []))
         if self.type == "command":
             return "command " + " ".join(str(a) for a in p.get("argv", []))
         return self.type
@@ -124,16 +88,10 @@ class Obligation:
     id: str
     title: str
     invariant: str
-    severity: str
     recipes: tuple[RecipeSpec, ...]
     tags: tuple[str, ...] = ()
-    waiver: Waiver | None = None
     pack: str = ""
     path: str = ""
-
-    @property
-    def blocking(self) -> bool:
-        return self.severity == "release-blocking"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -154,21 +112,6 @@ def _parse_recipe(raw: object, where: str) -> RecipeSpec:
     return RecipeSpec(type=str(rtype), params=params, timeout=float(timeout))
 
 
-def _parse_waiver(raw: object, where: str) -> Waiver | None:
-    if raw is None:
-        return None
-    _require(isinstance(raw, dict), f"{where}: waiver must be a mapping")
-    assert isinstance(raw, dict)
-    reason, expires = raw.get("reason"), raw.get("expires")
-    _require(isinstance(reason, str) and bool(reason.strip()),
-             f"{where}: waiver needs a non-empty 'reason'")
-    _require(isinstance(expires, str) and bool(expires),
-             f"{where}: waiver needs an 'expires' date (YYYY-MM-DD)")
-    waiver = Waiver(reason=str(reason), expires=str(expires), by=str(raw.get("by", "")))
-    waiver.expiry_date()  # validate eagerly, not at check time
-    return waiver
-
-
 def _parse_obligation(raw: object, pack: str, path: Path) -> Obligation:
     _require(isinstance(raw, dict), f"{path}: obligation must be a mapping")
     assert isinstance(raw, dict)
@@ -176,8 +119,6 @@ def _parse_obligation(raw: object, pack: str, path: Path) -> Obligation:
     where = f"{path}:{obl_id or '<missing id>'}"
     _require(isinstance(obl_id, str) and OBLIGATION_ID_RE.fullmatch(obl_id) is not None,
              f"{where}: id must match {OBLIGATION_ID_RE.pattern!r}")
-    severity = raw.get("severity", "release-blocking")
-    _require(severity in SEVERITIES, f"{where}: severity {severity!r} not one of {SEVERITIES}")
     title = raw.get("title")
     _require(isinstance(title, str) and bool(title.strip()), f"{where}: needs a 'title'")
     invariant = raw.get("invariant")
@@ -191,16 +132,14 @@ def _parse_obligation(raw: object, pack: str, path: Path) -> Obligation:
     tags = raw.get("tags", [])
     _require(isinstance(tags, list) and all(isinstance(t, str) for t in tags),
              f"{where}: tags must be a list of strings")
-    unknown = set(raw) - {"id", "title", "invariant", "severity", "recipes", "tags", "waiver"}
+    unknown = set(raw) - {"id", "title", "invariant", "recipes", "tags"}
     _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
     return Obligation(
         id=str(obl_id),
         title=str(title).strip(),
         invariant=" ".join(str(invariant).split()),
-        severity=str(severity),
         recipes=recipes,
         tags=tuple(tags),
-        waiver=_parse_waiver(raw.get("waiver"), where),
         pack=pack,
         path=str(path),
     )

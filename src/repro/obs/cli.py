@@ -10,8 +10,8 @@ Four subcommands over the artifacts :mod:`repro.obs.manifest` and
 - ``diff <a> <b>`` — compare two runs: throughput, error rates, and
   per-phase time split, with deltas.  Exit status is the comparison
   verdict: 0 when the runs agree on every deterministic fact, 1 when
-  they diverge — so CI jobs and ``repro-gate`` recipes can consume the
-  command as a pass/fail check instead of parsing its tables.
+  they diverge — so scripts and CI jobs can consume the command as a
+  pass/fail check instead of parsing its tables.
   Execution knobs (jobs, batch, shared memory, trace path) are *flagged*
   when they differ but never count as divergence.
 - ``trace <run|tracefile>`` — render a campaign's propagation traces:

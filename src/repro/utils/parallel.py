@@ -2,8 +2,9 @@
 
 A campaign is thousands of independent single-fault inference runs — an
 embarrassingly parallel workload.  ``map_trials`` shards trial indices
-across a process pool; each worker rebuilds its (picklable) task object
-once and reuses cached golden activations across its shard, following the
+into slices across a process pool and hands each slice to the task's
+``run_many``; each worker rebuilds its (picklable) task object once and
+reuses cached golden activations across its shard, following the
 fork-once/reuse-state idiom from the HPC guides.
 
 At the paper's scale (~3M injections, Section 4) the pool itself must
@@ -13,16 +14,19 @@ survive faults, so the fan-out is *supervised*:
   cannot stall the campaign forever);
 - a crashed worker (``BrokenProcessPool``) triggers a pool rebuild with
   capped exponential backoff instead of aborting;
-- failing chunks are retried against a retry budget, then *bisected*
-  down to single trials so one poison trial is quarantined as a
-  :class:`TrialFailure` instead of taking its chunk-mates down with it;
+- crashed or timed-out chunks are retried against a retry budget, then
+  *bisected* down to single trials so one poison trial is quarantined as
+  a :class:`TrialFailure` instead of taking its chunk-mates down with it;
 - when the pool keeps dying before any chunk completes, execution
   degrades gracefully to inline (``jobs=1``) mode.
 
-Inline execution (``jobs=1``) runs the same chunks through the same
+A trial that raises is not the pool's to retry: ``run_many`` returns a
+value for every index it is given, and the campaign task quarantines a
+raising trial there, as a value, on its first attempt.
+
+Inline execution (``jobs=1``) runs the same slices through the same
 dispatch in this process.  It has no crash/hang protection — a trial
-that kills or wedges the process kills or wedges the campaign — but a
-raising trial is retried and quarantined exactly as in the pool.
+that kills or wedges the process kills or wedges the campaign.
 """
 
 from __future__ import annotations
@@ -65,22 +69,18 @@ class TrialFailure:
     """Sentinel result for a trial the supervised pool could not complete.
 
     Appears in the ``map_trials`` result list in place of the trial's
-    value when the trial raised, crashed its worker, or timed out more
-    times than the retry budget allows.
+    value when the trial crashed its worker or timed out more times than
+    the retry budget allows.
 
     Attributes:
         index: Trial index the failure stands in for.
-        reason: ``"error"`` (trial raised), ``"crash"`` (worker died),
-            or ``"timeout"`` (chunk deadline exceeded).
-        exc_type: Exception class name for ``"error"`` failures.
-        message: Exception message / traceback tail for ``"error"``.
+        reason: ``"crash"`` (worker died) or ``"timeout"`` (chunk
+            deadline exceeded).
         attempts: Executions attempted before quarantine.
     """
 
     index: int
     reason: str
-    exc_type: str | None = None
-    message: str = ""
     attempts: int = 1
 
 
@@ -141,42 +141,26 @@ def _close_task(task: object) -> None:
             pass
 
 
-def _run_slice(task, indices: Sequence[int], ctl: object = None) -> list[tuple]:
-    """Run one chunk of trials through ``task``, in a worker or inline.
+def _run_slice(task, indices: Sequence[int], ctl: object = None) -> tuple[list, object]:
+    """Run one chunk of trials through ``task.run_many``, in a worker or inline.
 
-    Installs the round's control message, then dispatches: a task with
-    ``run_many(indices) -> list`` gets the whole slice and returns
-    positionally aligned values (the campaign task quarantines its
-    per-trial failures itself, as values); a plain callable runs one
-    index per call.  Returns ``("ok", i, value)`` /
-    ``("err", i, exc_type, summary)`` tuples, so one raising trial does
-    not poison its chunk-mates and the supervisor can tell a raising
-    trial from a crashed worker.  When the task exposes
-    ``collect_obs()``, its per-chunk observability delta (metric
-    snapshot) rides along as a final ``("obs", payload)`` tuple:
-    snapshot and results travel in the same message, so a crashed or
-    timed-out chunk loses both together and re-running it can never
-    double-count a trial's metrics.
+    Installs the round's control message, then hands the whole slice to
+    ``run_many(indices) -> list``, whose values align with ``indices``
+    (the campaign task quarantines its raising trials itself, as
+    values).  Returns ``(pairs, obs)``: the ``(index, value)`` pairs, and
+    the task's per-chunk observability delta (metric snapshot) when it
+    exposes ``collect_obs()``, else None.  Snapshot and results travel
+    in the same message, so a crashed or timed-out chunk loses both
+    together and re-running it can never double-count a trial's metrics.
     """
     _apply_ctl(task, ctl)
     with span("chunk"):
-        run_many = getattr(task, "run_many", None)
-        if callable(run_many):
-            out = [("ok", i, v) for i, v in zip(indices, run_many(list(indices)))]
-        else:
-            out = []
-            for i in indices:
-                try:
-                    out.append(("ok", i, task(i)))
-                except Exception as exc:
-                    out.append(("err", i, type(exc).__name__, exc_summary(exc)))
+        values = task.run_many(list(indices))
     collect = getattr(task, "collect_obs", None)
-    if callable(collect):
-        out.append(("obs", collect()))
-    return out
+    return list(zip(indices, values)), (collect() if callable(collect) else None)
 
 
-def _run_chunk(indices: Sequence[int], ctl: object = None) -> list[tuple]:
+def _run_chunk(indices: Sequence[int], ctl: object = None) -> tuple[list, object]:
     """Worker body: :func:`_run_slice` on this worker's task."""
     assert _WORKER_TASK is not None, "worker not initialised"
     return _run_slice(_WORKER_TASK, indices, ctl)
@@ -226,7 +210,6 @@ class _Supervisor:
         self.pending: deque[_Chunk] = deque()
         self.probation: deque[_Chunk] = deque()
         self.in_flight: dict[Future, tuple[_Chunk, float | None]] = {}
-        self.error_attempts: dict[int, int] = {}
         self.pool: ProcessPoolExecutor | None = None
         self.consecutive_rebuilds = 0
         self.ever_succeeded = False
@@ -250,12 +233,9 @@ class _Supervisor:
         if self.on_result is not None:
             self.on_result(index, value)
 
-    def _quarantine(self, index: int, reason: str, attempts: int,
-                    exc_type: str | None = None, message: str = "") -> None:
+    def _quarantine(self, index: int, reason: str, attempts: int) -> None:
         _emit(self.on_event, "quarantine", index=index, reason=reason, attempts=attempts)
-        self._record(index, TrialFailure(
-            index=index, reason=reason, exc_type=exc_type, message=message, attempts=attempts,
-        ))
+        self._record(index, TrialFailure(index=index, reason=reason, attempts=attempts))
 
     def _requeue_or_bisect(self, c: _Chunk, reason: str) -> None:
         """Give a failed chunk another try, split it, or quarantine it."""
@@ -344,27 +324,15 @@ class _Supervisor:
             self.inline_task = self.task_factory()
         while self.pending:
             c = self.pending.popleft()
-            self._absorb(_run_slice(self.inline_task, c.indices, c.ctl), c.ctl)
+            self._absorb(_run_slice(self.inline_task, c.indices, c.ctl))
 
     # -- completed-future processing --------------------------------------- #
-    def _absorb(self, payload: list, ctl: object = None) -> None:
-        for item in payload:
-            if item[0] == "ok":
-                _, i, value = item
-                self._record(i, value)
-            elif item[0] == "obs":
-                if self.on_obs is not None:
-                    self.on_obs(item[1])
-            else:
-                _, i, exc_type, message = item
-                attempts = self.error_attempts.get(i, 0) + 1
-                self.error_attempts[i] = attempts
-                if attempts > self.max_retries:
-                    self._quarantine(i, "error", attempts, exc_type=exc_type, message=message)
-                else:
-                    _emit(self.on_event, "retry", span=(i, i), attempt=attempts,
-                          reason="error", exc_type=exc_type)
-                    self.pending.append(_Chunk([i], attempts=attempts, ctl=ctl))
+    def _absorb(self, payload: tuple[list, object]) -> None:
+        pairs, obs = payload
+        for index, value in pairs:
+            self._record(index, value)
+        if obs is not None and self.on_obs is not None:
+            self.on_obs(obs)
 
     # -- main loop ---------------------------------------------------------- #
     def run(self) -> dict[int, object]:
@@ -476,7 +444,7 @@ class _Supervisor:
                 continue
             self.consecutive_rebuilds = 0
             self.ever_succeeded = True
-            self._absorb(payload, c.ctl)
+            self._absorb(payload)
         if broken:
             self._reclaim_in_flight("crash", blame=True)
             return True
@@ -510,11 +478,10 @@ class _Supervisor:
 
 def map_trials(
     task_factory: Callable[[], object],
-    n_trials: int,
     jobs: int | None = 1,
     chunk: int = 64,
     *,
-    indices: Sequence[int] | None = None,
+    indices: Sequence[int] = (),
     plan: Callable[[], tuple[Sequence[int], object] | None] | None = None,
     timeout: float | None = None,
     timeout_grace: float = 5.0,
@@ -526,23 +493,22 @@ def map_trials(
     on_result: Callable[[int, object], None] | None = None,
     on_obs: Callable[[object], None] | None = None,
 ) -> list:
-    """Run each trial index through a task, possibly in parallel, supervised.
+    """Run trial indices through a task's slices, possibly in parallel, supervised.
 
     Args:
-        task_factory: Zero-arg callable returning the task: a per-trial
-            callable ``task(i)``, or an object whose ``run_many(indices)``
-            takes a whole chunk (see :func:`_run_slice`).  Invoked once
+        task_factory: Zero-arg callable returning the task: an object
+            whose ``run_many(indices)`` takes a whole slice and returns
+            one value per index (see :func:`_run_slice`).  Invoked once
             per worker (and once inline when ``jobs == 1``), so expensive
             setup (network construction, golden run) is paid per worker
             rather than per trial.
-        n_trials: Number of trials (ignored when ``indices`` is given).
         jobs: Worker processes; 1 runs inline (default, deterministic and
             debuggable), None/0 uses every core, negative raises.
         chunk: Trials per inter-process message, and per inline slice
             (must be >= 1).  Results stream to ``on_result`` a chunk at
             a time.
-        indices: Explicit trial indices to run instead of
-            ``range(n_trials)`` (checkpoint resume runs the gap set).
+        indices: Trial indices to run (checkpoint resume runs the gap
+            set).
         plan: Round scheduler (statistical early stopping builds on
             this).  Called with no arguments; returns ``(indices, ctl)``
             for the next round, or None when the map is finished.  Each
@@ -551,16 +517,15 @@ def map_trials(
             picklable message) is installed on the executing task via
             ``task.apply_control(ctl)`` before any of the round's trials
             run, including on retries, bisection halves and degraded
-            inline execution.  When given, ``n_trials``/``indices`` are
-            ignored.
+            inline execution.  When given, ``indices`` is ignored.
         timeout: Per-trial time budget in seconds; a chunk's deadline is
             ``timeout * len(chunk) + timeout_grace``.  None disables
             deadlines.  Ignored inline (a wedged trial cannot be killed
             from within its own process).
         timeout_grace: Flat per-chunk allowance covering worker startup
             (network build + golden inference happen on first use).
-        max_retries: Extra attempts per chunk (crash/timeout) or per
-            raising trial before bisection/quarantine.
+        max_retries: Extra attempts per crashed or timed-out chunk
+            before bisection/quarantine.
         max_rebuilds: Consecutive pool rebuilds without any completed
             chunk before degrading to inline execution.
         backoff_base: First rebuild backoff delay (seconds); doubles per
@@ -585,8 +550,6 @@ def map_trials(
     n_jobs = effective_jobs(jobs)
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if indices is None:
-        indices = range(n_trials)
     indices = list(indices)
 
     supervisor = _Supervisor(

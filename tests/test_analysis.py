@@ -133,10 +133,6 @@ class TestObservabilityRules:
         findings = lint_snippet(tmp_path, code, relpath="repro/custom/banner.py", config=cfg)
         assert "RP105" not in ids(findings)
 
-    def test_repo_source_tree_is_rp105_clean(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        findings = [f for f in lint_paths([src]) if f.rule_id == "RP105"]
-        assert findings == []
 
 class TestDtypeRules:
     def test_rp201_float_literal_equality(self, tmp_path):

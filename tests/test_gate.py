@@ -10,8 +10,8 @@ real CLI against a sandbox spec directory.
 
 from __future__ import annotations
 
-import datetime as dt
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,10 +28,10 @@ from repro.gate.evidence import (
 from repro.gate.recipes import run_recipe
 from repro.gate.runner import check_obligations, select_obligations
 from repro.gate.spec import (
+    RECIPE_TYPES,
     Obligation,
     RecipeSpec,
     SpecError,
-    Waiver,
     load_pack,
     load_specs,
 )
@@ -46,7 +46,7 @@ def _pack(tmp_path: Path, doc: dict, name: str = "pack.json") -> Path:
     return path
 
 
-def _minimal_pack(*, obl_id="SANDBOX", exit_code=0, severity="release-blocking") -> dict:
+def _minimal_pack(*, obl_id="SANDBOX", exit_code=0) -> dict:
     return {
         "format": "repro-obligations",
         "version": 1,
@@ -54,7 +54,6 @@ def _minimal_pack(*, obl_id="SANDBOX", exit_code=0, severity="release-blocking")
         "obligations": [{
             "id": f"OBL-{obl_id}",
             "title": "sandbox obligation",
-            "severity": severity,
             "invariant": "the sandbox command exits zero",
             "recipes": [{
                 "type": "command",
@@ -65,10 +64,8 @@ def _minimal_pack(*, obl_id="SANDBOX", exit_code=0, severity="release-blocking")
     }
 
 
-def _command_pack(tmp_path, *, obl_id="SANDBOX", exit_code=0,
-                  severity="release-blocking", name="pack.json"):
-    return _pack(tmp_path, _minimal_pack(obl_id=obl_id, exit_code=exit_code,
-                                         severity=severity), name=name)
+def _command_pack(tmp_path, *, obl_id="SANDBOX", exit_code=0, name="pack.json"):
+    return _pack(tmp_path, _minimal_pack(obl_id=obl_id, exit_code=exit_code), name=name)
 
 
 class TestSpecLoading:
@@ -77,8 +74,8 @@ class TestSpecLoading:
         ids = [o.id for o in obligations]
         assert ids == sorted(ids)
         assert "OBL-IDENTITY-PARITY" in ids
-        assert all(o.blocking for o in obligations)
         assert all(o.recipes for o in obligations)
+        assert RECIPE_TYPES == ("pytest", "bench", "command")
 
     def test_command_pack_round_trip(self, tmp_path):
         path = _command_pack(tmp_path)
@@ -95,8 +92,6 @@ class TestSpecLoading:
         pytest.param('"pack": "sandbox"', '"pack": null', id="pack: sandbox-pack:"),
         pytest.param('"id": "OBL-SANDBOX"', '"id": "not-an-id"',
                      id="id: OBL-SANDBOX-id: not-an-id"),
-        pytest.param('"severity": "release-blocking"', '"severity": "whenever"',
-                     id="severity: release-blocking-severity: whenever"),
         pytest.param('"title": ', '"bogus_key": ',
                      id="title: sandbox obligation-bogus_key: sandbox obligation"),
         pytest.param('"format": "repro-obligations"', 'format: repro-obligations',
@@ -114,21 +109,6 @@ class TestSpecLoading:
         _command_pack(tmp_path, name="b.json")
         with pytest.raises(SpecError, match="duplicate obligation id"):
             load_specs(tmp_path)
-
-    def test_waiver_parsing_and_expiry(self, tmp_path):
-        doc = _minimal_pack(obl_id="WAIVED", exit_code=1)
-        doc["obligations"][0]["waiver"] = {
-            "reason": "tracking issue 42", "expires": "2026-09-01", "by": "maintainer"}
-        path = _pack(tmp_path, doc)
-        (obl,) = load_pack(path)
-        assert obl.waiver is not None
-        assert obl.waiver.active(dt.date(2026, 8, 31))
-        assert obl.waiver.active(dt.date(2026, 9, 1))  # inclusive expiry
-        assert not obl.waiver.active(dt.date(2026, 9, 2))
-
-    def test_bad_waiver_expiry_rejected_eagerly(self):
-        with pytest.raises(SpecError, match="YYYY-MM-DD"):
-            Waiver(reason="r", expires="someday").expiry_date()
 
     def test_select_obligations(self):
         obligations = load_specs(SPEC_DIR)
@@ -202,10 +182,9 @@ class TestRecipes:
         assert out["status"] == "error"  # pytest recipe without nodes
 
 
-def _obligation(obl_id, exit_code, *, severity="release-blocking", waiver=None):
+def _obligation(obl_id, exit_code):
     return Obligation(
         id=obl_id, title=f"{obl_id} title", invariant="command exits zero",
-        severity=severity, waiver=waiver,
         recipes=(RecipeSpec("command", {
             "argv": [sys.executable, "-c", f"raise SystemExit({exit_code})"]}, 60.0),),
     )
@@ -216,39 +195,13 @@ class TestRunner:
         report = check_obligations(
             [_obligation("OBL-A", 0), _obligation("OBL-B", 0)], tmp_path)
         assert report["ok"] is True
-        assert report["counts"] == {"total": 2, "passed": 2, "failed": 0, "waived": 0}
+        assert report["counts"] == {"total": 2, "passed": 2, "failed": 0}
 
     def test_blocking_failure_clears_ok(self, tmp_path):
         report = check_obligations(
             [_obligation("OBL-A", 0), _obligation("OBL-B", 2)], tmp_path)
         assert report["ok"] is False
         assert report["blocking_failures"] == ["OBL-B"]
-
-    def test_advisory_failure_does_not_block(self, tmp_path):
-        report = check_obligations(
-            [_obligation("OBL-A", 1, severity="advisory")], tmp_path)
-        assert report["ok"] is True
-        assert report["counts"]["failed"] == 1
-
-    def test_active_waiver_shields_and_is_recorded(self, tmp_path):
-        waiver = Waiver(reason="tracked", expires="2026-09-01")
-        report = check_obligations(
-            [_obligation("OBL-A", 1, waiver=waiver)], tmp_path,
-            today=dt.date(2026, 8, 8))
-        assert report["ok"] is True
-        (entry,) = report["obligations"]
-        assert entry["verdict"] == "waived"
-        assert entry["waiver"]["reason"] == "tracked"
-
-    def test_expired_waiver_does_not_shield(self, tmp_path):
-        waiver = Waiver(reason="tracked", expires="2026-09-01")
-        report = check_obligations(
-            [_obligation("OBL-A", 1, waiver=waiver)], tmp_path,
-            today=dt.date(2026, 9, 2))
-        assert report["ok"] is False
-        (entry,) = report["obligations"]
-        assert entry["verdict"] == "fail"
-        assert entry["waiver_expired"]["expires"] == "2026-09-01"
 
     def test_parallel_matches_inline(self, tmp_path):
         obligations = [_obligation("OBL-A", 0), _obligation("OBL-B", 1),
@@ -273,7 +226,7 @@ class TestRunner:
         # and the outcomes still land on the right obligations in order.
         _bench_file(tmp_path, {"g/x": 3.0})
         bench = Obligation(
-            id="OBL-BENCH", title="t", invariant="i", severity="release-blocking",
+            id="OBL-BENCH", title="t", invariant="i",
             recipes=(RecipeSpec("bench", {"checks": [
                 {"gauge": "g/x", "op": ">=", "value": 1.0}]}, 60.0),))
         seen = []
@@ -304,14 +257,13 @@ class TestEvidence:
         with pytest.raises(ValueError, match="repro-evidence-manifest"):
             load_manifest(path)
 
-    def test_render_shows_failures_and_waivers(self, tmp_path):
-        waiver = Waiver(reason="tracked", expires="2026-09-01")
+    def test_render_shows_failures(self, tmp_path):
         report = check_obligations(
-            [_obligation("OBL-BAD", 1), _obligation("OBL-WVD", 1, waiver=waiver)],
-            tmp_path, today=dt.date(2026, 8, 8))
+            [_obligation("OBL-BAD", 1), _obligation("OBL-OK", 0)], tmp_path)
         text = render_manifest(build_manifest(report, spec_dir=tmp_path))
-        assert "OBL-BAD" in text and "FAIL" in text
-        assert "waived — tracked" in text
+        assert "1/2 passed, 1 failed" in text
+        assert "OBL-BAD: fail" in text and "exit 1" in text  # the failure's evidence
+        assert "OBL-OK: pass" not in text  # a pass shows its detail on demand only
 
 
 class TestCli:
@@ -327,6 +279,19 @@ class TestCli:
         _command_pack(tmp_path)
         assert gate_cli.main(["check", "--specs", str(tmp_path)]) == 2
         assert "--all" in capsys.readouterr().err
+
+    def test_check_jobs_validated_before_any_recipe(self, tmp_path, capsys):
+        _command_pack(tmp_path)
+        out = tmp_path / "evidence.json"
+        argv = ["check", "--all", "--specs", str(tmp_path), "--root", str(tmp_path),
+                "--out", str(out), "--jobs"]
+        assert gate_cli.main([*argv, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--jobs" in captured.err and captured.out == ""
+        assert not out.exists()
+        # 0 means every core, as in repro-campaign and repro-exp.
+        assert gate_cli.main([*argv, "0"]) == 0
+        assert f"jobs={os.cpu_count()}" in capsys.readouterr().out
 
     def test_check_green_sandbox_writes_manifest(self, tmp_path, capsys):
         _command_pack(tmp_path, exit_code=0)

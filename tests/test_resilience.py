@@ -1,8 +1,8 @@
 """Resilient execution: supervised pool, quarantine, checkpoint/resume.
 
 The supervised-pool tests drive :func:`repro.utils.parallel.map_trials`
-with deliberately hostile tasks (worker ``os._exit``, wedged sleeps,
-raising trials); the campaign tests drive :func:`run_campaign` through
+with deliberately hostile ``run_many`` tasks (worker ``os._exit``,
+wedged sleeps); the campaign tests drive :func:`run_campaign` through
 the ``REPRO_CAMPAIGN_FAULT`` meta-injection hook and assert the paper's
 core reproducibility property survives every failure: trial ``i`` is a
 pure function of ``(spec, i)``, so quarantine and resume never perturb
@@ -35,7 +35,9 @@ from repro.core.checkpoint import (
     load_checkpoint,
 )
 from repro.core.serialize import campaign_summary, to_jsonable
+from repro.obs.cli import compare_runs
 from repro.obs.events import EventRecorder
+from repro.obs.manifest import default_obs_paths, load_run
 from repro.obs.tracer import default_trace_path
 from repro.utils.parallel import TrialFailure, map_trials
 
@@ -56,51 +58,42 @@ FAST_CAMPAIGN_POOL = partial(map_trials, backoff_base=0.02, backoff_cap=0.05,
                              timeout_grace=3.0)
 
 
-def _square_task():
-    return lambda i: i * i
+class _Squares:
+    """Toy slice task (the class is its own factory): trial ``i`` is ``i * i``."""
+
+    def trial(self, i: int):
+        return i * i
+
+    def run_many(self, indices: list[int]) -> list:
+        return [self.trial(i) for i in indices]
 
 
-def _crash7_task():
-    def task(i):
+class _Crash7(_Squares):
+    def trial(self, i: int):
         if i == 7 and os.getpid() != MAIN_PID:
             os._exit(41)
         return i * i
 
-    return task
 
-
-def _worker_crash_task():
-    def task(i):
+class _WorkerCrash(_Squares):
+    def trial(self, i: int):
         if os.getpid() != MAIN_PID:
             os._exit(13)
         return i + 100
 
-    return task
 
-
-def _hang5_task():
-    def task(i):
+class _Hang5(_Squares):
+    def trial(self, i: int):
         if i == 5:
             time.sleep(600.0)
         return i
-
-    return task
-
-
-def _raise3_task():
-    def task(i):
-        if i == 3:
-            raise ValueError("poison trial")
-        return i
-
-    return task
 
 
 class TestSupervisedPool:
     def test_crashing_worker_quarantines_exactly_the_poison_trial(self):
         kinds = []
         results = map_trials(
-            _crash7_task, 12, jobs=2, chunk=4, max_retries=1,
+            _Crash7, indices=range(12), jobs=2, chunk=4, max_retries=1,
             on_event=lambda kind, detail: kinds.append(kind), **FAST,
         )
         failure = results[7]
@@ -115,7 +108,7 @@ class TestSupervisedPool:
     def test_hanging_trial_hits_deadline_and_is_quarantined(self):
         kinds = []
         results = map_trials(
-            _hang5_task, 8, jobs=2, chunk=4, max_retries=0,
+            _Hang5, indices=range(8), jobs=2, chunk=4, max_retries=0,
             timeout=0.2, timeout_grace=1.0,
             on_event=lambda kind, detail: kinds.append(kind), **FAST,
         )
@@ -127,36 +120,10 @@ class TestSupervisedPool:
         ]
         assert "timeout" in kinds
 
-    def test_raising_trial_does_not_poison_chunk_mates(self):
-        results = map_trials(_raise3_task, 10, jobs=2, chunk=5, max_retries=1, **FAST)
-        failure = results[3]
-        assert isinstance(failure, TrialFailure)
-        assert failure.reason == "error" and failure.exc_type == "ValueError"
-        assert "poison trial" in failure.message
-        assert failure.attempts == 2  # original run + one retry
-        assert [r for i, r in enumerate(results) if i != 3] == [
-            i for i in range(10) if i != 3
-        ]
-
-    def test_inline_raising_trial_is_retried_then_quarantined(self):
-        kinds = []
-        results = map_trials(
-            _raise3_task, 10, jobs=1, chunk=5, max_retries=1,
-            on_event=lambda kind, detail: kinds.append(kind),
-        )
-        failure = results[3]
-        assert isinstance(failure, TrialFailure)
-        assert failure.reason == "error" and failure.exc_type == "ValueError"
-        assert failure.attempts == 2  # original run + one retry, as in the pool
-        assert [r for i, r in enumerate(results) if i != 3] == [
-            i for i in range(10) if i != 3
-        ]
-        assert kinds == ["retry", "quarantine"]
-
     def test_degrades_to_inline_when_pool_never_completes_a_chunk(self):
         kinds = []
         results = map_trials(
-            _worker_crash_task, 6, jobs=2, chunk=2, max_retries=0, max_rebuilds=1,
+            _WorkerCrash, indices=range(6), jobs=2, chunk=2, max_retries=0, max_rebuilds=1,
             on_event=lambda kind, detail: kinds.append(kind), **FAST,
         )
         # Inline fallback runs in the parent, where the task succeeds.
@@ -164,11 +131,12 @@ class TestSupervisedPool:
         assert "degrade" in kinds
 
     def test_explicit_indices_run_the_gap_set(self):
-        assert map_trials(_square_task, 0, jobs=1, indices=[3, 9, 4]) == [9, 81, 16]
+        assert map_trials(_Squares, jobs=1, indices=[3, 9, 4]) == [9, 81, 16]
 
     def test_on_result_streams_inline_results(self):
         seen = []
-        map_trials(_square_task, 4, jobs=1, on_result=lambda i, v: seen.append((i, v)))
+        map_trials(_Squares, indices=range(4), jobs=1,
+                   on_result=lambda i, v: seen.append((i, v)))
         assert seen == [(0, 0), (1, 1), (2, 4), (3, 9)]
 
 
@@ -335,6 +303,10 @@ class TestCheckpointResume:
         uninterrupted = tmp_path / "uninterrupted.jsonl"
         run_campaign(spec, checkpoint=uninterrupted)
         assert path.read_bytes() == uninterrupted.read_bytes()
+        # The two run manifests agree on every deterministic fact: the
+        # check `repro-obs diff` makes.
+        (want, _), (got, _) = default_obs_paths(uninterrupted), default_obs_paths(path)
+        assert compare_runs(load_run(want), load_run(got)) == []
 
     def test_last_line_for_an_index_wins(self, tmp_path):
         # A re-run trial's new line is appended after its old one; the

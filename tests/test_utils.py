@@ -65,32 +65,34 @@ class TestParallel:
 
     def test_chunk_validated(self):
         with pytest.raises(ValueError, match="chunk"):
-            map_trials(_square_factory, 5, jobs=1, chunk=0)
+            map_trials(_Squares, indices=range(5), jobs=1, chunk=0)
 
     def test_inline_path(self):
-        results = map_trials(lambda: (lambda i: i * i), 5, jobs=1)
-        assert results == [0, 1, 4, 9, 16]
+        assert map_trials(_Squares, indices=range(5), jobs=1) == [0, 1, 4, 9, 16]
 
     def test_factory_called_once_inline(self):
         calls = []
 
         def factory():
             calls.append(1)
-            return lambda i: i
+            return _Squares()
 
-        map_trials(factory, 10, jobs=1)
+        map_trials(factory, indices=range(10), jobs=1, chunk=3)
         assert len(calls) == 1
 
     def test_parallel_preserves_order(self):
-        results = map_trials(_square_factory, 37, jobs=2, chunk=5)
+        results = map_trials(_Squares, indices=range(37), jobs=2, chunk=5)
         assert results == [i * i for i in range(37)]
 
     def test_single_trial_runs_inline(self):
-        assert map_trials(_square_factory, 1, jobs=8) == [0]
+        assert map_trials(_Squares, indices=[0], jobs=8) == [0]
 
 
-def _square_factory():
-    return lambda i: i * i
+class _Squares:
+    """Toy slice task (the class is its own factory): trial ``i`` is ``i * i``."""
+
+    def run_many(self, indices: list[int]) -> list[int]:
+        return [i * i for i in indices]
 
 
 class TestValidation:
