@@ -71,6 +71,30 @@ def any_dtype(request):
     return DTYPES[request.param]
 
 
+def reference_datapath(network, dtype, fault, golden, storage_dtype=None):
+    """Independent per-chain oracle for a datapath fault's preparation.
+
+    The victim's chain is rebuilt with ``mac_operands`` and replayed
+    alone, clean and faulty, by :func:`~repro.core.injector.replay_chain`
+    (a 1-D ``multiply`` + ``partials`` from step 0 each time).  A block
+    output is narrowed to ``storage_dtype``; a faulty value that differs
+    from the clean one (NaN-aware) patches a copy of the golden output.
+    """
+    from repro.core.injector import PreparedInjection, replay_chain
+
+    li = fault.layer_index
+    chain = network.layers[li].mac_operands(golden.activations[li], fault.out_index, dtype)
+    clean, faulty = replay_chain(dtype, chain), replay_chain(dtype, chain, fault)
+    if storage_dtype is not None and li in network.block_output_indices():
+        clean, faulty = (float(storage_dtype.quantize(np.array([v]))[0]) for v in (clean, faulty))
+    if faulty == clean or (np.isnan(faulty) and np.isnan(clean)):
+        return PreparedInjection(li + 1, True, clean, clean)
+    act = golden.activations[li + 1].copy()
+    act[fault.out_index] = faulty
+    rows = (fault.out_index[1], fault.out_index[1] + 1) if len(fault.out_index) == 3 else None
+    return PreparedInjection(li + 1, False, clean, faulty, act, rows)
+
+
 def reference_campaign(spec) -> SimpleNamespace:
     """Run ``spec`` trial by trial through the full-recompute path.
 
@@ -78,9 +102,11 @@ def reference_campaign(spec) -> SimpleNamespace:
     (every tail layer recomputed for that trial alone) and classified —
     never through ``run_many``, grouping or delta propagation — so it is
     an independent reference for what a campaign must produce at any
-    ``batch``.  Returns ``records`` (trial order), ``metrics`` (snapshot
-    of the folded records), ``traces`` (index -> row for the traced
-    subset) and ``masked`` (per trial: masked at injection).
+    ``batch``.  A datapath trial's corruption comes from the per-chain
+    oracle :func:`reference_datapath`, not from the engine's build.
+    Returns ``records`` (trial order), ``metrics`` (snapshot of the
+    folded records), ``traces`` (index -> row for the traced subset) and
+    ``masked`` (per trial: masked at injection).
     """
     from repro.core.campaign import _CampaignTask, record_trial_metrics
     from repro.core.injector import finish_injection
@@ -92,7 +118,12 @@ def reference_campaign(spec) -> SimpleNamespace:
     out = SimpleNamespace(records=[], metrics=None, traces={}, masked=[])
     for trial in range(spec.n_trials):
         fault, meta = task.sample_trial(trial)
-        prep = task.build_trial(fault, meta)
+        if spec.target == "datapath":
+            prep = reference_datapath(
+                task.network, task.dtype, fault, meta["golden"], task.storage_dtype
+            )
+        else:
+            prep = task.build_trial(fault, meta)
         injection = finish_injection(
             task.network, task.dtype, prep, meta["golden"],
             record=meta["record"], storage_dtype=task.storage_dtype,

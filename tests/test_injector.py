@@ -5,8 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core.fault import BufferFault, DatapathFault, sample_buffer_fault
-from repro.core.injector import inject_buffer, inject_datapath, prepare_buffer, replay_chain
+from repro.core.fault import DATAPATH_LATCHES, BufferFault, DatapathFault, sample_buffer_fault
+from repro.core.injector import (
+    inject_buffer,
+    inject_datapath,
+    prepare_buffer,
+    prepare_datapath,
+    replay_chain,
+)
 from repro.dtypes import DOUBLE, DTYPES, FLOAT16, FXP_16B_RB10
 from repro.dtypes.base import DataType
 from repro.nn import Conv2D, Dense, Flatten, Network
@@ -14,7 +20,7 @@ from repro.nn.im2col import window_out_span
 from repro.nn.layers.base import MacChain
 from repro.utils.rng import child_rng
 from repro.zoo.registry import eval_inputs, get_network
-from tests.conftest import build_tiny_network
+from tests.conftest import build_tiny_network, reference_datapath
 
 
 def chain_of(weights, inputs, bias=0.0):
@@ -382,6 +388,110 @@ class TestRowActivationReference:
             assert nonfinite > 0  # top-exponent flips reached inf/NaN
         if dtype_name == "16b_rb10":
             assert saturated > 0  # integer-bit flips saturated mid-chain
+
+
+def _faulty_addends(dtype, chain, fault) -> np.ndarray:
+    """The faulty chain as its accumulator adds it: the start value, then
+    each later addend.  Its unsaturated float64 cumsum leaves the
+    format's range exactly when the fixed-point accumulator saturates."""
+    k = fault.step
+    products = dtype.multiply(chain.weights, chain.inputs)
+
+    def running(n):  # the clean sum after n steps
+        return replay_chain(dtype, MacChain(chain.weights[:n], chain.inputs[:n], chain.bias))
+
+    def flip(v):
+        return dtype.flip_bits(np.array([v]), fault.bit, fault.burst)[0]
+
+    if fault.latch == "psum":
+        return np.concatenate(([flip(running(k))], products[k:]))
+    if fault.latch == "accumulator":
+        return np.concatenate(([flip(running(k + 1))], products[k + 1 :]))
+    w, a = chain.weights[k], chain.inputs[k]
+    if fault.latch == "weight_operand":
+        products[k] = dtype.multiply(np.array([flip(w)]), np.array([a]))[0]
+    elif fault.latch == "input_operand":
+        products[k] = dtype.multiply(np.array([w]), np.array([flip(a)]))[0]
+    else:
+        products[k] = flip(products[k])
+    return np.concatenate(([chain.bias], products))
+
+
+def _datapath_faults(network, golden, dtype, seed=7):
+    """Every latch at steps 0, K-1 and a drawn middle step of two chains
+    per MAC layer: a drawn output element and one whose value lies in
+    [1, 2) (top-exponent flips of it are inf/NaN).  Each with a drawn
+    single bit, a drawn 2-bit burst, a 2-bit burst clipped at the MSB and
+    the top non-sign bit."""
+    g = np.random.default_rng(seed)
+    width = dtype.width
+    faults = []
+    for li in network.mac_layer_indices():
+        layer, in_shape = network.layers[li], network.shapes[li]
+        out = golden.activations[li + 1]
+        length = layer.chain_length(in_shape)
+        hits = np.argwhere((np.abs(out) >= 1) & (np.abs(out) < 2))
+        big = hits[0] if len(hits) else np.unravel_index(np.argmax(np.abs(out)), out.shape)
+        drawn = np.unravel_index(int(g.integers(layer.output_elements(in_shape))), out.shape)
+        steps = sorted({0, length - 1, int(g.integers(length))})
+        bits = [(int(g.integers(width)), 1), (int(g.integers(width - 1)), 2), (width - 1, 2),
+                (width - 2, 1)]
+        for out_index in (tuple(int(v) for v in ix) for ix in (big, drawn)):
+            for step in steps:
+                for latch in DATAPATH_LATCHES:
+                    for bit, burst in bits:
+                        faults.append(DatapathFault(li, out_index, step, latch, bit, burst))
+    return faults
+
+
+class TestDatapathReference:
+    """``prepare_datapath`` against the per-chain oracle
+    (``tests/conftest.py::reference_datapath``), field for field."""
+
+    @pytest.mark.parametrize(
+        "dtype_name,storage_name", ROW_CONFIGS,
+        ids=[f"{d}/{s}" if s else d for d, s in ROW_CONFIGS],
+    )
+    def test_matches_per_chain_reference(self, dtype_name, storage_name):
+        dtype = DTYPES[dtype_name]
+        storage = DTYPES[storage_name] if storage_name else None
+        x_small = np.random.default_rng(0).normal(0.0, 1.0, (3, 8, 8))
+        cases = [
+            (build_tiny_network(), x_small),
+            (get_network("ConvNet"), eval_inputs("ConvNet", 1)[0]),
+        ]
+        seen = dict.fromkeys(("unmasked", "saturated", "nonfinite", "narrowed", "fc"), 0)
+        for network, x in cases:
+            golden = network.forward(x, dtype=dtype, record=True, storage_dtype=storage)
+            faults = _datapath_faults(network, golden, dtype)
+            preps = [prepare_datapath(network, dtype, f, golden, storage) for f in faults]
+            for fault, prep in zip(faults, preps):
+                ref = reference_datapath(network, dtype, fault, golden, storage)
+                assert prep.resume_index == ref.resume_index, fault
+                assert prep.masked == ref.masked, fault
+                assert _same_bits(prep.value_before, ref.value_before), fault
+                assert _same_bits(prep.value_after, ref.value_after), fault
+                assert prep.dirty_rows == ref.dirty_rows, fault
+                if not ref.masked:
+                    assert prep.act.tobytes() == ref.act.tobytes(), fault
+                li = fault.layer_index
+                chain = network.layers[li].mac_operands(golden.activations[li], fault.out_index,
+                                                        dtype)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    running = np.cumsum(_faulty_addends(dtype, chain, fault))
+                seen["saturated"] += bool(np.any((running > dtype.max_value)
+                                                 | (running < dtype.min_value)))
+                seen["nonfinite"] += not np.isfinite(ref.value_after)
+                seen["unmasked"] += not ref.masked
+                seen["fc"] += len(fault.out_index) == 1 and not ref.masked
+                seen["narrowed"] += bool(storage) and li in network.block_output_indices()
+        assert seen["unmasked"] > 0 and seen["fc"] > 0, seen
+        if dtype.is_float:
+            assert seen["nonfinite"] > 0, seen  # top-exponent flips reached inf/NaN
+        else:
+            assert seen["saturated"] > 0, seen  # the faulty accumulator hit a rail
+        if storage is not None:
+            assert seen["narrowed"] > 0, seen
 
 
 class TestRowActivationCost:
