@@ -35,6 +35,7 @@ from repro.core.injector import (
     finish_injection,
     prepare_buffer,
     prepare_datapath,
+    replay_datapath,
 )
 from repro.core.outcome import SDC_CLASSES, Outcome, classify_outcome
 from repro.core.stats import RateEstimate, wilson_halfwidth
@@ -707,11 +708,16 @@ class _CampaignTask:
         }
         return fault, meta
 
-    def build_trial(self, fault, meta: dict):
-        """Build a sampled fault's corruption (no propagation yet)."""
+    def build_trial(self, fault, meta: dict, replayed: tuple[float, float] | None = None):
+        """Build a sampled fault's corruption (no propagation yet).
+
+        ``replayed`` is a datapath fault's ``(clean, faulty)`` chain pair
+        from :meth:`_replay_slice`; without it the chain is replayed here.
+        """
         if self.spec.target == "datapath":
             return prepare_datapath(
-                self.network, self.dtype, fault, meta["golden"], self.storage_dtype
+                self.network, self.dtype, fault, meta["golden"], self.storage_dtype,
+                replayed=replayed,
             )
         return prepare_buffer(
             self.network, self.dtype, fault, meta["golden"], self.storage_dtype
@@ -833,26 +839,39 @@ class _CampaignTask:
     def run_many(self, indices: list[int]) -> list:
         """Run a slice of trials; the only way a campaign trial executes.
 
-        Sampling, corruption building, classification and the metric
-        folds stay per-trial.  Masked preparations finish without
-        propagation; the rest are grouped by resume layer
+        The whole slice is sampled first.  Its datapath chains are then
+        replayed together, one :func:`replay_datapath` call per MAC
+        layer; building (masking, narrowing, the patch), classification
+        and the metric folds stay per-trial.  Masked preparations finish
+        without propagation; the rest are grouped by resume layer
         (``spec.storage_dtype`` is constant per campaign, so the resume
         index alone determines the tail computation) and delta-propagated
         through ``forward_from_batch`` in groups of at most
         ``group_size``.  Results are positionally aligned with
-        ``indices`` and bit-identical for every group size.
+        ``indices`` and bit-identical for every slice and group size.
         """
         results: list = [None] * len(indices)
-        groups: dict[int, list] = {}
+        sampled = []
         for pos, trial in enumerate(indices):
             try:
-                with span("trial"):
+                with span("sample"):
                     fault, meta = self.sample_trial(trial)
                     skip = self._maybe_skip(trial, meta)
-                    if skip is not None:
-                        results[pos] = skip
-                        continue
-                    prep = self.build_trial(fault, meta)
+            except Exception as exc:
+                results[pos] = self._quarantine(trial, exc, self.last_site)
+                continue
+            if skip is not None:
+                results[pos] = skip
+            else:
+                sampled.append((pos, trial, fault, meta))
+        replayed = self._replay_slice(sampled, results)
+        groups: dict[int, list] = {}
+        for pos, trial, fault, meta in sampled:
+            if results[pos] is not None:
+                continue  # its chain replay failed on its own
+            try:
+                with span("trial"):
+                    prep = self.build_trial(fault, meta, replayed.get(pos))
                     if prep.masked:
                         injection = finish_injection(
                             self.network, self.dtype, prep, meta["golden"],
@@ -864,7 +883,7 @@ class _CampaignTask:
                             (pos, trial, prep, meta)
                         )
             except Exception as exc:
-                results[pos] = self._quarantine(trial, exc, self.last_site)
+                results[pos] = self._quarantine(trial, exc, meta["site"])
         for items in groups.values():
             # Cluster corruptions on nearby rows into the same batch: the
             # delta engine recomputes each batch's *union* row span, so a
@@ -879,6 +898,41 @@ class _CampaignTask:
             for start in range(0, len(items), self.group_size):
                 self._run_group(items[start : start + self.group_size], results)
         return results
+
+    def _replay_slice(self, sampled: list, results: list) -> dict[int, tuple[float, float]]:
+        """Replay a slice's datapath chains, one call per MAC layer.
+
+        Returns slice position -> ``(clean, faulty)``.  Buffer targets
+        build each trial on its own and get an empty map.
+        """
+        if self.spec.target != "datapath":
+            return {}
+        layers: dict[int, list] = {}
+        for item in sampled:
+            layers.setdefault(item[2].layer_index, []).append(item)
+        replayed: dict[int, tuple[float, float]] = {}
+        for items in layers.values():
+            self._replay_layer(items, results, replayed)
+        return replayed
+
+    def _replay_layer(self, items: list, results: list, replayed: dict) -> None:
+        try:
+            with span("replay_datapath"):
+                values = replay_datapath(
+                    self.network, self.dtype, [fault for _, _, fault, _ in items],
+                    [meta["golden"] for _, _, _, meta in items],
+                )
+        except Exception as exc:
+            if len(items) == 1:
+                pos, trial, _, meta = items[0]
+                results[pos] = self._quarantine(trial, exc, meta["site"])
+                return
+            # As in _run_group: re-run the layer's trials one at a time,
+            # so only a trial whose chain fails on its own is quarantined.
+            for item in items:
+                self._replay_layer([item], results, replayed)
+            return
+        replayed.update((pos, value) for (pos, _, _, _), value in zip(items, values))
 
     def _run_group(self, items: list, results: list) -> None:
         resume_index = items[0][2].resume_index

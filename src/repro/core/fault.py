@@ -15,13 +15,15 @@ uniform along the accumulation chain, bit uniform across the data width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.accel.buffers import FAULT_SCOPES
 from repro.accel.occupancy import OccupancyModel
 from repro.dtypes.base import DataType
+from repro.nn.im2col import window_out_span
 from repro.nn.layers import Conv2D
 from repro.nn.network import Network
 
@@ -103,9 +105,84 @@ class BufferFault:
             raise ValueError("burst must be >= 1")
 
 
-def _choose_weighted(rng: np.random.Generator, items: list[int], weights: list[int]) -> int:
+@dataclass(frozen=True)
+class _Tables:
+    """Sampling tables of one network, built once per network object.
+
+    A weighted draw reads ``items[cdf.searchsorted(rng.random(),
+    side="right")]``: the same uniform and the same comparison as
+    ``rng.choice(items, p=w / w.sum())``, so every campaign's faults
+    are the ones the per-trial weights gave.
+    """
+
+    #: MAC layer indices and the cdf of their MAC counts.
+    mac_layers: tuple[int, ...]
+    mac_cdf: np.ndarray
+    #: MAC layer index -> (output shape, output elements, chain length).
+    chains: dict[int, tuple[tuple[int, ...], int, int]]
+    #: Buffer scope -> (candidate layers, cdf of their resident data).
+    scopes: dict[str, tuple[tuple[int, ...], np.ndarray]]
+    #: Buffer scope -> (occupancy model, usable layers, cdf of their
+    #: exposures), for the model a campaign last drew with.
+    occupancy: dict[str, tuple[OccupancyModel, tuple[int, ...], np.ndarray]] = field(
+        default_factory=dict
+    )
+
+
+def _cdf(weights: list[float]) -> np.ndarray:
+    """The cdf ``rng.choice`` builds from the probabilities ``w / w.sum()``."""
     w = np.asarray(weights, dtype=np.float64)
-    return int(rng.choice(items, p=w / w.sum()))
+    if not w.size:
+        return w
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, items: tuple[int, ...], cdf: np.ndarray) -> int:
+    if not items:
+        raise ValueError("no candidate layer to draw a fault site from")
+    return items[int(cdf.searchsorted(rng.random(), side="right"))]
+
+
+#: Network -> its tables.  A network's topology is fixed at construction.
+_TABLES: weakref.WeakKeyDictionary[Network, _Tables] = weakref.WeakKeyDictionary()
+
+
+def _tables(network: Network) -> _Tables:
+    tables = _TABLES.get(network)
+    if tables is not None:
+        return tables
+    macs = network.mac_counts()
+    mac_idx = tuple(macs)
+    chains = {}
+    for li in mac_idx:
+        layer, in_shape = network.layers[li], network.shapes[li]
+        chains[li] = (
+            tuple(layer.out_shape(in_shape)), layer.output_elements(in_shape),
+            layer.chain_length(in_shape),
+        )
+    convs = tuple(i for i in mac_idx if isinstance(network.layers[i], Conv2D))
+    sizes = {i: int(np.prod(network.shapes[i])) for i in mac_idx}
+    scopes = {
+        "layer_weight": (
+            mac_idx, _cdf([network.layers[i].params()["weight"].size for i in mac_idx])
+        ),
+        # Img REG serves the sliding-window convolutions.
+        "row_activation": (convs, _cdf([sizes[i] for i in convs])),
+        "next_layer": (mac_idx, _cdf([sizes[i] for i in mac_idx])),
+    }
+    tables = _TABLES[network] = _Tables(mac_idx, _cdf(list(macs.values())), chains, scopes)
+    return tables
+
+
+def _unravel(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """``np.unravel_index`` of an in-range flat index, as Python ints."""
+    index = []
+    for extent in reversed(shape):
+        flat, rem = divmod(flat, extent)
+        index.append(rem)
+    return tuple(reversed(index))
 
 
 def sample_datapath_fault(
@@ -127,19 +204,18 @@ def sample_datapath_fault(
         bit: Pin the bit position (None = uniform over the word).
         layer_index: Pin the victim MAC layer (None = MAC-weighted).
     """
-    mac_counts = network.mac_counts()
+    tables = _tables(network)
     if layer_index is None:
-        layer_index = _choose_weighted(rng, list(mac_counts), list(mac_counts.values()))
-    elif layer_index not in mac_counts:
+        layer_index = _draw(rng, tables.mac_layers, tables.mac_cdf)
+    elif layer_index not in tables.chains:
         raise ValueError(f"layer {layer_index} is not a MAC layer")
-    layer = network.layers[layer_index]
-    in_shape = network.shapes[layer_index]
-    flat = int(rng.integers(layer.output_elements(in_shape)))
-    out_index = layer.unravel_output(flat, in_shape)
-    step = int(rng.integers(layer.chain_length(in_shape)))
-    chosen_latch = latch if latch is not None else str(rng.choice(DATAPATH_LATCHES))
+    out_shape, n_out, length = tables.chains[layer_index]
+    out_index = _unravel(int(rng.integers(n_out)), out_shape)
+    step = int(rng.integers(length))
+    if latch is None:
+        latch = DATAPATH_LATCHES[int(rng.integers(0, len(DATAPATH_LATCHES)))]
     chosen_bit = int(rng.integers(dtype.width)) if bit is None else bit
-    return DatapathFault(layer_index, out_index, step, chosen_latch, chosen_bit, burst)
+    return DatapathFault(layer_index, out_index, step, latch, chosen_bit, burst)
 
 
 #: Buffer scope -> Eyeriss component whose occupancy weights apply.
@@ -152,19 +228,20 @@ SCOPE_COMPONENT = {
 
 
 def _occupancy_layer(
+    tables: _Tables,
     occupancy: OccupancyModel,
     scope: str,
-    candidates: list[int],
     rng: np.random.Generator,
 ) -> int | None:
     """Draw a victim layer from the schedule's exposure weights."""
-    weights = occupancy.layer_weights(SCOPE_COMPONENT[scope])
-    usable = {li: w for li, w in weights.items() if li in candidates}
-    if not usable:
-        return None
-    items = list(usable)
-    probs = np.array([usable[i] for i in items])
-    return int(rng.choice(items, p=probs / probs.sum()))
+    cached = tables.occupancy.get(scope)
+    if cached is None or cached[0] is not occupancy:
+        weights = occupancy.layer_weights(SCOPE_COMPONENT[scope])
+        candidates = tables.scopes[scope][0]
+        usable = {li: w for li, w in weights.items() if li in candidates}
+        cached = tables.occupancy[scope] = (occupancy, tuple(usable), _cdf(list(usable.values())))
+    _, items, cdf = cached
+    return _draw(rng, items, cdf) if items else None
 
 
 def sample_buffer_fault(
@@ -186,43 +263,23 @@ def sample_buffer_fault(
     is drawn from the schedule's bit-cycle exposures instead — a strike
     uniform in space *and time* on the mapped accelerator.
     """
-    mac_idx = network.mac_layer_indices()
+    tables = _tables(network)
     chosen_bit = int(rng.integers(dtype.width)) if bit is None else bit
 
-    if scope == "layer_weight":
-        li = _occupancy_layer(occupancy, scope, mac_idx, rng) if occupancy else None
+    if scope in ("layer_weight", "row_activation", "next_layer"):
+        li = _occupancy_layer(tables, occupancy, scope, rng) if occupancy else None
         if li is None:
-            weights = [int(network.layers[i].params()["weight"].size) for i in mac_idx]
-            li = _choose_weighted(rng, mac_idx, weights)
-        wshape = network.layers[li].params()["weight"].shape
-        victim = tuple(int(v) for v in np.unravel_index(int(rng.integers(int(np.prod(wshape)))), wshape))
-        return BufferFault(scope, li, victim, chosen_bit, burst)
-
-    if scope in ("row_activation", "next_layer"):
-        if scope == "row_activation":
-            candidates = [
-                i for i in mac_idx if isinstance(network.layers[i], Conv2D)
-            ]  # Img REG serves the sliding-window convolutions
-        else:
-            candidates = mac_idx
-        li = _occupancy_layer(occupancy, scope, candidates, rng) if occupancy else None
-        if li is None:
-            sizes = [int(np.prod(network.shapes[i])) for i in candidates]
-            li = _choose_weighted(rng, candidates, sizes)
-        in_shape = network.shapes[li]
-        victim = tuple(int(v) for v in np.unravel_index(int(rng.integers(int(np.prod(in_shape)))), in_shape))
+            li = _draw(rng, *tables.scopes[scope])
+        layer = network.layers[li]
+        shape = layer.params()["weight"].shape if scope == "layer_weight" else network.shapes[li]
+        victim = _unravel(int(rng.integers(int(np.prod(shape)))), shape)
         residency_row = -1
         if scope == "row_activation":
-            layer = network.layers[li]
-            _, oh, _ = layer.out_shape(in_shape)
-            y = victim[1]
-            # Output rows whose windows cover input row y.
-            rows = [
-                oy
-                for oy in range(oh)
-                if oy * layer.stride - layer.pad <= y <= oy * layer.stride - layer.pad + layer.kernel - 1
-            ]
-            residency_row = int(rng.choice(rows)) if rows else 0
+            # Output rows whose windows cover input row victim[1].
+            out_h = tables.chains[li][0][1]
+            lo, hi = window_out_span(victim[1], victim[1] + 1, layer.kernel, layer.stride,
+                                     layer.pad, out_h)
+            residency_row = lo + int(rng.integers(0, hi - lo)) if hi > lo else 0
         return BufferFault(scope, li, victim, chosen_bit, burst, residency_row)
 
     if scope == "single_read":

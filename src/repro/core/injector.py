@@ -35,6 +35,7 @@ delta-propagates each group (of one or more trials) in one call.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,13 +44,14 @@ from repro.dtypes.base import DataType
 from repro.nn.im2col import window_out_span
 from repro.nn.layers.base import MacChain, MacLayer
 from repro.nn.network import InferenceResult, Network
-from repro.core.fault import BufferFault, DatapathFault
+from repro.core.fault import DATAPATH_LATCHES, BufferFault, DatapathFault
 from repro.obs.spans import span
 
 __all__ = [
     "InjectionResult",
     "PreparedInjection",
     "replay_chain",
+    "replay_datapath",
     "prepare_datapath",
     "prepare_buffer",
     "finish_injection",
@@ -207,12 +209,99 @@ def finish_injection(
     )
 
 
+def replay_datapath(
+    network: Network,
+    dtype: DataType,
+    faults: Sequence[DatapathFault],
+    goldens: Sequence[InferenceResult],
+) -> list[tuple[float, float]]:
+    """Replay the chains of many datapath faults on one MAC layer at once.
+
+    Fault ``i`` hits a chain over the layer input that ``goldens[i]``
+    recorded.  Every chain is gathered, multiplied and accumulated clean
+    in one pass.  An upset read at MAC step k leaves every earlier
+    partial sum intact (the paper's Figure 1b), so each faulty chain
+    restarts from a clean running sum and replays only the later steps:
+
+    - ``weight_operand`` / ``input_operand`` / ``product``: from the sum
+      entering step k, adding the faulty product, then steps k+1 on;
+    - ``psum``: from the flipped sum entering step k, then steps k on;
+    - ``accumulator``: from the flipped sum leaving step k, then steps
+      k+1 on.
+
+    The suffixes differ in length, so they are left-aligned, accumulated
+    in one more pass and read each at its own last column (padding
+    after a chain's end never reaches its result).
+
+    Returns:
+        Each fault's ``(clean, faulty)`` chain result, bit-identical to
+        :func:`replay_chain` without and with the fault.
+    """
+    li = faults[0].layer_index
+    layer = network.layers[li]
+    if not isinstance(layer, MacLayer):
+        raise TypeError(f"layer {li} is not a MAC layer")
+    if any(f.layer_index != li for f in faults):
+        raise ValueError("replay_datapath takes faults on one MAC layer")
+    if any(f.latch not in DATAPATH_LATCHES for f in faults):
+        raise ValueError(f"unknown latch in {[f.latch for f in faults]}")
+    length = layer.chain_length(network.shapes[li])
+    step = np.array([f.step for f in faults])
+    if np.any(step >= length):
+        raise ValueError(f"fault step outside chain of length {length}")
+    n = len(faults)
+    weights, inputs, bias = np.empty((n, length)), np.empty((n, length)), np.empty(n)
+    out_index = np.array([f.out_index for f in faults])
+    by_input: dict[int, list[int]] = {}
+    for i, golden in enumerate(goldens):
+        by_input.setdefault(id(golden), []).append(i)
+    for rows in by_input.values():
+        x = goldens[rows[0]].activations[li]
+        weights[rows], inputs[rows], bias[rows] = layer.mac_operand_rows(x, out_index[rows], dtype)
+    products = dtype.multiply(weights, inputs)
+    # running[:, k] is the partial sum entering step k; the last column
+    # is the chain's result.
+    running = dtype.partials(np.concatenate((bias[:, None], products), axis=1))
+
+    latch = np.array([f.latch for f in faults])
+    bit = np.array([f.bit for f in faults])
+    burst = np.array([f.burst for f in faults])
+
+    def flipped(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        return dtype.flip_bits(values[sel], bit[sel], burst[sel])
+
+    rows = np.arange(n)
+    on_w, on_a, on_p = (latch == kind for kind in ("weight_operand", "input_operand", "product"))
+    w_k, a_k = weights[rows, step], inputs[rows, step]
+    w_k[on_w] = flipped(w_k, on_w)
+    a_k[on_a] = flipped(a_k, on_a)
+    bad = dtype.multiply(w_k, a_k)
+    bad[on_p] = flipped(products[rows, step], on_p)
+
+    on_acc = latch == "accumulator"
+    first = step + on_acc  # the first product a suffix adds
+    start = running[rows, first]
+    for sel in (latch == "psum", on_acc):
+        start[sel] = flipped(start, sel)
+    count = length - first
+    cols = first[:, None] + np.arange(count.max())
+    suffix = np.empty((n, 1 + cols.shape[1]))
+    suffix[:, 0] = start
+    suffix[:, 1:] = np.where(cols < length, products[rows[:, None], cols.clip(max=length - 1)], 0.0)
+    on_product = on_w | on_a | on_p
+    if on_product.any():
+        suffix[on_product, 1] = bad[on_product]
+    faulty = dtype.partials(suffix)[rows, count]
+    return list(zip(running[:, -1].tolist(), faulty.tolist()))
+
+
 def prepare_datapath(
     network: Network,
     dtype: DataType,
     fault: DatapathFault,
     golden: InferenceResult,
     storage_dtype: DataType | None = None,
+    replayed: tuple[float, float] | None = None,
 ) -> PreparedInjection:
     """Build (without propagating) one datapath-latch corruption.
 
@@ -224,29 +313,30 @@ def prepare_datapath(
             same input under the same formats.
         storage_dtype: Reduced-precision buffer storage format, when the
             golden run used one (Proteus protocol, paper section 6.1).
+        replayed: The fault's ``(clean, faulty)`` chain results from a
+            :func:`replay_datapath` call the caller made for a whole
+            slice; when None, a batch of one is replayed here.  Masking,
+            narrowing and the patch are decided per trial either way.
     """
-    layer = network.layers[fault.layer_index]
-    if not isinstance(layer, MacLayer):
-        raise TypeError(f"layer {fault.layer_index} is not a MAC layer")
-    x = golden.activations[fault.layer_index]
     with span("inject_datapath"):
-        chain = layer.mac_operands(x, fault.out_index, dtype)
-        clean = replay_chain(dtype, chain)
-        faulty = replay_chain(dtype, chain, fault)
-        if storage_dtype is not None and fault.layer_index in network.block_output_indices():
+        if replayed is None:
+            (replayed,) = replay_datapath(network, dtype, [fault], [golden])
+        clean, faulty = replayed
+        li = fault.layer_index
+        if storage_dtype is not None and li in network.block_output_indices():
             # The corrupted MAC result is immediately narrowed for storage.
             clean = float(storage_dtype.quantize(np.array([clean]))[0])
             faulty = float(storage_dtype.quantize(np.array([faulty]))[0])
         if faulty == clean or (np.isnan(faulty) and np.isnan(clean)):
-            return PreparedInjection(fault.layer_index + 1, True, clean, clean)
-        act = golden.activations[fault.layer_index + 1].copy()
+            return PreparedInjection(li + 1, True, clean, clean)
+        act = golden.activations[li + 1].copy()
         act[fault.out_index] = faulty
     rows = (
         (fault.out_index[1], fault.out_index[1] + 1)
         if len(fault.out_index) == 3
         else None  # FC output: no spatial locality to exploit
     )
-    return PreparedInjection(fault.layer_index + 1, False, clean, faulty, act, rows)
+    return PreparedInjection(li + 1, False, clean, faulty, act, rows)
 
 
 def inject_datapath(
@@ -328,10 +418,10 @@ def _prepare_row_activation(
     window re-reads the (correct) value from the Filter/Global buffers.
     Every filter reads the same taps, so each affected column's taps are
     gathered once and one broadcast multiply forms the products of all
-    (filter, column) chains.  The corrupt products differ only at the
-    victim's tap, which each affected window reads exactly once.  Both
-    sets of chains are replayed bit-exactly in one vectorized accumulate
-    each.
+    (filter, column) chains.  The corrupt chains differ only at the
+    victim's tap, which each affected window reads exactly once, so they
+    share the clean chains' running sums up to it: one accumulate pass
+    replays the clean chains and one more the corrupt suffixes.
     """
     layer = network.layers[fault.layer_index]
     store = storage_dtype or dtype
@@ -357,17 +447,30 @@ def _prepare_row_activation(
     taps = np.stack([layer.mac_operands(x, (0, oy, ox), dtype).inputs for ox in cols])
     w, b = layer.quantized_weights(dtype)
     w = w.reshape(len(w), -1)  # (filters, taps), in mac_operands' tap order
-    prods_ok = dtype.multiply(w[:, None, :], taps[None, :, :])
+    n_taps = w.shape[1]
+    # Native products: an IEEE chain then runs multiply to accumulate in
+    # its own dtype, with no float64 round trip over the whole array.
+    prods = dtype.multiply(w[:, None, :], taps[None, :, :], native=True)
     # Column ``ox`` reads the victim at tap c*k*k + dy*k + (xx - (ox*s - p)).
     tap = c * k * k + dy * k + xx_pos - (cols * layer.stride - layer.pad)
-    prods_bad = prods_ok.copy()
-    prods_bad[:, np.arange(cols.size), tap] = dtype.multiply(
-        w[:, tap], dtype.quantize(np.array([after]))
-    )
-    # Filter-major rows: chain f * ncols + j is output (f, oy, lo + j).
-    bias_vec = np.repeat(b, cols.size)
-    v_bad = dtype.accumulate_batch(prods_bad.reshape(-1, w.shape[1]), bias_vec)
-    v_ok = dtype.accumulate_batch(prods_ok.reshape(-1, w.shape[1]), bias_vec)
+    bad = dtype.multiply(w[:, tap], dtype.quantize(np.array([after])), native=True)
+    # Chain (f, j) is output (f, oy, lo + j); running[f, j, t] is its
+    # partial sum entering tap t, and the last column its result.
+    bias = np.broadcast_to(b[:, None, None], (len(w), cols.size, 1)).astype(prods.dtype)
+    running = dtype.partials(np.concatenate((bias, prods), axis=-1), native=True)
+    # Each faulty chain restarts from the clean sum entering its victim
+    # tap, adds the corrupt product and then the taps after it.  Columns
+    # have different victim taps, so the suffixes are left-aligned and
+    # each is read at its own end.
+    j = np.arange(cols.size)
+    count = n_taps - tap
+    idx = tap[:, None] + np.arange(count.max())
+    suffix = np.empty((len(w), cols.size, 1 + idx.shape[1]), dtype=prods.dtype)
+    suffix[..., 0] = running[:, j, tap]
+    suffix[..., 1:] = np.where(idx < n_taps, prods[:, j[:, None], idx.clip(max=n_taps - 1)], 0)
+    suffix[..., 1] = bad
+    v_bad = dtype.partials(suffix, native=True)[:, j, count].astype(np.float64)
+    v_ok = running[..., -1].astype(np.float64)
     if storage_dtype is not None and fault.layer_index in network.block_output_indices():
         v_bad = storage_dtype.quantize(v_bad)
         v_ok = storage_dtype.quantize(v_ok)
@@ -376,7 +479,7 @@ def _prepare_row_activation(
     if not differs.any():
         return PreparedInjection(fault.layer_index + 1, True, before, before)
     act = golden.activations[fault.layer_index + 1].copy()
-    np.copyto(act[:, oy, lo:hi], v_bad.reshape(-1, cols.size), where=differs.reshape(-1, cols.size))
+    np.copyto(act[:, oy, lo:hi], v_bad, where=differs)
     return PreparedInjection(
         fault.layer_index + 1, False, before, after, act, (oy, oy + 1)
     )

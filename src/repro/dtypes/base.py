@@ -11,7 +11,7 @@ to.  This module defines the common interface; concrete codecs live in
 
 All codecs operate on ``float64`` NumPy arrays as the carrier
 representation: ``quantize`` maps arbitrary reals onto the representable
-set of the format, and arithmetic helpers (``multiply``, ``accumulate``)
+set of the format, and arithmetic helpers (``multiply``, ``partials``)
 implement the format's exact rounding/saturation semantics so that a
 multiply-accumulate chain can be replayed bit-exactly around an injected
 fault.
@@ -121,7 +121,9 @@ class DataType(abc.ABC):
         flipped = bits ^ (np.uint64(1) << bit_arr)
         return self.decode(flipped)
 
-    def flip_bits(self, x: np.ndarray, bit: int, burst: int = 1) -> np.ndarray:
+    def flip_bits(
+        self, x: np.ndarray, bit: int | np.ndarray, burst: int | np.ndarray = 1
+    ) -> np.ndarray:
         """Flip a burst of ``burst`` adjacent bits starting at ``bit``.
 
         Models multi-cell upsets (one particle strike corrupting
@@ -131,17 +133,22 @@ class DataType(abc.ABC):
 
         Args:
             x: Values (quantized implicitly first).
-            bit: Lowest flipped bit position.
-            burst: Number of adjacent bits to flip (>= 1).
+            bit: Lowest flipped bit position; scalar or broadcastable
+                array of positions.
+            burst: Number of adjacent bits to flip (>= 1); scalar or
+                broadcastable array.
         """
-        if burst < 1:
+        bit_arr = np.asarray(bit, dtype=np.int64)
+        burst_arr = np.asarray(burst, dtype=np.int64)
+        if np.any(burst_arr < 1):
             raise ValueError(f"burst must be >= 1, got {burst}")
-        if not 0 <= bit < self.width:
+        if np.any((bit_arr < 0) | (bit_arr >= self.width)):
             raise ValueError(f"bit position out of range for {self.name} (width {self.width})")
-        span = min(burst, self.width - bit)
-        mask = np.uint64(((1 << span) - 1) << bit)
+        # 1 <= span <= 64, so the shift never reaches the word size.
+        span = np.minimum(burst_arr, self.width - bit_arr).astype(np.uint64)
+        ones = np.uint64(0xFFFF_FFFF_FFFF_FFFF) >> (np.uint64(64) - span)
         bits = self.encode(np.asarray(x, dtype=np.float64))
-        return self.decode(bits ^ mask)
+        return self.decode(bits ^ (ones << bit_arr.astype(np.uint64)))
 
     def field_of(self, bit: int) -> str:
         """Return the semantic field name that ``bit`` belongs to."""
@@ -154,38 +161,29 @@ class DataType(abc.ABC):
     # Exact arithmetic (MAC semantics)
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Format-exact product: ``quantize``-rounded ``a * b``."""
+    def multiply(self, a: np.ndarray, b: np.ndarray, native: bool = False) -> np.ndarray:
+        """Format-exact product: ``quantize``-rounded ``a * b``.
+
+        ``native=True`` returns it in the format's own NumPy dtype where
+        it has one (the IEEE formats), so a chain built from it is
+        accumulated by :meth:`partials` without a float64 round trip.
+        """
 
     @abc.abstractmethod
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Format-exact sum (saturating for fixed point)."""
 
     @abc.abstractmethod
-    def accumulate(self, products: np.ndarray) -> float:
-        """Sequentially accumulate a 1-D chain of products, rounding (FP)
-        or saturating (FxP) after every step, and return the final sum.
+    def partials(self, chains: np.ndarray, native: bool = False) -> np.ndarray:
+        """Running sums of each chain along the last axis.
 
-        This replays the accumulator register of the PE's MAC unit
-        (Figure 1b in the paper) bit-exactly.
-        """
-
-    @abc.abstractmethod
-    def partials(self, products: np.ndarray) -> np.ndarray:
-        """Like :meth:`accumulate` but return the whole running-sum chain
-        (the value held in the partial-sum latch after each MAC step)."""
-
-    @abc.abstractmethod
-    def accumulate_batch(self, products: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`accumulate` over many chains at once.
-
-        Args:
-            products: ``(n, length)`` matrix, one MAC chain per row.
-            bias: ``(n,)`` accumulator initial values.
-
-        Returns:
-            ``(n,)`` final sums, each bit-identical to accumulating its
-            row sequentially with per-step rounding/saturation.
+        Element ``i`` is the accumulator register after adding
+        ``chains[..., i]``, starting from 0 and rounding (FP) or
+        saturating (FxP) after every step: the MAC unit of Figure 1b in
+        the paper, replayed bit-exactly.  A chain whose first element is
+        its bias gives, at index ``k``, the partial sum entering MAC
+        step ``k``, and its last element is the chain's result.
+        ``native`` is as in :meth:`multiply`.
         """
 
     # ------------------------------------------------------------------ #

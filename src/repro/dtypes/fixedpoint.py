@@ -79,9 +79,10 @@ class FixedPointType(DataType):
         ints = np.where(ints & sign_bit, ints - np.int64(1 << self.width), ints)
         return self.from_int(ints)
 
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def multiply(self, a: np.ndarray, b: np.ndarray, native: bool = False) -> np.ndarray:
         # A w x w multiplier produces a 2w-bit product with 2*frac fraction
         # bits; the product latch rounds it back to the storage format.
+        # The float64 carrier is exact for every layout, so it is native.
         prod = np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)
         return self.quantize(prod)
 
@@ -93,13 +94,14 @@ class FixedPointType(DataType):
         after every step like the accumulator register:
         ``acc_i = min(max(acc_{i-1} + v_i, imin), imax)`` from ``acc = 0``.
 
-        Plain ``cumsum`` is exact up to the first column ``p`` where any
-        row's running sum leaves the rails.  From there a log-depth prefix
-        scan finishes the job exactly: a step is the map ``x -> min(max(x
-        + a, b), c)``, and two such maps compose in closed form into a
-        third, ``(a1 + a2, clamp(b1 + a2, b2, c2), clamp(c1 + a2, b2,
-        c2))``, so ``ceil(log2 L)`` vectorized rounds give every clipped
-        partial sum.
+        Plain ``cumsum`` is exact for every chain whose running sum stays
+        on the rails, so only the chains that leave them are scanned,
+        and only from the first column ``p`` where any of them does.
+        There a log-depth prefix scan finishes the job exactly: a step is
+        the map ``x -> min(max(x + a, b), c)``, and two such maps compose
+        in closed form into a third, ``(a1 + a2, clamp(b1 + a2, b2, c2),
+        clamp(c1 + a2, b2, c2))``, so ``ceil(log2 L)`` vectorized rounds
+        give every clipped partial sum.
 
         Every intermediate is an int64 bounded by ``(L + 1) * 2**(width -
         1)``, so the result is exact for chains of up to ``2**(64 - width)
@@ -109,47 +111,32 @@ class FixedPointType(DataType):
         off = (raw > self._imax) | (raw < self._imin)
         if not off.any():
             return raw
-        p = int(off.reshape(-1, off.shape[-1]).any(axis=0).argmax())
-        # Restart the chain at column p from its saturated value, so only
-        # the tail past the first clip pays for the scan.
-        a = ints[..., p:].copy()
-        a[..., 0] = np.clip(raw[..., p], self._imin, self._imax)
+        rows = raw.reshape(-1, raw.shape[-1])
+        bad = off.reshape(rows.shape).any(axis=1)
+        p = int(off.reshape(rows.shape)[bad].any(axis=0).argmax())
+        # Restart each such chain at column p from its saturated value,
+        # so only the tail past the first clip pays for the scan.
+        a = ints.reshape(rows.shape)[bad, p:]
+        a[:, 0] = np.clip(rows[bad, p], self._imin, self._imax)
         b = np.full_like(a, self._imin)
         c = np.full_like(a, self._imax)
         d = 1
         while d < a.shape[-1]:
             # Compose each map with the one d steps earlier (earlier first).
-            a2, b2, c2 = a[..., d:], b[..., d:], c[..., d:]
-            nb = np.minimum(np.maximum(b[..., :-d] + a2, b2), c2)
-            nc = np.minimum(np.maximum(c[..., :-d] + a2, b2), c2)
-            a[..., d:] = a[..., :-d] + a2
-            b[..., d:] = nb
-            c[..., d:] = nc
+            a2, b2, c2 = a[:, d:], b[:, d:], c[:, d:]
+            nb = np.minimum(np.maximum(b[:, :-d] + a2, b2), c2)
+            nc = np.minimum(np.maximum(c[:, :-d] + a2, b2), c2)
+            a[:, d:] = a[:, :-d] + a2
+            b[:, d:] = nb
+            c[:, d:] = nc
             d *= 2
-        raw[..., p:] = np.minimum(np.maximum(a, b), c)  # each prefix map applied to 0
+        scanned = rows[bad]
+        scanned[:, p:] = np.minimum(np.maximum(a, b), c)  # each prefix map applied to 0
+        rows[bad] = scanned
         return raw
 
-    def partials(self, products: np.ndarray) -> np.ndarray:
-        return self.from_int(self._saturating_cumsum(self.to_int(products)))
-
-    def accumulate(self, products: np.ndarray) -> float:
-        chain = self.partials(products)
-        return float(chain[-1]) if chain.size else 0.0
-
-    def accumulate_batch(self, products: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        products = np.asarray(products, dtype=np.float64)
-        bias = np.asarray(bias, dtype=np.float64)
-        if products.ndim != 2 or bias.shape[0] != products.shape[0]:
-            raise ValueError("products must be (n, length) with one bias per row")
-        ints = self.to_int(np.concatenate([bias[:, None], products], axis=1))
-        raw = np.cumsum(ints, axis=1)
-        out = raw[:, -1]
-        # Only rows whose running sum ever left the rails need the exact
-        # saturating scan; everywhere else cumsum is already exact.
-        bad = (raw.max(axis=1) > self._imax) | (raw.min(axis=1) < self._imin)
-        if bad.any():
-            out[bad] = self._saturating_cumsum(ints[bad])[:, -1]
-        return self.from_int(out)
+    def partials(self, chains: np.ndarray, native: bool = False) -> np.ndarray:
+        return self.from_int(self._saturating_cumsum(self.to_int(chains)))
 
     # -- range -------------------------------------------------------------- #
     @property

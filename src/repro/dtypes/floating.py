@@ -76,11 +76,12 @@ class FloatType(DataType):
             return native.astype(np.float64)
 
     # -- arithmetic ------------------------------------------------------ #
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def multiply(self, a: np.ndarray, b: np.ndarray, native: bool = False) -> np.ndarray:
         a = np.asarray(a, dtype=self.np_dtype)
         b = np.asarray(b, dtype=self.np_dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (a * b).astype(np.float64)
+            prod = a * b
+        return prod if native else prod.astype(np.float64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=self.np_dtype)
@@ -88,25 +89,11 @@ class FloatType(DataType):
         with np.errstate(over="ignore", invalid="ignore"):
             return (a + b).astype(np.float64)
 
-    def partials(self, products: np.ndarray) -> np.ndarray:
-        p = np.asarray(products, dtype=self.np_dtype)
+    def partials(self, chains: np.ndarray, native: bool = False) -> np.ndarray:
+        p = np.asarray(chains, dtype=self.np_dtype)
         with np.errstate(over="ignore", invalid="ignore"):
-            chain = np.add.accumulate(p)
-        return chain.astype(np.float64)
-
-    def accumulate(self, products: np.ndarray) -> float:
-        chain = self.partials(products)
-        return float(chain[-1]) if chain.size else 0.0
-
-    def accumulate_batch(self, products: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        products = np.asarray(products, dtype=self.np_dtype)
-        bias = np.asarray(bias, dtype=self.np_dtype).reshape(-1, 1)
-        if products.ndim != 2 or bias.shape[0] != products.shape[0]:
-            raise ValueError("products must be (n, length) with one bias per row")
-        full = np.concatenate([bias, products], axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            chain = np.add.accumulate(full, axis=1)
-        return chain[:, -1].astype(np.float64)
+            running = np.add.accumulate(p, axis=-1)
+        return running if native else running.astype(np.float64)
 
     # -- range ------------------------------------------------------------ #
     @property

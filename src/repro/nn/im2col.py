@@ -200,7 +200,7 @@ def col2im(
 
 def patch_indices(
     x_shape: tuple[int, int, int, int],
-    out_pos: tuple[int, int],
+    out_pos: tuple[int | np.ndarray, int | np.ndarray],
     kh: int,
     kw: int,
     stride: int,
@@ -208,19 +208,20 @@ def patch_indices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Input coordinates feeding one output pixel, plus a validity mask.
 
-    Used by the fault injector to reconstruct the MAC operand chain of a
-    single convolution output without materializing the full im2col
-    matrix.
+    Used by the fault injector to reconstruct the MAC operand chains of
+    convolution outputs without materializing the full im2col matrix.
 
     Args:
         x_shape: ``(n, c, h, w)`` input shape.
-        out_pos: ``(oy, ox)`` output pixel.
+        out_pos: ``(oy, ox)`` output pixel; ``(n, 1)`` arrays select
+            ``n`` pixels at once.
         kh, kw, stride, pad: Window geometry.
 
     Returns:
-        ``(cc, yy, xx, valid)`` flat arrays of length ``c * kh * kw``:
-        channel/row/col of each tap in the *unpadded* input and a bool
-        mask that is False where the tap falls in the zero padding.
+        ``(cc, yy, xx, valid)``: channel/row/col of each of the ``c * kh
+        * kw`` taps in the *unpadded* input and a bool mask that is False
+        where the tap falls in the zero padding.  ``cc`` is flat; the
+        others are flat for one pixel and ``(n, c * kh * kw)`` for ``n``.
     """
     _, c, h, w = x_shape
     oy, ox = out_pos

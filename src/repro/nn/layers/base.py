@@ -15,8 +15,9 @@ arrays.  Two execution modes exist:
   CIFAR-like task.
 
 MAC layers (convolution, fully-connected) additionally expose the operand
-chain of any single output element (:meth:`MacLayer.mac_operands`) so the
-injector can corrupt one latch read of one MAC.
+chain of any output element (:meth:`MacLayer.mac_operands`, or many at
+once with :meth:`MacLayer.mac_operand_rows`) so the injector can corrupt
+one latch read of one MAC.
 """
 
 from __future__ import annotations
@@ -203,10 +204,29 @@ class MacLayer(Layer):
         """Map a flat output-element index to an output coordinate."""
 
     @abc.abstractmethod
+    def mac_operand_rows(
+        self, x: np.ndarray, out_indices: np.ndarray, dtype: DataType | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Operand chains of many output elements of one input, as rows.
+
+        Args:
+            x: Unbatched input (shape ``in_shape``).
+            out_indices: ``(n, ndim)`` output coordinates.
+            dtype: Format of the quantized weights.
+
+        Returns:
+            ``(weights, inputs, bias)``: ``(n, length)`` weight and input
+            operands, row ``i`` holding output ``out_indices[i]``'s chain
+            in MAC step order, and its ``(n,)`` bias.  ``inputs`` may be
+            a read-only view of ``x``.
+        """
+
+    @abc.abstractmethod
     def mac_operands(
         self, x: np.ndarray, out_index: tuple[int, ...], dtype: DataType | None
     ) -> MacChain:
-        """Operand chain of output element ``out_index`` for input ``x``.
+        """Operand chain of output element ``out_index`` for input ``x``:
+        row 0 of :meth:`mac_operand_rows`, in arrays the chain owns.
 
         ``x`` is unbatched (shape ``in_shape``).
         """

@@ -240,11 +240,20 @@ class Conv2D(MacLayer):
     def mac_operands(
         self, x: np.ndarray, out_index: tuple[int, ...], dtype: DataType | None
     ) -> MacChain:
-        f, oy, ox = out_index
+        w, a, b = self.mac_operand_rows(x, np.array([out_index]), dtype)
+        return MacChain(weights=w[0], inputs=a[0], bias=float(b[0]))
+
+    def mac_operand_rows(
+        self, x: np.ndarray, out_indices: np.ndarray, dtype: DataType | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        f, oy, ox = np.asarray(out_indices).T
         w, b = self.quantized_weights(dtype)
+        c, h, wd = x.shape
         cc, yy, xx, valid = patch_indices(
-            (1, *x.shape), (oy, ox), self.kernel, self.kernel, self.stride, self.pad
+            (1, c, h, wd), (oy[:, None], ox[:, None]), self.kernel, self.kernel, self.stride,
+            self.pad,
         )
-        taps = np.zeros(cc.shape[0], dtype=np.float64)
-        taps[valid] = x[cc[valid], yy[valid], xx[valid]]
-        return MacChain(weights=w[f].ravel().copy(), inputs=taps, bias=float(b[f]))
+        # A tap in the zero padding reads 0.0; the clipped index only
+        # keeps the gather in bounds.
+        taps = np.where(valid, x[cc, yy.clip(0, h - 1), xx.clip(0, wd - 1)], 0.0)
+        return w.reshape(self.out_channels, -1)[f], taps, b[f]

@@ -95,6 +95,12 @@ class Dense(MacLayer):
     def mac_operands(
         self, x: np.ndarray, out_index: tuple[int, ...], dtype: DataType | None
     ) -> MacChain:
-        (j,) = out_index
+        w, a, b = self.mac_operand_rows(x, np.array([out_index]), dtype)
+        return MacChain(weights=w[0], inputs=a[0].copy(), bias=float(b[0]))
+
+    def mac_operand_rows(
+        self, x: np.ndarray, out_indices: np.ndarray, dtype: DataType | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        j = np.asarray(out_indices)[:, 0]
         w, b = self.quantized_weights(dtype)
-        return MacChain(weights=w[j].copy(), inputs=x.ravel().copy(), bias=float(b[j]))
+        return w[j], np.broadcast_to(x.reshape(-1), (len(j), x.size)), b[j]

@@ -11,12 +11,15 @@ every group size with a trial-by-trial full-recompute reference and
 drive the quarantine of groups whose propagation raises.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core.campaign import CampaignSpec, record_trial_metrics, run_campaign
+from repro.core.campaign import CampaignSpec, _CampaignTask, record_trial_metrics, run_campaign
 from repro.core.fault import BufferFault, sample_buffer_fault, sample_datapath_fault
 from repro.core.injector import finish_injection, prepare_buffer, prepare_datapath
+from repro.core.serialize import campaign_summary
 from repro.dtypes import DTYPES, FLOAT16
 from repro.nn.network import Network
 from repro.obs.metrics import MetricsRegistry
@@ -325,3 +328,87 @@ class TestGroupFailure:
             record_trial_metrics(counted, record)
         assert result.metrics["counters"] == counted.snapshot()["counters"]
         assert result.metrics["counters"]["trials"] == len(result.records)
+
+
+SLICE_SPECS = [
+    CampaignSpec(network="ConvNet", dtype=dtype, target=target, n_trials=64, seed=21)
+    for target in ("datapath", "row_activation")
+    for dtype in ("FLOAT16", "16b_rb10")
+]
+
+
+def _summary(result) -> dict:
+    summary = campaign_summary(result)
+    summary.pop("execution")  # harness counters, not physics
+    return json.loads(json.dumps(summary, sort_keys=True))
+
+
+class TestSliceReplay:
+    """``run_many`` samples a slice, then replays its datapath chains one
+    ``replay_datapath`` call per MAC layer; the slice's composition must
+    not move a bit, and a raising replay must sink no slice-mate."""
+
+    @pytest.mark.parametrize(
+        "spec", SLICE_SPECS, ids=[f"{s.target}-{s.dtype}" for s in SLICE_SPECS]
+    )
+    def test_chunk_parity(self, spec):
+        runs = [run_campaign(spec, jobs=1, batch=8, chunk=chunk) for chunk in (1, 7, 64)]
+        for result in runs[1:]:
+            assert repr(result.records) == repr(runs[0].records)
+            assert _summary(result) == _summary(runs[0])
+
+    def test_one_replay_call_per_layer_per_slice(self, monkeypatch):
+        import repro.core.campaign as campaign
+        import repro.core.injector as injector
+
+        spec = SLICE_SPECS[0]
+        chunk = 16
+        slices: list[tuple[int, ...]] = []
+        real = injector.replay_datapath
+
+        def counted(network, dtype, faults, goldens):
+            slices.append(tuple(f.layer_index for f in faults))
+            return real(network, dtype, faults, goldens)
+
+        def per_trial(*args, **kwargs):
+            raise AssertionError("a campaign trial replayed its chain on its own")
+
+        monkeypatch.setattr(campaign, "replay_datapath", counted)
+        monkeypatch.setattr(injector, "replay_datapath", per_trial)
+        result = run_campaign(spec, jobs=1, batch=8, chunk=chunk)
+        assert result.errors == []
+        task = _CampaignTask(spec)
+        expected = []
+        for start in range(0, spec.n_trials, chunk):
+            layers: dict[int, int] = {}
+            for trial in range(start, start + chunk):
+                li = task.sample_trial(trial)[0].layer_index
+                layers[li] = layers.get(li, 0) + 1
+            expected += [(li,) * n for li, n in layers.items()]
+        assert slices == expected
+        assert max(map(len, slices)) > 1
+
+    def test_raising_replay_quarantines_only_its_trial(self, monkeypatch):
+        import repro.core.campaign as campaign
+
+        spec = SLICE_SPECS[1]
+        clean = run_campaign(spec, jobs=1, batch=8)
+        task = _CampaignTask(spec)
+        layer_of = [task.sample_trial(t)[0].layer_index for t in range(spec.n_trials)]
+        victim = next(t for t in range(spec.n_trials) if layer_of.count(layer_of[t]) > 1)
+        bad_fault = task.sample_trial(victim)[0]
+        real = campaign.replay_datapath
+        sizes: list[int] = []
+
+        def flaky(network, dtype, faults, goldens):
+            if bad_fault in faults:
+                sizes.append(len(faults))
+                raise RuntimeError("injected replay failure")
+            return real(network, dtype, faults, goldens)
+
+        monkeypatch.setattr(campaign, "replay_datapath", flaky)
+        result = run_campaign(spec, jobs=1, batch=8, max_error_frac=1.0)
+        assert sizes[0] > 1 and sizes[-1] == 1  # the group, then the trial alone
+        assert [(e.index, e.exc_type) for e in result.errors] == [(victim, "RuntimeError")]
+        kept = [r for t, r in enumerate(clean.records) if t != victim]
+        assert repr(result.records) == repr(kept)

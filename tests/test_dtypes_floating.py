@@ -114,12 +114,13 @@ class TestArithmetic:
         assert chain[-1] == 1.0
         assert np.sum(p) > 1.0  # float64 reference differs
 
-    def test_accumulate_matches_partials_tail(self, rng):
-        p = rng.normal(0, 1, 64)
-        assert FLOAT16.accumulate(p) == FLOAT16.partials(p)[-1]
+    def test_partials_runs_along_last_axis(self, rng):
+        p = rng.normal(0, 1, (3, 64))
+        rows = [FLOAT16.partials(row)[-1] for row in p]
+        assert FLOAT16.partials(p)[..., -1].tolist() == rows
 
-    def test_accumulate_empty(self):
-        assert FLOAT16.accumulate(np.array([])) == 0.0
+    def test_partials_empty(self):
+        assert FLOAT16.partials(np.zeros((2, 0))).shape == (2, 0)
 
     def test_add_overflow_to_inf(self):
         assert np.isinf(FLOAT16.add(np.array([6e4]), np.array([6e4]))[0])

@@ -84,10 +84,10 @@ def test_fixed_point_partials_stay_within_rails(name, x):
     x=st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=24),
 )
 @settings(max_examples=60, deadline=None)
-def test_accumulate_equals_last_partial(name, x):
+def test_partials_of_stacked_chains_equal_each_chain(name, x):
     dt = DTYPES[name]
-    p = np.array(x)
-    assert dt.accumulate(p) == dt.partials(p)[-1]
+    p = np.array([x, x[::-1]])
+    assert dt.partials(p)[..., -1].tolist() == [dt.partials(row)[-1] for row in p]
 
 
 @given(name=st.sampled_from(DTYPE_NAMES), x=finite_floats)
@@ -125,9 +125,9 @@ def saturating_loop(ints, lo, hi):
 )
 @settings(max_examples=80, deadline=None)
 def test_fixed_point_saturation_matches_scalar_loop(name, rows, length, data):
-    """``partials`` and ``accumulate_batch`` equal the step-by-step
-    saturating accumulator on chains that hit the rails, from both sides,
-    any number of times."""
+    """``partials``, of one chain and of a stack of chains, equals the
+    step-by-step saturating accumulator on chains that hit the rails,
+    from both sides, any number of times."""
     dt = DTYPES[name]
     rail = dt.max_value
     step = data.draw(st.sampled_from([0.02, 0.3, 1.5])) * rail
@@ -140,8 +140,8 @@ def test_fixed_point_saturation_matches_scalar_loop(name, rows, length, data):
     ints = dt.to_int(chains)
     for r in range(rows):
         assert dt.to_int(dt.partials(chains[r])).tolist() == saturating_loop(ints[r], lo, hi)
-    got = dt.to_int(dt.accumulate_batch(chains[:, 1:], chains[:, 0]))
-    assert got.tolist() == [saturating_loop(row, lo, hi)[-1] for row in ints]
+    got = dt.to_int(dt.partials(chains))
+    assert got.tolist() == [saturating_loop(row, lo, hi) for row in ints]
 
 
 def nan_to_num_to_int(dt, x):

@@ -12,6 +12,7 @@ from repro.core.injector import (
     prepare_buffer,
     prepare_datapath,
     replay_chain,
+    replay_datapath,
 )
 from repro.dtypes import DOUBLE, DTYPES, FLOAT16, FXP_16B_RB10
 from repro.dtypes.base import DataType
@@ -444,8 +445,26 @@ def _datapath_faults(network, golden, dtype, seed=7):
     return faults
 
 
+def _slice_preps(network, dtype, faults, goldens, storage):
+    """Prepare each fault from values replayed as ``run_many`` replays a
+    slice: one :func:`replay_datapath` call per MAC layer."""
+    layers: dict[int, list[int]] = {}
+    for i, fault in enumerate(faults):
+        layers.setdefault(fault.layer_index, []).append(i)
+    replayed = {}
+    for rows in layers.values():
+        values = replay_datapath(network, dtype, [faults[i] for i in rows],
+                                 [goldens[i] for i in rows])
+        replayed.update(zip(rows, values))
+    return [
+        prepare_datapath(network, dtype, fault, goldens[i], storage, replayed=replayed[i])
+        for i, fault in enumerate(faults)
+    ]
+
+
 class TestDatapathReference:
-    """``prepare_datapath`` against the per-chain oracle
+    """``prepare_datapath``, on its own and from a slice replay over two
+    inputs, against the per-chain oracle
     (``tests/conftest.py::reference_datapath``), field for field."""
 
     @pytest.mark.parametrize(
@@ -455,25 +474,30 @@ class TestDatapathReference:
     def test_matches_per_chain_reference(self, dtype_name, storage_name):
         dtype = DTYPES[dtype_name]
         storage = DTYPES[storage_name] if storage_name else None
-        x_small = np.random.default_rng(0).normal(0.0, 1.0, (3, 8, 8))
+        g = np.random.default_rng(0)
         cases = [
-            (build_tiny_network(), x_small),
-            (get_network("ConvNet"), eval_inputs("ConvNet", 1)[0]),
+            (build_tiny_network(), [g.normal(0.0, 1.0, (3, 8, 8)) for _ in range(2)]),
+            (get_network("ConvNet"), eval_inputs("ConvNet", 2)),
         ]
         seen = dict.fromkeys(("unmasked", "saturated", "nonfinite", "narrowed", "fc"), 0)
-        for network, x in cases:
-            golden = network.forward(x, dtype=dtype, record=True, storage_dtype=storage)
-            faults = _datapath_faults(network, golden, dtype)
-            preps = [prepare_datapath(network, dtype, f, golden, storage) for f in faults]
-            for fault, prep in zip(faults, preps):
+        for network, xs in cases:
+            both = [network.forward(x, dtype=dtype, record=True, storage_dtype=storage)
+                    for x in xs]
+            faults = _datapath_faults(network, both[0], dtype)
+            goldens = [both[i % 2] for i in range(len(faults))]
+            alone = [prepare_datapath(network, dtype, f, gd, storage)
+                     for f, gd in zip(faults, goldens)]
+            sliced = _slice_preps(network, dtype, faults, goldens, storage)
+            for fault, golden, *preps in zip(faults, goldens, alone, sliced):
                 ref = reference_datapath(network, dtype, fault, golden, storage)
-                assert prep.resume_index == ref.resume_index, fault
-                assert prep.masked == ref.masked, fault
-                assert _same_bits(prep.value_before, ref.value_before), fault
-                assert _same_bits(prep.value_after, ref.value_after), fault
-                assert prep.dirty_rows == ref.dirty_rows, fault
-                if not ref.masked:
-                    assert prep.act.tobytes() == ref.act.tobytes(), fault
+                for prep in preps:
+                    assert prep.resume_index == ref.resume_index, fault
+                    assert prep.masked == ref.masked, fault
+                    assert _same_bits(prep.value_before, ref.value_before), fault
+                    assert _same_bits(prep.value_after, ref.value_after), fault
+                    assert prep.dirty_rows == ref.dirty_rows, fault
+                    if not ref.masked:
+                        assert prep.act.tobytes() == ref.act.tobytes(), fault
                 li = fault.layer_index
                 chain = network.layers[li].mac_operands(golden.activations[li], fault.out_index,
                                                         dtype)
