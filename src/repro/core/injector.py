@@ -250,49 +250,64 @@ def replay_datapath(
     if np.any(step >= length):
         raise ValueError(f"fault step outside chain of length {length}")
     n = len(faults)
-    weights, inputs, bias = np.empty((n, length)), np.empty((n, length)), np.empty(n)
     out_index = np.array([f.out_index for f in faults])
     by_input: dict[int, list[int]] = {}
     for i, golden in enumerate(goldens):
         by_input.setdefault(id(golden), []).append(i)
-    for rows in by_input.values():
-        x = goldens[rows[0]].activations[li]
-        weights[rows], inputs[rows], bias[rows] = layer.mac_operand_rows(x, out_index[rows], dtype)
+    gathered = [
+        (members, layer.mac_operand_rows(goldens[members[0]].activations[li],
+                                         out_index[members], dtype))
+        for members in by_input.values()
+    ]
+    weights, inputs, bias = gathered[0][1]
+    if len(gathered) > 1:
+        weights, inputs, bias = np.empty((n, length)), np.empty((n, length)), np.empty(n)
+        for members, (w, a, b) in gathered:
+            weights[members], inputs[members], bias[members] = w, a, b
     products = dtype.multiply(weights, inputs)
     # running[:, k] is the partial sum entering step k; the last column
     # is the chain's result.
     running = dtype.partials(np.concatenate((bias[:, None], products), axis=1))
 
-    latch = np.array([f.latch for f in faults])
+    kind = np.array([DATAPATH_LATCHES.index(f.latch) for f in faults])
+    on_w, on_a, on_p, on_psum, on_acc = kind == np.arange(len(DATAPATH_LATCHES))[:, None]
     bit = np.array([f.bit for f in faults])
     burst = np.array([f.burst for f in faults])
 
-    def flipped(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        return dtype.flip_bits(values[sel], bit[sel], burst[sel])
+    def flip(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
+        """``values`` with the rows ``sel`` picks flipped at their faults' bits."""
+        if sel.any():
+            values[sel] = dtype.flip_bits(values[sel], bit[sel], burst[sel])
+        return values
 
     rows = np.arange(n)
-    on_w, on_a, on_p = (latch == kind for kind in ("weight_operand", "input_operand", "product"))
-    w_k, a_k = weights[rows, step], inputs[rows, step]
-    w_k[on_w] = flipped(w_k, on_w)
-    a_k[on_a] = flipped(a_k, on_a)
-    bad = dtype.multiply(w_k, a_k)
-    bad[on_p] = flipped(products[rows, step], on_p)
-
-    on_acc = latch == "accumulator"
     first = step + on_acc  # the first product a suffix adds
-    start = running[rows, first]
-    for sel in (latch == "psum", on_acc):
-        start[sel] = flipped(start, sel)
-    count = length - first
-    cols = first[:, None] + np.arange(count.max())
-    suffix = np.empty((n, 1 + cols.shape[1]))
-    suffix[:, 0] = start
-    suffix[:, 1:] = np.where(cols < length, products[rows[:, None], cols.clip(max=length - 1)], 0.0)
-    on_product = on_w | on_a | on_p
-    if on_product.any():
-        suffix[on_product, 1] = bad[on_product]
-    faulty = dtype.partials(suffix)[rows, count]
+    suffix = _suffixes(flip(flip(running[rows, first], on_psum), on_acc), products, first)
+    # An operand or product fault's suffix starts with its faulty product.
+    if on_p.any():
+        suffix[on_p, 1] = flip(products[rows, step], on_p)[on_p]
+    on_operand = on_w | on_a
+    if on_operand.any():
+        bad = dtype.multiply(flip(weights[rows, step], on_w), flip(inputs[rows, step], on_a))
+        suffix[on_operand, 1] = bad[on_operand]
+    faulty = dtype.partials(suffix)[rows, length - first]
     return list(zip(running[:, -1].tolist(), faulty.tolist()))
+
+
+def _suffixes(start: np.ndarray, products: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Chains ``[start, products[..., first], products[..., first + 1], ...]``.
+
+    ``first`` broadcasts against ``start``.  The chains differ in length,
+    so they are left-aligned and zero-padded after their ends; each must
+    be read at its own end, column ``products.shape[-1] - first``.
+    """
+    length = products.shape[-1]
+    cols = first[..., None] + np.arange((length - first).max())
+    gathered = np.take_along_axis(products, np.minimum(cols, length - 1), axis=-1)
+    suffix = np.empty(start.shape + (1 + cols.shape[-1],), dtype=products.dtype)
+    suffix[..., 0] = start
+    suffix[..., 1:] = np.where(cols < length, gathered, 0)
+    return suffix
 
 
 def prepare_datapath(
@@ -459,17 +474,11 @@ def _prepare_row_activation(
     bias = np.broadcast_to(b[:, None, None], (len(w), cols.size, 1)).astype(prods.dtype)
     running = dtype.partials(np.concatenate((bias, prods), axis=-1), native=True)
     # Each faulty chain restarts from the clean sum entering its victim
-    # tap, adds the corrupt product and then the taps after it.  Columns
-    # have different victim taps, so the suffixes are left-aligned and
-    # each is read at its own end.
+    # tap, adds the corrupt product and then the taps after it.
     j = np.arange(cols.size)
-    count = n_taps - tap
-    idx = tap[:, None] + np.arange(count.max())
-    suffix = np.empty((len(w), cols.size, 1 + idx.shape[1]), dtype=prods.dtype)
-    suffix[..., 0] = running[:, j, tap]
-    suffix[..., 1:] = np.where(idx < n_taps, prods[:, j[:, None], idx.clip(max=n_taps - 1)], 0)
+    suffix = _suffixes(running[:, j, tap], prods, tap[None, :])
     suffix[..., 1] = bad
-    v_bad = dtype.partials(suffix, native=True)[:, j, count].astype(np.float64)
+    v_bad = dtype.partials(suffix, native=True)[:, j, n_taps - tap].astype(np.float64)
     v_ok = running[..., -1].astype(np.float64)
     if storage_dtype is not None and fault.layer_index in network.block_output_indices():
         v_bad = storage_dtype.quantize(v_bad)

@@ -253,7 +253,8 @@ class Conv2D(MacLayer):
             (1, c, h, wd), (oy[:, None], ox[:, None]), self.kernel, self.kernel, self.stride,
             self.pad,
         )
-        # A tap in the zero padding reads 0.0; the clipped index only
-        # keeps the gather in bounds.
-        taps = np.where(valid, x[cc, yy.clip(0, h - 1), xx.clip(0, wd - 1)], 0.0)
+        # A tap in the zero padding reads 0.0; its index only has to
+        # stay in bounds.
+        flat = np.where(valid, (cc * h + yy) * wd + xx, 0)
+        taps = np.where(valid, x.reshape(-1)[flat], 0.0)
         return w.reshape(self.out_channels, -1)[f], taps, b[f]
