@@ -26,7 +26,8 @@ def _chain_samples(n=200):
         li = int(rng.choice(net.mac_layer_indices()))
         layer = net.layers[li]
         in_shape = net.shapes[li]
-        idx = layer.unravel_output(int(rng.integers(layer.output_elements(in_shape))), in_shape)
+        flat = int(rng.integers(layer.output_elements(in_shape)))
+        idx = tuple(int(v) for v in np.unravel_index(flat, layer.out_shape(in_shape)))
         chains["FLOAT16"].append(layer.mac_operands(golden16.activations[li], idx, FLOAT16))
         chains["16b_rb10"].append(layer.mac_operands(goldenfx.activations[li], idx, FXP_16B_RB10))
     return chains

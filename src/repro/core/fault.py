@@ -177,12 +177,7 @@ def _tables(network: Network) -> _Tables:
 
 
 def _unravel(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """``np.unravel_index`` of an in-range flat index, as Python ints."""
-    index = []
-    for extent in reversed(shape):
-        flat, rem = divmod(flat, extent)
-        index.append(rem)
-    return tuple(reversed(index))
+    return tuple(int(v) for v in np.unravel_index(flat, shape))
 
 
 def sample_datapath_fault(

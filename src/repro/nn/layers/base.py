@@ -200,10 +200,6 @@ class MacLayer(Layer):
         """MAC steps per output element."""
 
     @abc.abstractmethod
-    def unravel_output(self, flat_index: int, in_shape: Shape) -> tuple[int, ...]:
-        """Map a flat output-element index to an output coordinate."""
-
-    @abc.abstractmethod
     def mac_operand_rows(
         self, x: np.ndarray, out_indices: np.ndarray, dtype: DataType | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -96,9 +96,6 @@ class Conv2D(MacLayer):
     def chain_length(self, in_shape: Shape) -> int:
         return self.in_channels * self.kernel * self.kernel
 
-    def unravel_output(self, flat_index: int, in_shape: Shape) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unravel_index(flat_index, self.out_shape(in_shape)))
-
     # -- parameters -------------------------------------------------------- #
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}

@@ -43,9 +43,6 @@ class Dense(MacLayer):
     def chain_length(self, in_shape: Shape) -> int:
         return self.in_features
 
-    def unravel_output(self, flat_index: int, in_shape: Shape) -> tuple[int, ...]:
-        return (int(flat_index),)
-
     # -- parameters -------------------------------------------------------- #
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}

@@ -174,18 +174,8 @@ class Network:
         return [i for i, l in enumerate(self.layers) if isinstance(l, MacLayer)]
 
     def mac_counts(self) -> dict[int, int]:
-        """MACs per mac-layer index, for MAC-weighted fault-site sampling.
-
-        Cached: the counts depend only on the (immutable) topology, and
-        fault sampling asks for them once per trial.
-        """
-        cached = getattr(self, "_mac_counts", None)
-        if cached is None:
-            cached = self._mac_counts = {
-                i: self.layers[i].mac_count(self.shapes[i])
-                for i in self.mac_layer_indices()
-            }
-        return dict(cached)
+        """MACs per mac-layer index, for MAC-weighted fault-site sampling."""
+        return {i: self.layers[i].mac_count(self.shapes[i]) for i in self.mac_layer_indices()}
 
     def total_macs(self) -> int:
         """Total MAC operations per inference."""
