@@ -243,8 +243,6 @@ def replay_datapath(
         raise TypeError(f"layer {li} is not a MAC layer")
     if any(f.layer_index != li for f in faults):
         raise ValueError("replay_datapath takes faults on one MAC layer")
-    if any(f.latch not in DATAPATH_LATCHES for f in faults):
-        raise ValueError(f"unknown latch in {[f.latch for f in faults]}")
     length = layer.chain_length(network.shapes[li])
     step = np.array([f.step for f in faults])
     if np.any(step >= length):

@@ -245,8 +245,8 @@ def reference_row_activation(network, dtype, fault, golden, storage_dtype=None):
 
     Every (filter, column) chain of the residency row is rebuilt with
     ``mac_operands`` on a corrupted copy of the ifmap and replayed alone
-    with :func:`replay_chain` (1-D ``multiply`` + ``partials``, never
-    ``accumulate_batch``).  A chain whose narrowed value differs from
+    with :func:`replay_chain` (1-D ``multiply`` + ``partials`` from step
+    0, never a shared prefix).  A chain whose narrowed value differs from
     the clean replay (NaN-aware) patches the golden output.  Besides the
     preparation's fields, reports whether any corrupted chain's running
     sum left the format's range (``saturated``) or ended inf/NaN
