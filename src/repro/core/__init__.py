@@ -37,11 +37,6 @@ from repro.core.planner import (
     sec_ded_overhead,
 )
 from repro.core.stats import RateEstimate, combine_counts, wilson_interval
-from repro.core.tracing import (
-    bitwise_mismatch_by_block,
-    block_output_layers,
-    euclidean_by_block,
-)
 
 __all__ = [
     "CampaignResult",
@@ -84,7 +79,4 @@ __all__ = [
     "RateEstimate",
     "combine_counts",
     "wilson_interval",
-    "bitwise_mismatch_by_block",
-    "block_output_layers",
-    "euclidean_by_block",
 ]

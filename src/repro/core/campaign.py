@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.detectors import SymptomDetector, learn_detector
 from repro.core.fault import (
     DATAPATH_LATCHES,
+    DatapathFault,
     sample_buffer_fault,
     sample_datapath_fault,
 )
@@ -50,6 +51,7 @@ from repro.obs.metrics import (
 from repro.obs.spans import enable_spans, span, timing_snapshot
 from repro.obs.tracer import (
     TRACE_MODES,
+    TRACE_VERSION,
     TraceWriter,
     build_trace,
     default_trace_path,
@@ -698,6 +700,10 @@ class _CampaignTask:
                 burst=spec.burst, occupancy=self.occupancy,
             )
             site = self.last_site = fault.scope
+            if spec.target == "single_read":
+                # A PSum REG read is a psum latch read: the datapath
+                # build, slice replay included, serves it.
+                fault = fault.as_psum()
         meta = {
             "golden": golden,
             "site": site,
@@ -714,7 +720,7 @@ class _CampaignTask:
         ``replayed`` is a datapath fault's ``(clean, faulty)`` chain pair
         from :meth:`_replay_slice`; without it the chain is replayed here.
         """
-        if self.spec.target == "datapath":
+        if isinstance(fault, DatapathFault):
             return prepare_datapath(
                 self.network, self.dtype, fault, meta["golden"], self.storage_dtype,
                 replayed=replayed,
@@ -902,14 +908,14 @@ class _CampaignTask:
     def _replay_slice(self, sampled: list, results: list) -> dict[int, tuple[float, float]]:
         """Replay a slice's datapath chains, one call per MAC layer.
 
-        Returns slice position -> ``(clean, faulty)``.  Buffer targets
-        build each trial on its own and get an empty map.
+        Returns slice position -> ``(clean, faulty)``.  Datapath and
+        PSum REG faults are replayed; other buffer faults build each
+        trial on its own and get no entry.
         """
-        if self.spec.target != "datapath":
-            return {}
         layers: dict[int, list] = {}
         for item in sampled:
-            layers.setdefault(item[2].layer_index, []).append(item)
+            if isinstance(item[2], DatapathFault):
+                layers.setdefault(item[2].layer_index, []).append(item)
         replayed: dict[int, tuple[float, float]] = {}
         for items in layers.values():
             self._replay_layer(items, results, replayed)
@@ -1262,6 +1268,8 @@ class _CampaignRun:
         A checkpointed trial whose trace row never reached disk re-runs
         purely for its trace: its outcome is a pure function of its
         index, so the re-run re-derives identical record and trace bytes.
+        A prior trace file of another fingerprint or trace version lends
+        no rows, so every traced trial re-runs.
         """
         from repro.core.checkpoint import load_checkpoint
 
@@ -1276,6 +1284,7 @@ class _CampaignRun:
                 if (
                     prior_header is not None
                     and prior_header.get("fingerprint") == self.trace_writer.fingerprint
+                    and prior_header.get("version") == TRACE_VERSION
                 ):
                     self.trace_writer.preload(prior_rows)
                     self.trace_rows.update(prior_rows)

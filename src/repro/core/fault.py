@@ -104,6 +104,24 @@ class BufferFault:
         if self.burst < 1:
             raise ValueError("burst must be >= 1")
 
+    def as_psum(self) -> DatapathFault:
+        """A ``single_read`` fault as the datapath fault it is.
+
+        A PSum REG entry is read once, by the adder of one MAC step, so
+        its upset is a ``psum`` latch upset at that step.
+        """
+        if self.scope != "single_read":
+            raise ValueError(f"a {self.scope} fault is not a psum read")
+        *out_index, step = self.victim
+        return DatapathFault(
+            layer_index=self.layer_index,
+            out_index=tuple(out_index),
+            step=int(step),
+            latch="psum",
+            bit=self.bit,
+            burst=self.burst,
+        )
+
 
 @dataclass(frozen=True)
 class _Tables:

@@ -500,16 +500,7 @@ def _prepare_single_read(
     storage_dtype: DataType | None,
 ) -> PreparedInjection:
     """PSum-REG fault: identical semantics to a datapath psum latch."""
-    *out_index, step = fault.victim
-    dp = DatapathFault(
-        layer_index=fault.layer_index,
-        out_index=tuple(out_index),
-        step=int(step),
-        latch="psum",
-        bit=fault.bit,
-        burst=fault.burst,
-    )
-    return prepare_datapath(network, dtype, dp, golden, storage_dtype)
+    return prepare_datapath(network, dtype, fault.as_psum(), golden, storage_dtype)
 
 
 _BUFFER_DISPATCH = {

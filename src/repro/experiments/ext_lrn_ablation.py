@@ -23,6 +23,7 @@ from repro.core.stats import RateEstimate
 from repro.dtypes.registry import get_dtype
 from repro.experiments.common import ExperimentConfig
 from repro.nn.network import Network
+from repro.obs.tracer import l2_distance
 from repro.utils.rng import child_rng
 from repro.utils.tables import format_table
 from repro.zoo.alexnet import build_alexnet
@@ -90,9 +91,7 @@ def _early_layer_propagation(net: Network, trials: int, seed: int) -> dict:
             bad = ~np.isfinite(final) | (np.abs(final) > bound)
         if bad.any():
             escaped += 1
-        diff = np.clip(final - ref, -1e150, 1e150)
-        diff = np.where(np.isfinite(diff), diff, 1e150)
-        distances.append(float(np.sqrt((diff * diff).sum())))
+        distances.append(l2_distance(final, ref))
     return {
         "mean_distance": float(np.mean(distances)) if distances else 0.0,
         "p90_distance": float(np.percentile(distances, 90)) if distances else 0.0,

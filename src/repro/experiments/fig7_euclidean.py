@@ -5,65 +5,102 @@ accentuates deviations) and the distance between the faulty and golden
 ACT tensors is measured at the end of every layer.  Expected shape:
 AlexNet/CaffeNet drop sharply after their layer-1/2 LRNs; NiN and
 ConvNet stay comparatively flat.
+
+Each network runs one fully traced campaign, and the figure is a
+reduction of its trace rows: the ``l2_dev`` each row records per layer
+(:func:`repro.obs.tracer.l2_distance`), read at :func:`relu_trace_layers`.
 """
 
 from __future__ import annotations
 
-from repro.core.fault import sample_datapath_fault
-from repro.core.injector import inject_datapath
-from repro.core.tracing import euclidean_by_block, relu_trace_layers
+from repro.core.campaign import CampaignSpec
 from repro.dtypes.registry import get_dtype
-from repro.experiments.common import PAPER_NETWORKS, ExperimentConfig
-from repro.utils.rng import child_rng
+from repro.experiments.common import PAPER_NETWORKS, ExperimentConfig, campaign
+from repro.nn.network import Network
 from repro.utils.tables import format_table
-from repro.zoo.registry import eval_inputs, get_network
+from repro.zoo.registry import get_network
 
-__all__ = ["run", "render"]
+__all__ = ["run", "render", "campaign_spec", "relu_trace_layers", "block_distances"]
 
 EXPERIMENT_ID = "fig7"
 TITLE = "Figure 7: Euclidean distance per layer after a layer-1 fault (DOUBLE)"
 
 DTYPE = "DOUBLE"
+#: Per-trial cap, so one overflowing trial cannot swamp a mean.
+CAP = 1e30
+
+
+def relu_trace_layers(network: Network) -> dict[int, int]:
+    """Map block index -> layer index of the block's activation output.
+
+    Figure 7 samples ACT values right after each layer's activation
+    function — *before* any NORM/POOL that follows — which is what makes
+    the AlexNet/CaffeNet curves drop between layer 1 and layer 2 (the
+    LRN sits between the two sample points).  Falls back to the block's
+    MAC layer when it has no ReLU.
+    """
+    out: dict[int, int] = {}
+    for i, layer in enumerate(network.layers):
+        if layer.block is None:
+            continue
+        if layer.kind == "relu" or (layer.block not in out and layer.kind in ("conv", "fc")):
+            out[layer.block] = i
+    return out
+
+
+def block_distances(row: dict, points: dict[int, int]) -> dict[int, float]:
+    """One trace row's Euclidean distance at each block's sample point.
+
+    ``points`` maps block -> layer index.  The faulted layer's distance
+    is the row's ``injected`` entry and later layers' are its ``layers``
+    entries; a layer upstream of the fault, or downstream of the layer
+    that masked it, equals golden and reads 0.
+    """
+    by_layer = {entry["layer"]: entry["l2_dev"] for entry in row["layers"]}
+    if row["injected"] is not None:
+        by_layer[row["resume_layer"] - 1] = row["injected"]["l2_dev"]
+    return {block: float(by_layer.get(li, 0.0)) for block, li in points.items()}
+
+
+def campaign_spec(network_name: str, cfg: ExperimentConfig) -> CampaignSpec:
+    """The fully traced campaign behind one network's curve.
+
+    Its faults are pinned to the first MAC layer and to the top
+    magnitude-exponent bit: operand magnitudes sit near 1 (exponent ~0),
+    so the flip creates the large deviation whose attenuation the figure
+    traces (the paper traces propagation, not incidence).
+    """
+    network = get_network(network_name, cfg.scale)
+    return CampaignSpec(
+        network=network_name,
+        dtype=DTYPE,
+        n_trials=max(10, cfg.trials // 10),
+        scale=cfg.scale,
+        seed=cfg.seed,
+        n_inputs=2,
+        layer_index=network.mac_layer_indices()[0],
+        bit=get_dtype(DTYPE).width - 2,
+        trace_mode="all",
+    )
 
 
 def run(cfg: ExperimentConfig) -> dict:
     """Returns ``{network: {block: mean_distance}}``.
 
-    Distances average over ``cfg.trials`` injections pinned to the first
-    MAC layer; high-order exponent bits are targeted so each injection
-    creates a visible deviation to trace (the paper traces propagation,
-    not incidence).
+    Distances average over the unmasked trials of each network's
+    :func:`campaign_spec`.
     """
-    dtype = get_dtype(DTYPE)
     out: dict = {"config": cfg, "distances": {}}
-    trials = max(10, cfg.trials // 10)
     for network_name in PAPER_NETWORKS:
-        network = get_network(network_name, cfg.scale)
-        first_mac = network.mac_layer_indices()[0]
-        points = relu_trace_layers(network)
-        inputs = eval_inputs(network_name, 2, cfg.scale, seed=100)
-        goldens = [network.forward(x, dtype=dtype, record=True) for x in inputs]
-        sums: dict[int, float] = {}
-        count = 0
-        for t in range(trials):
-            rng = child_rng(cfg.seed, 7000 + t)
-            golden = goldens[t % len(goldens)]
-            # Flip the top magnitude-exponent bit: operand magnitudes sit
-            # near 1 (exponent ~0), so this is the flip that creates the
-            # large deviation whose attenuation the figure traces.
-            bit = dtype.width - 2
-            fault = sample_datapath_fault(
-                network, dtype, rng, layer_index=first_mac, bit=bit
-            )
-            injection = inject_datapath(network, dtype, fault, golden, record=True)
-            if injection.masked:
-                continue
-            distances = euclidean_by_block(network, golden, injection, points=points)
-            for block, d in distances.items():
-                sums[block] = sums.get(block, 0.0) + min(d, 1e30)
-            count += 1
+        points = relu_trace_layers(get_network(network_name, cfg.scale))
+        traces = campaign(campaign_spec(network_name, cfg), cfg).traces
+        rows = [row for row in traces.values() if not row["masked_at_injection"]]
+        sums = dict.fromkeys(points, 0.0)
+        for row in rows:
+            for block, d in block_distances(row, points).items():
+                sums[block] += min(d, CAP)
         out["distances"][network_name] = {
-            b: (s / count if count else 0.0) for b, s in sorted(sums.items())
+            b: (s / len(rows) if rows else 0.0) for b, s in sorted(sums.items())
         }
     return out
 

@@ -392,10 +392,11 @@ def render_trace_trial(header: dict, row: dict) -> str:
                 str(entry["corrupted"]), span_txt,
                 _fmt_dev(entry["max_abs_dev"]), _fmt_dev(entry["mean_abs_dev"]),
                 _fmt_dev(entry["max_rel_dev"]),
+                _fmt_dev(entry["l2_dev"]) if "l2_dev" in entry else "-",  # version 1 rows
             ])
         blocks.append(format_table(
             ["layer", "name", "kind", "corrupted", "rows",
-             "max|dev|", "mean|dev|", "max rel"],
+             "max|dev|", "mean|dev|", "max rel", "l2"],
             layer_rows, title="propagation"))
     if row.get("masked_at_injection"):
         tail = "corruption erased at the injection site (quantized back onto golden)"

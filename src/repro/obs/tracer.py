@@ -44,6 +44,7 @@ __all__ = [
     "TraceWriter",
     "build_trace",
     "default_trace_path",
+    "l2_distance",
     "load_trace",
     "trace_depth_histogram",
     "trace_layer_matrix",
@@ -54,7 +55,7 @@ __all__ = [
 #: indices divisible by ``trace_every``), ``all`` (every trial).
 TRACE_MODES = ("off", "sample", "all")
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 _FORMAT = "repro-campaign-trace"
 
 #: Relative-deviation guard against golden values that are exactly zero.
@@ -79,6 +80,33 @@ def _bit_diff_mask(faulty: np.ndarray, golden: np.ndarray) -> np.ndarray:
     return a.view(np.uint64) != b.view(np.uint64)
 
 
+def _l2(mask: np.ndarray, diff: np.ndarray) -> float:
+    """Euclidean norm of the differences ``diff`` at ``mask``'s elements.
+
+    The sum runs over the whole array, clean elements adding exactly 0,
+    so its rounding is that of the whole-array difference.  A non-finite
+    difference counts as 10x the largest finite one, and at least 10;
+    every difference is clipped to +-1e150 before squaring, so one inf
+    or NaN gives a large but finite distance.
+    """
+    bad = ~np.isfinite(diff)
+    if bad.any():
+        finite_mag = min(float(np.abs(diff[~bad]).max(initial=0.0)), 1e149)
+        diff = np.where(bad, max(finite_mag, 1.0) * 10.0, diff)
+    full = np.zeros(mask.shape)
+    full[mask] = np.clip(diff, -1e150, 1e150)
+    return float(np.sqrt(np.square(full, out=full).sum()))
+
+
+def l2_distance(faulty: np.ndarray, golden: np.ndarray) -> float:
+    """Euclidean distance between an activation and its golden twin.
+
+    Elements whose bits agree add 0; the non-finite rule is
+    :func:`_l2`'s.  Trace rows record it per layer as ``l2_dev``.
+    """
+    return _delta_stats(faulty, golden)["l2_dev"]
+
+
 def _delta_stats(faulty: np.ndarray, golden: np.ndarray) -> dict:
     """Corruption statistics of one activation vs its golden twin.
 
@@ -87,8 +115,9 @@ def _delta_stats(faulty: np.ndarray, golden: np.ndarray) -> dict:
     same geometry the delta engine's row spans use — and None for
     activations without a row axis (FC/softmax vectors).  Deviations are
     computed over corrupted elements only; non-finite faulty values
-    propagate into the stats as ``nan``/``inf`` (serialized to strings
-    by ``to_jsonable``), which is itself a deterministic fact.
+    propagate into them as ``nan``/``inf`` (serialized to strings by
+    ``to_jsonable``), which is itself a deterministic fact; ``l2_dev``
+    follows :func:`_l2`'s non-finite rule instead.
     """
     mask = _bit_diff_mask(faulty, golden)
     corrupted = int(np.count_nonzero(mask))
@@ -98,15 +127,19 @@ def _delta_stats(faulty: np.ndarray, golden: np.ndarray) -> dict:
         "max_abs_dev": 0.0,
         "mean_abs_dev": 0.0,
         "max_rel_dev": 0.0,
+        "l2_dev": 0.0,
     }
     if not corrupted:
         return stats
     f = np.asarray(faulty, dtype=np.float64)[mask]
     g = np.asarray(golden, dtype=np.float64)[mask]
-    dev = np.abs(f - g)
-    stats["max_abs_dev"] = float(np.max(dev))
-    stats["mean_abs_dev"] = float(np.mean(dev))
-    stats["max_rel_dev"] = float(np.max(dev / (np.abs(g) + _REL_EPS)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are recorded facts
+        diff = f - g
+        stats["l2_dev"] = _l2(mask, diff)
+        dev = np.abs(diff)
+        stats["max_abs_dev"] = float(np.max(dev))
+        stats["mean_abs_dev"] = float(np.mean(dev))
+        stats["max_rel_dev"] = float(np.max(dev / (np.abs(g) + _REL_EPS)))
     if mask.ndim >= 2:
         row_axis = mask.ndim - 2
         other = tuple(ax for ax in range(mask.ndim) if ax != row_axis)

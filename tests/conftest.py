@@ -102,8 +102,9 @@ def reference_campaign(spec) -> SimpleNamespace:
     (every tail layer recomputed for that trial alone) and classified —
     never through ``run_many``, grouping or delta propagation — so it is
     an independent reference for what a campaign must produce at any
-    ``batch``.  A datapath trial's corruption comes from the per-chain
-    oracle :func:`reference_datapath`, not from the engine's build.
+    ``batch``.  A datapath or PSum REG (``single_read``) trial's
+    corruption comes from the per-chain oracle :func:`reference_datapath`,
+    not from the engine's build.
     Returns ``records`` (trial order), ``metrics`` (snapshot of the
     folded records), ``traces`` (index -> row for the traced subset) and
     ``masked`` (per trial: masked at injection).
@@ -118,7 +119,7 @@ def reference_campaign(spec) -> SimpleNamespace:
     out = SimpleNamespace(records=[], metrics=None, traces={}, masked=[])
     for trial in range(spec.n_trials):
         fault, meta = task.sample_trial(trial)
-        if spec.target == "datapath":
+        if spec.target in ("datapath", "single_read"):
             prep = reference_datapath(
                 task.network, task.dtype, fault, meta["golden"], task.storage_dtype
             )

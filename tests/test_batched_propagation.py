@@ -246,13 +246,16 @@ class TestCampaignBatchParity:
             network="ConvNet", dtype="32b_rb10", storage_dtype="16b_rb10",
             n_trials=20, seed=13,
         ),
+        CampaignSpec(
+            network="ConvNet", dtype="FLOAT16", target="single_read", n_trials=20, seed=14,
+        ),
     ]
 
     @staticmethod
     def _same_value(a: float, b: float) -> bool:
         return a == b or (a != a and b != b)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["datapath", "buffer", "proteus"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["datapath", "buffer", "proteus", "psum"])
     def test_batched_campaign_matches_serial(self, spec):
         reference = reference_campaign(spec)
         for batch in (1, 8):
@@ -332,7 +335,7 @@ class TestGroupFailure:
 
 SLICE_SPECS = [
     CampaignSpec(network="ConvNet", dtype=dtype, target=target, n_trials=64, seed=21)
-    for target in ("datapath", "row_activation")
+    for target in ("datapath", "row_activation", "single_read")
     for dtype in ("FLOAT16", "16b_rb10")
 ]
 
@@ -344,9 +347,10 @@ def _summary(result) -> dict:
 
 
 class TestSliceReplay:
-    """``run_many`` samples a slice, then replays its datapath chains one
-    ``replay_datapath`` call per MAC layer; the slice's composition must
-    not move a bit, and a raising replay must sink no slice-mate."""
+    """``run_many`` samples a slice, then replays its datapath and PSum REG
+    chains one ``replay_datapath`` call per MAC layer; the slice's
+    composition must not move a bit, and a raising replay must sink no
+    slice-mate."""
 
     @pytest.mark.parametrize(
         "spec", SLICE_SPECS, ids=[f"{s.target}-{s.dtype}" for s in SLICE_SPECS]
@@ -357,11 +361,12 @@ class TestSliceReplay:
             assert repr(result.records) == repr(runs[0].records)
             assert _summary(result) == _summary(runs[0])
 
-    def test_one_replay_call_per_layer_per_slice(self, monkeypatch):
+    @pytest.mark.parametrize("target", ["datapath", "single_read"])
+    def test_one_replay_call_per_layer_per_slice(self, monkeypatch, target):
         import repro.core.campaign as campaign
         import repro.core.injector as injector
 
-        spec = SLICE_SPECS[0]
+        spec = next(s for s in SLICE_SPECS if s.target == target)
         chunk = 16
         slices: list[tuple[int, ...]] = []
         real = injector.replay_datapath

@@ -19,16 +19,24 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core import campaign
-from repro.core.campaign import CampaignSpec, run_campaign
+from repro.core.campaign import CampaignSpec, _CampaignTask, run_campaign
 from repro.core.checkpoint import campaign_fingerprint
+from repro.core.fault import DatapathFault
+from repro.core.injector import InjectionResult, inject_datapath
 from repro.core.serialize import campaign_summary
+from repro.dtypes import FLOAT16
+from repro.experiments import fig7_euclidean
+from repro.experiments.common import PAPER_NETWORKS, ExperimentConfig
 from repro.obs import cli as obs_cli
 from repro.obs.tracer import (
     TraceWriter,
+    build_trace,
     default_trace_path,
     load_trace,
     trace_depth_histogram,
@@ -49,6 +57,10 @@ ROW_KEYS = {
     "index", "site", "block", "bit", "resume_layer", "value_before",
     "value_after", "masked_at_injection", "injected", "layers", "depth",
     "masking", "detector_layer", "outcome", "detected", "reached_output",
+}
+#: Every key of an ``injected`` or ``layers`` entry's corruption stats.
+STAT_KEYS = {
+    "corrupted", "dirty_rows", "max_abs_dev", "mean_abs_dev", "max_rel_dev", "l2_dev",
 }
 
 
@@ -125,6 +137,9 @@ class TestTraceIdentity:
             elif row["layers"]:
                 saw_live = True
                 assert row["injected"]["corrupted"] >= 0
+                assert set(row["injected"]) == STAT_KEYS
+                assert all(set(e) == STAT_KEYS | {"layer", "name", "kind"}
+                           for e in row["layers"])
                 killed = [e for e in row["layers"] if e["corrupted"] == 0]
                 if killed:
                     assert row["masking"]["layer"] == killed[0]["layer"]
@@ -189,7 +204,10 @@ class TestTraceResume:
         # Checkpointed-but-untraced trials were re-run, not replayed.
         assert resumed.stats.resumed == SPEC.n_trials // 3
 
-    def test_fingerprint_mismatch_trace_is_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize("key", ["fingerprint", "version"])
+    def test_fingerprint_mismatch_trace_is_rebuilt(self, tmp_path, key):
+        # A prior trace of another campaign, or of another row schema
+        # (a version 1 row has no l2_dev), lends no rows to a resume.
         ck = tmp_path / "ck.jsonl"
         run_campaign(SPEC, checkpoint=ck)
         trace = default_trace_path(ck)
@@ -197,7 +215,7 @@ class TestTraceResume:
 
         lines = trace.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
-        header["fingerprint"] = "0" * len(header["fingerprint"])
+        header[key] = {"fingerprint": "0" * len(header["fingerprint"]), "version": 1}[key]
         trace.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n",
                          encoding="utf-8")
         resumed = run_campaign(SPEC, checkpoint=ck, resume=True)
@@ -336,6 +354,19 @@ class TestTraceCli:
             ["trace", str(default_trace_path(traced_run)), "--trial", "0"]) == 0
         out = capsys.readouterr().out
         assert "traced trial" in out and "outcome" in out
+        header = next(line for line in out.splitlines() if line.startswith("layer "))
+        assert header.split("|")[-1].strip() == "l2"
+        row = load_trace(default_trace_path(traced_run))[1][0]
+        assert row["layers"], "trial 0 propagated no layer"
+        first = row["layers"][0]
+
+        def l2_cell(text: str) -> str:
+            line = next(ln for ln in text.splitlines() if ln.startswith(f"{first['layer']} "))
+            return line.split("|")[-1].strip()
+
+        assert l2_cell(out) == f"{first['l2_dev']:.4g}"
+        del first["l2_dev"]  # as in a version 1 row
+        assert l2_cell(obs_cli.render_trace_trial({"version": 1}, row)) == "-"
 
     def test_untraced_trial_exits_one(self, tmp_path, capsys):
         spec = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=16,
@@ -416,3 +447,128 @@ class TestPropagationExperiment:
             assert locus_total == cfg.trials
         rendering = ext_propagation.render(result)
         assert "masking locus" in rendering and "ConvNet" in rendering
+
+
+def _faulty_activation(injection: InjectionResult, layer_index: int) -> np.ndarray | None:
+    """Output of ``layer_index`` in the faulty run, if re-executed."""
+    j = layer_index - injection.resume_index + 1
+    if j < 0 or j >= len(injection.faulty_activations):
+        return None
+    return injection.faulty_activations[j]
+
+
+def _euclidean_by_block(golden, injection: InjectionResult, points: dict[int, int]) -> dict:
+    """Euclidean distance between faulty and golden ACTs per block.
+
+    The per-block distance Figure 7 measured before it read trace rows,
+    kept here as the oracle for :func:`fig7_euclidean.block_distances`.
+    Blocks upstream of the fault have distance 0.  A non-finite
+    difference counts as 10x the largest finite one (at least 10), and
+    every difference is clipped to +-1e150 before squaring.
+    """
+    distances: dict[int, float] = {}
+    for block, li in points.items():
+        faulty = _faulty_activation(injection, li)
+        if faulty is None:
+            distances[block] = 0.0
+            continue
+        ref = golden.activations[li + 1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = faulty - ref
+        bad = ~np.isfinite(diff)
+        if bad.any():
+            finite_mag = min(float(np.abs(diff[~bad]).max(initial=0.0)), 1e149)
+            diff = np.where(bad, max(finite_mag, 1.0) * 10.0, diff)
+        # Clip before squaring: a ~1e300 deviation would overflow the sum.
+        diff = np.clip(diff, -1e150, 1e150)
+        distances[block] = float(np.sqrt((diff * diff).sum()))
+    return distances
+
+
+def _tiny_cases(network, x) -> dict[str, tuple]:
+    """FLOAT16 ``(golden, injection)`` pairs on the tiny network."""
+    golden = network.forward(x, dtype=FLOAT16, record=True)
+    cases = {}
+    conv_out = golden.activations[1]
+    victim = tuple(int(v) for v in np.argwhere((conv_out > 0.25) & (conv_out < 2.0))[0])
+    last = network.layers[0].chain_length((3, 8, 8)) - 1
+    fault = DatapathFault(0, victim, last, "accumulator", 14)  # -> huge value
+    cases["huge-accumulator"] = inject_datapath(network, FLOAT16, fault, golden, record=True)
+    act = conv_out.copy()
+    act[0, 0, 0] = np.inf
+    res = network.forward_from(1, act, dtype=FLOAT16, record=True)
+    cases["injected-inf"] = InjectionResult(
+        scores=res.scores, masked=False, value_before=0.0, value_after=np.inf,
+        resume_index=1, faulty_activations=[act] + res.activations[1:],
+    )
+    fc = network.mac_layer_indices()[-1]
+    fault = DatapathFault(fc, (1,), 2, "accumulator", 14)
+    cases["last-mac"] = inject_datapath(network, FLOAT16, fault, golden, record=True)
+    cases["masked"] = InjectionResult(
+        scores=golden.scores, masked=True, value_before=0.0, value_after=0.0, resume_index=1,
+    )
+    return {name: (golden, injection) for name, injection in cases.items()}
+
+
+def _trace_row(network, golden, injection) -> dict:
+    meta = {"golden": golden, "site": "accumulator", "block": 1, "bit": 14}
+    record = SimpleNamespace(outcome=None, detected=None, reached_output=None)
+    return build_trace(trial=0, meta=meta, injection=injection, record=record, network=network)
+
+
+class TestFig7Parity:
+    """Figure 7's per-block distances, reduced from trace rows' ``l2_dev``,
+    equal the per-block ``_euclidean_by_block`` oracle bit for bit.
+
+    The two rules could differ only where a golden activation is itself
+    non-finite (NaN - NaN is non-finite to the oracle, while bit-equal
+    elements add 0 to ``l2_dev``); no case here has one, so the list of
+    differences is empty.
+    """
+
+    def test_relu_trace_layers(self, tiny_network):
+        # sample points: relu1 (idx 1), relu2 (idx 4), fc (idx 7 — no relu)
+        assert fig7_euclidean.relu_trace_layers(tiny_network) == {1: 1, 2: 4, 3: 7}
+
+    @staticmethod
+    def _differences(label, got: dict, want: dict) -> list:
+        assert set(got) == set(want), label
+        return [(label, block, got[block], want[block])
+                for block in want if got[block].hex() != want[block].hex()]
+
+    @pytest.mark.parametrize("name", PAPER_NETWORKS)
+    def test_pinned_double_faults(self, name):
+        cfg = ExperimentConfig(trials=60, seed=1)
+        spec = fig7_euclidean.campaign_spec(name, cfg)
+        rows = run_campaign(spec).traces
+        task = _CampaignTask(spec)
+        points = fig7_euclidean.relu_trace_layers(task.network)
+        differences, live = [], 0
+        for trial, row in rows.items():
+            fault, meta = task.sample_trial(trial)
+            injection = inject_datapath(task.network, task.dtype, fault, meta["golden"],
+                                        record=True)
+            assert row["masked_at_injection"] == injection.masked, trial
+            live += not injection.masked
+            want = _euclidean_by_block(meta["golden"], injection, points)
+            differences += self._differences(trial, fig7_euclidean.block_distances(row, points),
+                                             want)
+        assert live, "every pinned fault was masked"
+        assert differences == []
+
+    def test_float16_tiny_faults(self, tiny_network, tiny_input):
+        points = fig7_euclidean.relu_trace_layers(tiny_network)
+        differences, got = [], {}
+        for label, (golden, injection) in _tiny_cases(tiny_network, tiny_input).items():
+            row = _trace_row(tiny_network, golden, injection)
+            got[label] = fig7_euclidean.block_distances(row, points)
+            differences += self._differences(
+                label, got[label], _euclidean_by_block(golden, injection, points))
+        assert differences == []
+        assert all(np.isfinite(d) and d >= 0 for ds in got.values() for d in ds.values())
+        assert got["huge-accumulator"][1] > 0
+        # One inf gives a large but finite distance.
+        assert 10.0 <= got["injected-inf"][1] <= 1e150
+        # A fault in the last MAC layer leaves every earlier block golden.
+        assert got["last-mac"][1] == got["last-mac"][2] == 0.0 < got["last-mac"][3]
+        assert set(got["masked"].values()) == {0.0}
