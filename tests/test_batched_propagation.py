@@ -361,8 +361,14 @@ class TestSliceReplay:
             assert repr(result.records) == repr(runs[0].records)
             assert _summary(result) == _summary(runs[0])
 
-    @pytest.mark.parametrize("target", ["datapath", "single_read"])
-    def test_one_replay_call_per_layer_per_slice(self, monkeypatch, target):
+    def test_one_replay_call_per_layer_per_slice(self, monkeypatch):
+        self._check_one_replay_call_per_layer(monkeypatch, "datapath")
+
+    def test_psum_one_replay_call_per_layer_per_slice(self, monkeypatch):
+        self._check_one_replay_call_per_layer(monkeypatch, "single_read")
+
+    @staticmethod
+    def _check_one_replay_call_per_layer(monkeypatch, target):
         import repro.core.campaign as campaign
         import repro.core.injector as injector
 

@@ -1,17 +1,34 @@
-"""Propagation tracing (Figure 7 / Table 5 machinery)."""
+"""Propagation tracing (Figure 7 machinery): per-block Euclidean distances
+read from trace rows."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core.fault import DatapathFault
 from repro.core.injector import InjectionResult, inject_datapath
-from repro.core.tracing import (
-    bitwise_mismatch_by_block,
-    block_output_layers,
-    euclidean_by_block,
-    relu_trace_layers,
-)
 from repro.dtypes import FLOAT16
+from repro.experiments.fig7_euclidean import block_distances, relu_trace_layers
+from repro.obs.tracer import build_trace
+
+
+def block_output_layers(network) -> dict[int, int]:
+    """Map block index -> layer index of the block's final output."""
+    return {network.layers[i].block: i for i in network.block_output_indices()}
+
+
+def trace_row(network, golden, injection) -> dict:
+    meta = {"golden": golden, "site": "accumulator", "block": 1, "bit": 14}
+    record = SimpleNamespace(outcome=None, detected=None, reached_output=None)
+    return build_trace(trial=0, meta=meta, injection=injection, record=record, network=network)
+
+
+def euclidean_by_block(network, golden, injection, points=None) -> dict[int, float]:
+    """Distance per block, at each block's output unless ``points`` says."""
+    if points is None:
+        points = block_output_layers(network)
+    return block_distances(trace_row(network, golden, injection), points)
 
 
 @pytest.fixture
@@ -79,17 +96,3 @@ class TestEuclidean:
         )
         d = euclidean_by_block(tiny_network, golden, fake, points=relu_trace_layers(tiny_network))
         assert np.isfinite(d[1]) and d[1] > 0
-
-
-class TestBitwiseMismatch:
-    def test_mismatch_fractions_in_unit_interval(self, traced):
-        net, golden, injection = traced
-        m = bitwise_mismatch_by_block(net, golden, injection)
-        assert all(0.0 <= v <= 1.0 for v in m.values())
-        assert m[1] > 0  # the corrupted element itself mismatches
-
-    def test_pool_masking_reduces_spread(self, traced):
-        net, golden, injection = traced
-        m = bitwise_mismatch_by_block(net, golden, injection)
-        # block 1 output (after pooling) has at most all elements wrong
-        assert m[1] <= 1.0
