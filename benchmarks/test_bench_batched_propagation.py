@@ -1,11 +1,12 @@
 """Bench: batched fault propagation vs the per-trial full-recompute path.
 
 The campaign hot path propagates each prepared corruption through the
-network tail.  ``_CampaignTask.run_many`` groups a chunk's trials by
-resume layer and pushes each group through
-``Network.forward_from_batch``, which delta-propagates per-trial dirty
-row spans and drops trials the instant their corruption is masked
-mid-flight (see docs/architecture.md).  Results are bit-identical to
+network tail.  ``_CampaignTask.run_many`` sorts a chunk's unmasked
+trials by resume layer and cuts them into groups, each pushed through
+one ``Network.forward_from_batch`` call that admits every trial at its
+own layer, recomputes only each trial's own dirty rows and drops trials
+the instant their corruption is masked mid-flight (see
+docs/architecture.md).  Results are bit-identical to
 the per-trial path by contract; this bench measures what the grouping
 buys and enforces the >= 2x floor at group size >= 16.
 

@@ -73,6 +73,7 @@ __all__ = [
     "record_trial_metrics",
     "record_skip_metrics",
     "stratum_key",
+    "propagation_order",
     "run_campaign",
 ]
 
@@ -554,6 +555,19 @@ def _maybe_test_fault(trial: int) -> None:
         raise RuntimeError(f"injected test fault at trial {trial}")
 
 
+def propagation_order(prep) -> tuple:
+    """Sort key that cuts a slice's unmasked trials into propagation groups.
+
+    Trials that resume at one layer share that layer's call, and
+    confined trials share the delta layers with each other while
+    unconfined ones (FC-stage, whole-layer weight) join the full tail
+    together.  Per-trial results are independent of batch composition
+    (the bit-exactness contract of ``forward_from_batch``), so the order
+    is purely an efficiency choice.
+    """
+    return (prep.resume_index, prep.dirty_rows is None, prep.dirty_rows or (0, 0))
+
+
 class _CampaignTask:
     """Per-worker campaign task: builds the network/goldens once, then
     runs slices of trials through :meth:`run_many`.  Constructed lazily
@@ -849,12 +863,12 @@ class _CampaignTask:
         replayed together, one :func:`replay_datapath` call per MAC
         layer; building (masking, narrowing, the patch), classification
         and the metric folds stay per-trial.  Masked preparations finish
-        without propagation; the rest are grouped by resume layer
-        (``spec.storage_dtype`` is constant per campaign, so the resume
-        index alone determines the tail computation) and delta-propagated
-        through ``forward_from_batch`` in groups of at most
-        ``group_size``.  Results are positionally aligned with
-        ``indices`` and bit-identical for every slice and group size.
+        without propagation.  The rest are sorted by resume layer and
+        cut into groups of at most ``group_size``, whatever their resume
+        layers: ``forward_from_batch`` admits each trial at its own
+        layer, so every group but the last is full.  Results are
+        positionally aligned with ``indices`` and bit-identical for
+        every slice and group size.
         """
         results: list = [None] * len(indices)
         sampled = []
@@ -871,7 +885,7 @@ class _CampaignTask:
             else:
                 sampled.append((pos, trial, fault, meta))
         replayed = self._replay_slice(sampled, results)
-        groups: dict[int, list] = {}
+        unmasked = []
         for pos, trial, fault, meta in sampled:
             if results[pos] is not None:
                 continue  # its chain replay failed on its own
@@ -885,24 +899,12 @@ class _CampaignTask:
                         )
                         results[pos] = self._complete(trial, meta, injection)
                     else:
-                        groups.setdefault(prep.resume_index, []).append(
-                            (pos, trial, prep, meta)
-                        )
+                        unmasked.append((pos, trial, prep, meta))
             except Exception as exc:
                 results[pos] = self._quarantine(trial, exc, meta["site"])
-        for items in groups.values():
-            # Cluster corruptions on nearby rows into the same batch: the
-            # delta engine recomputes each batch's *union* row span, so a
-            # sorted split keeps unions narrow where a random split would
-            # push them toward the full feature map and forfeit the delta
-            # savings.  Per-trial results are independent of batch
-            # composition (bit-exactness contract), so ordering is purely
-            # an efficiency choice.
-            items.sort(
-                key=lambda it: (it[2].dirty_rows is None, it[2].dirty_rows or (0, 0))
-            )
-            for start in range(0, len(items), self.group_size):
-                self._run_group(items[start : start + self.group_size], results)
+        unmasked.sort(key=lambda it: propagation_order(it[2]))
+        for start in range(0, len(unmasked), self.group_size):
+            self._run_group(unmasked[start : start + self.group_size], results)
         return results
 
     def _replay_slice(self, sampled: list, results: list) -> dict[int, tuple[float, float]]:
@@ -941,7 +943,6 @@ class _CampaignTask:
         replayed.update((pos, value) for (pos, _, _, _), value in zip(items, values))
 
     def _run_group(self, items: list, results: list) -> None:
-        resume_index = items[0][2].resume_index
         # Record when *any* trial in the group needs activations (trace
         # sampling makes the flag per-trial); recording never changes
         # the arithmetic, so batch-mates are unaffected.
@@ -949,7 +950,7 @@ class _CampaignTask:
         try:
             with span("propagate_batch"):
                 batch = self.network.forward_from_batch(
-                    resume_index,
+                    [prep.resume_index for _, _, prep, _ in items],
                     [prep.act for _, _, prep, _ in items],
                     dtype=self.dtype,
                     record=record,
@@ -1090,7 +1091,11 @@ class RunOptions:
         jobs: Worker processes (1 = inline, None/0 = all cores).
         batch: Maximum group size: trials propagated per
             ``forward_from_batch`` call (each trial's arithmetic is
-            independent of its batch-mates).
+            independent of its batch-mates).  A group fills across
+            resume layers, so a slice makes one call per ``batch`` of
+            its unmasked trials.  The default, 16, comes from a
+            measured curve of batch sizes (docs/architecture.md,
+            "Batched propagation").
         chunk: Trials per slice handed to a worker (or run inline) at
             once; with a checkpoint, capped at ``checkpoint_every`` so
             completed trials reach the checkpoint at that cadence.
@@ -1146,7 +1151,7 @@ class RunOptions:
     """
 
     jobs: int | None = 1
-    batch: int = 1
+    batch: int = 16
     chunk: int = 64
     shared_golden: bool | None = None
     checkpoint: str | Path | None = None

@@ -57,7 +57,7 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> tuple:
     groups; each CLI adds its own flags to them.
     """
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
-    parser.add_argument("--batch", type=int, default=1,
+    parser.add_argument("--batch", type=int, default=RunOptions.batch,
                         help="maximum group size: trials propagated per batched "
                              "forward pass (results are bit-identical)")
     parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",

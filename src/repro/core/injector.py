@@ -29,8 +29,9 @@ Each engine is split into two separable stages:
 ``inject_datapath`` / ``inject_buffer`` compose the two for single
 injections.  The campaign runner propagates every unmasked trial
 through :meth:`~repro.nn.network.Network.forward_from_batch` instead:
-it prepares a slice of trials, groups them by resume layer, and
-delta-propagates each group (of one or more trials) in one call.
+it prepares a slice of trials, sorts them by resume layer, and
+delta-propagates each group of up to ``batch`` trials in one call that
+admits every trial at its own resume layer.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ window (paper section 5.1.4).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.dtypes.base import DataType
@@ -14,7 +16,6 @@ from repro.nn.im2col import (
     col2im,
     conv_out_size,
     im2col,
-    pad_fmap,
     row_windows,
     window_out_span,
 )
@@ -63,25 +64,42 @@ class MaxPool2D(Layer):
         return cols.max(axis=0).reshape(shape)  # selection only: values stay representable
 
     def forward_rows(
-        self, x: np.ndarray, dtype: DataType | None, r0: int, r1: int
-    ) -> tuple[np.ndarray, int, int]:
-        """Compute output rows ``[r0, r1)`` only.
+        self, xs: Sequence[np.ndarray], dtype: DataType | None, starts: Sequence[int], rows: int
+    ) -> np.ndarray:
+        """Output rows ``[r0, r0 + rows)`` of each input, ``r0 = starts[b]``.
 
         Window maxima are per-column selections, so any subset of output
         positions reproduces the full :meth:`forward` bit-for-bit — no
-        tile alignment needed.
+        tile alignment needed.  Each input contributes only the band of
+        rows its windows read, copied into one stack; a band position
+        outside the input, at a true fmap edge, holds ``-inf`` as
+        :meth:`forward`'s padding does.
+
+        Args:
+            xs: Unbatched inputs ``(c, h, w)``, or one stack of them.
+            starts: First output row of each input's window.
+            rows: Output rows per window (at least one).
+
+        Returns:
+            ``(n, c, rows, ow)``.
         """
-        n, c = x.shape[:2]
-        xp = pad_fmap(x, self.pad, -np.inf)
-        win = row_windows(xp, self.kernel, self.kernel, self.stride, r0, r1)
+        n = len(xs)
+        c, h, w = xs[0].shape
+        k, s, p = self.kernel, self.stride, self.pad
+        bh = (rows - 1) * s + k
+        band = np.full((n, c, bh, w + 2 * p), -np.inf)
+        for b, (x, r0) in enumerate(zip(xs, starts)):
+            lo = r0 * s - p  # input row of the band's first row
+            a0, a1 = max(lo, 0), min(lo + bh, h)
+            band[b, :, a0 - lo : a1 - lo, p : p + w] = x[:, a0:a1]
+        win = row_windows(band, k, k, s, 0, rows)
         # (n*c, kh*kw, ncols) with n*c innermost in memory, the layout of
         # the col_indices gather: max keeps its reduction layout, and its
         # inner loops span all n*c fmaps (6x faster than C order for
         # hundreds of fmaps).
         taps = np.ascontiguousarray(win.transpose(2, 3, 4, 5, 0, 1))
-        cols = taps.reshape(self.kernel**2, -1, n * c).transpose(2, 0, 1)
-        y = cols.max(axis=1).reshape(n, c, r1 - r0, win.shape[-1])
-        return y, r0, r1
+        cols = taps.reshape(k**2, -1, n * c).transpose(2, 0, 1)
+        return cols.max(axis=1).reshape(n, c, rows, win.shape[-1])
 
     def out_row_span(self, in_shape: Shape, span: tuple[int, int]) -> tuple[int, int]:
         _, oh, _ = self.out_shape(in_shape)

@@ -8,14 +8,18 @@ The fault injector needs two things beyond plain inference:
   injection costs a partial forward pass rather than a full one.
 
 Both are provided here, by one layer loop: :meth:`Network.forward_from_batch`
-resumes B activations at once (delta-propagating each trial's dirty rows
-when given golden traces), ``forward_from`` is a batch of one, and
-``forward`` quantizes the input and resumes at layer 0.  All four paper
-networks are sequential stacks, so no general DAG machinery is required.
+resumes B activations at once, each at its own layer, ``forward_from``
+is a batch of one, and ``forward`` quantizes the input and resumes at
+layer 0.  Given golden traces, the loop delta-propagates: through the
+spatially local layers each trial recomputes only its own dirty rows,
+and a trial whose corruption is masked takes its golden results from
+there on.  All four paper networks are sequential stacks, so no general
+DAG machinery is required.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +31,8 @@ from repro.obs.spans import span
 __all__ = ["Network", "InferenceResult", "BatchInferenceResult"]
 
 #: Layer kinds the delta-propagation engine can recompute partially; any
-#: other kind (flatten, fc, gap, softmax) mixes all spatial positions and
-#: switches the batch to full vectorized execution.
+#: other kind (flatten, fc, gap, softmax) mixes all spatial positions, so
+#: a trial reaching one is recomputed in full from there on.
 _DELTA_KINDS = frozenset({"conv", "relu", "pool", "lrn"})
 
 
@@ -294,7 +298,7 @@ class Network:
 
     def forward_from_batch(
         self,
-        layer_index: int,
+        layer_index: int | Sequence[int],
         acts: list[np.ndarray],
         dtype: DataType | None = None,
         record: bool = False,
@@ -303,214 +307,200 @@ class Network:
         goldens: list[InferenceResult] | None = None,
         dirty_rows: list[tuple[int, int] | None] | None = None,
     ) -> BatchInferenceResult:
-        """Resume inference at ``layers[layer_index]`` for B trials at once.
+        """Resume inference for B trials at once, each at its own layer.
 
-        Bit-exactness contract: for every trial ``b``,
-        ``forward_from_batch(i, acts)[b]`` is byte-identical to
-        ``forward_from(i, acts[b])`` (a batch of one) with the same
-        arguments, with or without delta propagation.  This holds
+        Bit-exactness contract: for every trial ``b``, trial ``b`` of
+        ``forward_from_batch(layer_index, acts)`` is byte-identical to
+        ``forward_from(layer_index[b], acts[b])`` (a batch of one) with
+        the same arguments, with or without delta propagation.  This holds
         because every layer evaluates each sample with the exact
         arithmetic (GEMM call shapes, reduction orders, per-pixel path
-        choices) whatever the batch size — see the conv module docstring.
+        choices) whatever the batch and its resume layers — see the conv
+        module docstring.
 
-        ``layer_index`` accepts the same ``[0, len(layers)]`` range as
-        :meth:`forward_from`; the upper boundary echoes each ``acts[b]``.
+        One layer loop serves the whole batch: a trial joins it at its
+        own resume layer, and each layer runs once over every trial
+        still live.  Resume layers accept the same ``[0, len(layers)]``
+        range as :meth:`forward_from`; the upper boundary echoes
+        ``acts[b]``.
 
         Args:
-            layer_index: Layer to resume at.
-            acts: B corrupted activations, each of ``shapes[layer_index]``.
+            layer_index: Layer each trial resumes at: one per trial, or
+                one ``int`` for all of them.
+            acts: B corrupted activations; ``acts[b]`` has the shape of
+                its resume layer's input.
             dtype: Datapath format (as in :meth:`forward`).
             record: Keep per-trial activation traces.
             storage_dtype: Proteus-style narrow format applied at block
                 outputs (as in :meth:`forward`).
             goldens: Optional per-trial golden traces (recorded with the
                 same ``dtype``/``storage_dtype``).  Enables *delta
-                propagation*: each layer recomputes only the output rows
-                a trial's corruption can reach, patching them into a copy
-                of the golden activation.
+                propagation*: through the spatially local layers, each
+                trial recomputes only the output rows its corruption can
+                reach, patching them into a copy of the golden
+                activation.
             dirty_rows: With ``goldens``: per-trial half-open input row
                 spans ``(r0, r1)`` confining the corruption in ``acts[b]``
-                (``None`` = anywhere, forces full recompute for that
-                trial).
+                (``None`` = anywhere: the trial is fully recomputed from
+                its resume layer on).
         """
-        self._check_resume_index(layer_index)
         if not acts:
             raise ValueError("forward_from_batch needs at least one activation")
-        for act in acts:
-            if tuple(act.shape) != self.shapes[layer_index]:
-                raise ValueError(
-                    f"expected activation {self.shapes[layer_index]}, got {tuple(act.shape)}"
-                )
         B = len(acts)
-        store_at = self.block_output_indices() if storage_dtype is not None else frozenset()
-        cur = [np.asarray(a, dtype=np.float64) for a in acts]
-        traces: list[list[np.ndarray]] = [[c] for c in cur] if record else []
-        start = layer_index
+        resume = [int(layer_index)] * B if np.isscalar(layer_index) else list(layer_index)
+        if len(resume) != B:
+            raise ValueError("layer_index must give one resume layer per trial")
+        for r, act in zip(resume, acts):
+            self._check_resume_index(r)
+            if tuple(act.shape) != self.shapes[r]:
+                raise ValueError(f"expected activation {self.shapes[r]}, got {tuple(act.shape)}")
+        spans: list[tuple[int, int] | None] = [None] * B
         if goldens is not None and dirty_rows is not None:
             if len(goldens) != B or len(dirty_rows) != B:
                 raise ValueError("goldens/dirty_rows must have one entry per trial")
             for g in goldens:
                 if len(g.activations) != len(self.layers) + 1:
                     raise ValueError("delta propagation needs fully recorded goldens")
-            cur, start, end_spans = self._delta_layers(
-                layer_index, cur, list(dirty_rows), dtype, storage_dtype, store_at, goldens, traces
-            )
-            # A trial whose span collapsed to empty is *dead*: its
-            # activation is (a reference to) its golden, so every
-            # remaining layer would recompute golden bits — take them
-            # from the recorded golden instead of recomputing.
-            dead = [
-                b
-                for b in range(B)
-                if end_spans[b] is not None and end_spans[b][0] >= end_spans[b][1]
-            ]
-        else:
-            dead = []
-        alive = [b for b in range(B) if b not in dead]
+            spans = list(dirty_rows)
+        narrow = storage_dtype.quantize if storage_dtype is not None else None
+        store_at = self.block_output_indices() if narrow is not None else frozenset()
+        cur = [np.asarray(a, dtype=np.float64) for a in acts]
+        traces: list[list[np.ndarray]] = [[c] for c in cur] if record else []
         scores: list[np.ndarray | None] = [None] * B
-        for b in dead:
-            scores[b] = goldens[b].scores  # type: ignore[index]
-            if record:
-                traces[b].extend(goldens[b].activations[start + 1 :])  # type: ignore[index]
-        if alive:
-            batched = np.stack([cur[b] for b in alive])
-            for i, layer in enumerate(self.layers[start:], start=start):
-                # span() is a shared no-op unless timing is enabled, so this
-                # per-layer hook stays out of the hot path's profile.
-                with span(f"layer:{layer.name}"):
-                    batched = layer.forward(batched, dtype)
-                if i in store_at:
-                    batched = storage_dtype.quantize(batched)
+
+        def retire(dead: list[int], i: int) -> None:
+            # A trial whose corruption is masked is *dead*: its output of
+            # layer i is golden, so every later layer would recompute
+            # golden bits — take them from the recorded golden instead.
+            for b in dead:
+                scores[b] = goldens[b].scores  # type: ignore[index]
                 if record:
-                    for pos, b in enumerate(alive):
-                        traces[b].append(batched[pos])
-            flat = batched.reshape(len(alive), -1)
-            for pos, b in enumerate(alive):
+                    traces[b].extend(goldens[b].activations[i + 1 :])  # type: ignore[index]
+
+        joins: dict[int, list[int]] = {}
+        for b, r in enumerate(resume):
+            joins.setdefault(r, []).append(b)
+        live: list[int] = []  # delta trials: cur[b] is golden outside spans[b]
+        full_ids: list[int] = []  # fully recomputed trials, the rows of `full`
+        full: np.ndarray | None = None
+        end = len(self.layers)
+        for i in range(min(resume), end + 1):
+            entering = []
+            for b in joins.get(i, ()):
+                s = spans[b]
+                if s is None:
+                    entering.append(b)
+                elif s[0] < s[1]:
+                    live.append(b)
+                else:
+                    retire([b], i)  # nothing corrupted: golden from its input on
+            if i < end and live and self.layers[i].kind not in _DELTA_KINDS:
+                entering += live  # this layer mixes rows: finish them in full
+                live = []
+            if entering:
+                stack = np.stack([cur[b] for b in entering])
+                full = stack if full is None else np.concatenate([full, stack])
+                full_ids += entering
+            if i == end:
+                break
+            layer = self.layers[i]
+            # span() is a shared no-op unless timing is enabled, so this
+            # per-layer hook stays out of the hot path's profile.
+            with span(f"layer:{layer.name}"):
+                if live:
+                    live, dead = self._delta_layer(
+                        i, live, cur, spans, goldens, dtype, narrow if i in store_at else None
+                    )
+                    retire(dead, i)
+                if full is not None:
+                    full = layer.forward(full, dtype)
+                    if i in store_at:
+                        full = narrow(full)
+            if record:
+                for b in live:
+                    traces[b].append(cur[b])
+                for pos, b in enumerate(full_ids):
+                    traces[b].append(full[pos])
+        for b in live:
+            scores[b] = cur[b].reshape(-1)
+        if full is not None:
+            flat = full.reshape(len(full_ids), -1)
+            for pos, b in enumerate(full_ids):
                 scores[b] = flat[pos]
         return BatchInferenceResult(scores=np.stack(scores), activations=traces)
 
-    def _delta_layers(
+    def _delta_layer(
         self,
-        layer_index: int,
+        i: int,
+        live: list[int],
         cur: list[np.ndarray],
         spans: list[tuple[int, int] | None],
-        dtype: DataType | None,
-        storage_dtype: DataType | None,
-        store_at: frozenset[int],
         goldens: list[InferenceResult],
-        traces: list[list[np.ndarray]],
-    ) -> tuple[list[np.ndarray], int, list[tuple[int, int] | None]]:
-        """Delta-propagate through the spatially local prefix.
+        dtype: DataType | None,
+        narrow: Callable[[np.ndarray], np.ndarray] | None,
+    ) -> tuple[list[int], list[int]]:
+        """Delta-propagate the live trials through spatially local layer ``i``.
 
-        Walks layers starting at ``layer_index`` while every layer kind
-        supports row-local recomputation and at least one trial still has
-        a confined span; returns ``(activations, next_layer_index,
-        spans)`` for the caller's full-batch loop to finish.  A trial
-        whose span is ``None`` is fully recomputed each layer; a trial
-        whose span is empty is passed through as (a reference to) its
-        golden — the engine never writes into those, so goldens are
-        never mutated.
+        Each trial recomputes only its own output rows (``spans[b]``
+        becomes their span): conv in its canonical tiles, batched tile
+        by tile (``Conv2D.forward_rows_batch``); ReLU, LRN and max-pool
+        in one stacked call over windows of one height, the largest own
+        span, each placed over its trial's span.  A window's rows
+        outside its trial's span read only golden input, so they
+        recompute golden bits and are simply not patched.
 
         After each recomputation the patch is compared bit-for-bit
         against the golden rows: when a corruption is architecturally
         masked mid-flight (ReLU clips a negative delta, pooling drops a
         non-max delta, quantization rounds a tiny delta away — the
-        paper's section 5 masking mechanisms), the trial's span
-        collapses to empty and all remaining work for it disappears.
-        A full recompute would produce exactly those golden bits, so
-        skipping them is observationally identical.
+        paper's section 5 masking mechanisms), the trial is dead and all
+        remaining work for it disappears.  A full recompute would
+        produce exactly those golden bits, so skipping them is
+        observationally identical.  Goldens are never written: a live
+        trial's ``cur[b]`` is a patched copy.
+
+        Returns ``(live, dead)``: the trials still corrupted after layer
+        ``i``, and those whose output of layer ``i`` is golden.
         """
-        B = len(cur)
-        narrow = storage_dtype.quantize if storage_dtype is not None else None
-        for i, layer in enumerate(self.layers[layer_index:], start=layer_index):
-            if (
-                layer.kind not in _DELTA_KINDS
-                or all(s is None for s in spans)
-                or all(s is not None and s[0] >= s[1] for s in spans)
-            ):
-                return cur, i, spans
-            in_shape = self.shapes[i]
-            golden_next = [g.activations[i + 1] for g in goldens]
-            out: list[np.ndarray] = [None] * B  # type: ignore[list-item]
-            new_spans: list[tuple[int, int] | None] = [None] * B
-            full = []  # trials with unconfined corruption: recompute whole fmap
-            for b in range(B):
-                s = spans[b]
-                if s is None:
-                    full.append(b)
-                elif s[0] >= s[1]:
-                    new_spans[b] = (0, 0)
-                    out[b] = golden_next[b]
-                else:
-                    new_spans[b] = layer.out_row_span(in_shape, s)
-            with span(f"layer:{layer.name}"):
-                if full:
-                    # One stacked pass for the unconfined trials; per-sample
-                    # GEMM slices keep each trial's bits identical to a solo
-                    # forward (see the conv module docstring).
-                    y = layer.forward(np.stack([cur[b] for b in full]), dtype)
-                    if i in store_at:
-                        y = narrow(y)
-                    for pos, b in enumerate(full):
-                        out[b] = y[pos]
-                sel = [b for b in range(B) if out[b] is None]
-                live = [b for b in sel if new_spans[b][0] < new_spans[b][1]]
-                for b in sel:
-                    if b not in live:
-                        out[b] = golden_next[b]
-                if live and layer.kind == "conv":
-                    # Tile-batched: each trial recomputes only its own
-                    # aligned span, with the per-tile GEMMs grouped across
-                    # the trials that need them (see forward_rows_batch).
-                    patches = layer.forward_rows_batch(
-                        np.stack([cur[b] for b in live]),
-                        dtype,
-                        [new_spans[b] for b in live],
-                    )
-                    for b, (y, a0, a1) in zip(live, patches):
-                        y = narrow(y) if i in store_at else y
-                        if _bits_equal(y, golden_next[b][:, a0:a1]):
-                            out[b] = golden_next[b]
-                            new_spans[b] = (0, 0)
-                        else:
-                            dst = golden_next[b].copy()
-                            dst[:, a0:a1] = y
-                            out[b] = dst
-                elif live:
-                    # Recompute the union of the live trials' output spans
-                    # in one stacked call (pool is exact on arbitrary row
-                    # subsets; relu/lrn never mix spatial positions).  Rows
-                    # inside the union but outside a trial's own span read
-                    # only clean (golden-equal) input, so their recomputed
-                    # bits equal the golden bits and patching the whole
-                    # union into each trial is value-identical to patching
-                    # that trial's own rows alone.
-                    u0 = min(new_spans[b][0] for b in live)
-                    u1 = max(new_spans[b][1] for b in live)
-                    if layer.kind == "pool":
-                        y, u0, u1 = layer.forward_rows(
-                            np.stack([cur[b] for b in live]), dtype, u0, u1
-                        )
-                    else:  # relu / lrn: elementwise / per-pixel on row slices
-                        y = layer.forward(
-                            np.stack([cur[b][:, u0:u1] for b in live]), dtype
-                        )
-                    if i in store_at:
-                        y = narrow(y)
-                    for pos, b in enumerate(live):
-                        if _bits_equal(y[pos], golden_next[b][:, u0:u1]):
-                            out[b] = golden_next[b]
-                            new_spans[b] = (0, 0)
-                        else:
-                            dst = golden_next[b].copy()
-                            dst[:, u0:u1] = y[pos]
-                            out[b] = dst
-            cur = out
-            spans = new_spans
-            if traces:
-                for b in range(B):
-                    traces[b].append(cur[b])
-        return cur, len(self.layers), spans
+        layer = self.layers[i]
+        todo: list[int] = []
+        dead: list[int] = []
+        for b in live:
+            spans[b] = layer.out_row_span(self.shapes[i], spans[b])
+            # A strided pool sweep can skip every dirty row.
+            (todo if spans[b][0] < spans[b][1] else dead).append(b)
+        if not todo:
+            return todo, dead
+        if layer.kind == "conv":
+            patches = layer.forward_rows_batch(
+                np.stack([cur[b] for b in todo]), dtype, [spans[b] for b in todo]
+            )
+        else:
+            rows = max(spans[b][1] - spans[b][0] for b in todo)
+            oh = self.shapes[i + 1][1]
+            starts = [min(spans[b][0], oh - rows) for b in todo]
+            if layer.kind == "pool":
+                y = layer.forward_rows([cur[b] for b in todo], dtype, starts, rows)
+            else:  # relu / lrn: elementwise / per-pixel on row windows
+                y = layer.forward(
+                    np.stack([cur[b][:, s : s + rows] for b, s in zip(todo, starts)]), dtype
+                )
+            patches = []
+            for pos, (b, s) in enumerate(zip(todo, starts)):
+                r0, r1 = spans[b]
+                patches.append((y[pos, :, r0 - s : r1 - s], r0, r1))
+        survivors = []
+        for b, (y, a0, a1) in zip(todo, patches):
+            golden = goldens[b].activations[i + 1]
+            if narrow is not None:
+                y = narrow(y)
+            if _bits_equal(y, golden[:, a0:a1]):
+                dead.append(b)
+            else:
+                cur[b] = golden.copy()
+                cur[b][:, a0:a1] = y
+                survivors.append(b)
+        return survivors, dead
 
     # ------------------------------------------------------------------ #
     def describe(self) -> dict:

@@ -31,17 +31,23 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
-def build_tiny_network(seed: int = 0, with_softmax: bool = True) -> Network:
-    """A 2-conv + 1-fc network small enough for exhaustive testing."""
+def build_tiny_network(seed: int = 0, with_softmax: bool = True, pool_pad: int = 0) -> Network:
+    """A 2-conv + 1-fc network small enough for exhaustive testing.
+
+    ``pool_pad`` pads both max-pools, which no zoo network does.
+    """
+    side = 8
+    for _ in range(2):
+        side = (side + 2 * pool_pad - 2) // 2 + 1
     layers = [
         Conv2D("c1", 3, 4, 3, stride=1, pad=1),
         ReLU("r1"),
-        MaxPool2D("p1", 2),
+        MaxPool2D("p1", 2, pad=pool_pad),
         Conv2D("c2", 4, 6, 3, stride=1, pad=1),
         ReLU("r2"),
-        MaxPool2D("p2", 2),
+        MaxPool2D("p2", 2, pad=pool_pad),
         Flatten("fl"),
-        Dense("fc", 6 * 2 * 2, 5),
+        Dense("fc", 6 * side * side, 5),
     ]
     if with_softmax:
         layers.append(Softmax("sm"))

@@ -1,14 +1,18 @@
 """Batched fault propagation: bit-exactness, golden immutability, parity.
 
-The campaign hot path groups prepared corruptions by resume layer and
-propagates each group through ``Network.forward_from_batch``.  The
-contract is byte-identity with the per-trial ``forward_from`` path — per
-trial, on scores and on every recorded activation — which these tests
-enforce over mixed datapath and buffer faults, with and without the
-Proteus storage narrowing, for both the plain stacked engine and the
-delta engine (goldens + dirty row spans).  Campaign-level tests compare
-every group size with a trial-by-trial full-recompute reference and
-drive the quarantine of groups whose propagation raises.
+The campaign hot path cuts a slice's prepared corruptions into groups
+across resume layers and propagates each group through one
+``Network.forward_from_batch`` call, which admits every trial at its own
+layer.  The contract is byte-identity with the per-trial
+``forward_from`` path — per trial, on scores and on every recorded
+activation — which these tests enforce over mixed datapath and buffer
+faults, with and without the Proteus storage narrowing, for both the
+plain stacked engine and the delta engine (goldens + dirty row spans),
+in groups of one resume layer and of many, and through padded
+max-pools.  Further tests pin the delta engine's own-row windows and
+its edge cases, and the slice's fill of its groups.  Campaign-level
+tests compare every group size with a trial-by-trial full-recompute
+reference and drive the quarantine of groups whose propagation raises.
 """
 
 import json
@@ -16,11 +20,19 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.campaign import CampaignSpec, _CampaignTask, record_trial_metrics, run_campaign
-from repro.core.fault import BufferFault, sample_buffer_fault, sample_datapath_fault
+from repro.core.campaign import (
+    CampaignSpec,
+    TrialError,
+    _CampaignTask,
+    propagation_order,
+    record_trial_metrics,
+    run_campaign,
+)
+from repro.core.fault import BufferFault, DatapathFault, sample_buffer_fault, sample_datapath_fault
 from repro.core.injector import finish_injection, prepare_buffer, prepare_datapath
 from repro.core.serialize import campaign_summary
 from repro.dtypes import DTYPES, FLOAT16
+from repro.nn import LRN, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.utils.rng import child_rng
@@ -52,18 +64,66 @@ def sample_preps(network, golden, storage_dtype, n=40, seed=42):
     return preps
 
 
-@pytest.fixture(params=[None, "FLOAT16"], ids=["plain-storage", "proteus-storage"])
-def storage(request):
-    return DTYPES[request.param] if request.param else None
+def edge_preps(network, golden, storage_dtype):
+    """Corruptions of the first and last rows of every conv input and output.
+
+    Global Buffer flips reach the conv first; accumulator flips of each
+    conv output's largest value go straight to its ReLU and max-pool.
+    """
+    preps = []
+    for li in network.mac_layer_indices():
+        if network.layers[li].kind != "conv":
+            continue
+        c, h, w = network.shapes[li]
+        for row in (0, h - 1):
+            fault = BufferFault(scope="next_layer", layer_index=li, victim=(c - 1, row, w // 2), bit=14)
+            preps.append(prepare_buffer(network, FLOAT16, fault, golden, storage_dtype))
+        out = golden.activations[li + 1]
+        steps = network.layers[li].chain_length(network.shapes[li])
+        for row in (0, out.shape[1] - 1):
+            f = int(np.argmax(out[:, row, 0]))
+            fault = DatapathFault(li, (f, row, 0), steps - 1, "accumulator", bit=14)
+            preps.append(prepare_datapath(network, FLOAT16, fault, golden, storage_dtype))
+    return preps
+
+
+#: (storage format, max-pool padding).  The padded tiny network adds the
+#: edge-row corruptions, where a padded pool's windows read ``-inf``.
+VARIANTS = [
+    pytest.param(None, 0, id="plain-storage"),
+    pytest.param("FLOAT16", 0, id="proteus-storage"),
+    pytest.param(None, 1, id="plain-storage-pool-pad1"),
+    pytest.param("FLOAT16", 1, id="proteus-storage-pool-pad1"),
+]
+
+
+def unmasked_preps(tiny_input, storage_name, pool_pad):
+    """``(network, golden, storage dtype, unmasked preparations)``."""
+    storage = DTYPES[storage_name] if storage_name else None
+    network = build_tiny_network(pool_pad=pool_pad)
+    golden = network.forward(tiny_input, dtype=FLOAT16, record=True, storage_dtype=storage)
+    preps = sample_preps(network, golden, storage)
+    if pool_pad:
+        edges = [p for p in edge_preps(network, golden, storage) if not p.masked]
+        assert len(edges) >= 6
+        preps += edges
+    return network, golden, storage, [p for p in preps if not p.masked]
+
+
+def assert_same_bytes(batch, refs):
+    """Each trial of ``batch`` equals its reference result, byte for byte."""
+    for b, ref in enumerate(refs):
+        got = batch.result(b)
+        assert got.scores.tobytes() == ref.scores.tobytes()
+        assert len(got.activations) == len(ref.activations)
+        for mine, theirs in zip(got.activations, ref.activations):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 class TestSerialBatchedEquivalence:
-    def test_batch_matches_serial_bytes(self, tiny_input, storage):
-        network = build_tiny_network()
-        golden = network.forward(
-            tiny_input, dtype=FLOAT16, record=True, storage_dtype=storage
-        )
-        preps = [p for p in sample_preps(network, golden, storage) if not p.masked]
+    @pytest.mark.parametrize("storage_name,pool_pad", VARIANTS)
+    def test_batch_matches_serial_bytes(self, tiny_input, storage_name, pool_pad):
+        network, golden, storage, preps = unmasked_preps(tiny_input, storage_name, pool_pad)
         assert len(preps) >= 8  # the mix must actually exercise the batch
         groups: dict[int, list] = {}
         for prep in preps:
@@ -88,12 +148,30 @@ class TestSerialBatchedEquivalence:
                 dirty_rows=[p.dirty_rows for p in items],
             )
             for batch in (plain, delta):
-                for b, ref in enumerate(serial):
-                    got = batch.result(b)
-                    assert got.scores.tobytes() == ref.scores.tobytes()
-                    assert len(got.activations) == len(ref.activations)
-                    for mine, theirs in zip(got.activations, ref.activations):
-                        assert mine.tobytes() == theirs.tobytes()
+                assert_same_bytes(batch, serial)
+
+    @pytest.mark.parametrize("storage_name,pool_pad", VARIANTS)
+    def test_mixed_resume_batch_matches_serial_bytes(self, tiny_input, storage_name, pool_pad):
+        """One call propagates every trial, each from its own resume layer."""
+        network, golden, storage, preps = unmasked_preps(tiny_input, storage_name, pool_pad)
+        resume = [p.resume_index for p in preps]
+        assert len(set(resume)) >= 3
+        serial = [
+            network.forward_from(
+                p.resume_index, p.act, dtype=FLOAT16, record=True, storage_dtype=storage
+            )
+            for p in preps
+        ]
+        acts = [p.act for p in preps]
+        plain = network.forward_from_batch(
+            resume, acts, dtype=FLOAT16, record=True, storage_dtype=storage
+        )
+        delta = network.forward_from_batch(
+            resume, acts, dtype=FLOAT16, record=True, storage_dtype=storage,
+            goldens=[golden] * len(preps), dirty_rows=[p.dirty_rows for p in preps],
+        )
+        for batch in (plain, delta):
+            assert_same_bytes(batch, serial)
 
     def test_batch_boundary_echoes_inputs(self, tiny_network, tiny_input):
         """resume index == len(layers) runs zero layers, like forward_from."""
@@ -124,13 +202,14 @@ class TestRoundingFormatParity:
     ConvNet's convolutions span several tiles with K up to 800.
     """
 
-    @pytest.mark.parametrize("target", ["datapath", "next_layer"])
-    @pytest.mark.parametrize("dtype_name", ["DOUBLE", "FLOAT"])
-    def test_groups_of_eight_match_solo(self, dtype_name, target):
+    @staticmethod
+    def _unmasked(dtype_name, target):
+        """96 faults on the reduced ConvNet; returns the unmasked ones and
+        a ``propagate(resume layers, preps)`` for them."""
         network = get_network("ConvNet")
         dtype = DTYPES[dtype_name]
         golden = network.forward(eval_inputs("ConvNet", 1)[0], dtype=dtype, record=True)
-        groups: dict[int, list] = {}
+        preps = []
         for t in range(96):
             rng = child_rng(5, t)
             if target == "datapath":
@@ -140,25 +219,145 @@ class TestRoundingFormatParity:
                 fault = sample_buffer_fault(network, target, dtype, rng)
                 prep = prepare_buffer(network, dtype, fault, golden)
             if not prep.masked:
-                groups.setdefault(prep.resume_index, []).append(prep)
-        assert sum(map(len, groups.values())) >= 48
+                preps.append(prep)
+        assert len(preps) >= 48
 
-        def propagate(resume_index, preps):
+        def propagate(resume, group):
             return network.forward_from_batch(
-                resume_index, [p.act for p in preps], dtype=dtype, record=True,
-                goldens=[golden] * len(preps), dirty_rows=[p.dirty_rows for p in preps],
+                resume, [p.act for p in group], dtype=dtype, record=True,
+                goldens=[golden] * len(group), dirty_rows=[p.dirty_rows for p in group],
             )
 
-        for resume_index, preps in groups.items():
-            for g0 in range(0, len(preps), 8):
-                group = preps[g0 : g0 + 8]
-                batch = propagate(resume_index, group)
-                for b, prep in enumerate(group):
-                    solo = propagate(resume_index, [prep])
-                    assert batch.scores[b].tobytes() == solo.scores[0].tobytes()
-                    assert len(batch.activations[b]) == len(solo.activations[0])
-                    for mine, theirs in zip(batch.activations[b], solo.activations[0]):
-                        assert mine.tobytes() == theirs.tobytes()
+        return preps, propagate
+
+    @staticmethod
+    def _check_solo(propagate, batch, group):
+        for b, prep in enumerate(group):
+            solo = propagate(prep.resume_index, [prep])
+            assert batch.scores[b].tobytes() == solo.scores[0].tobytes()
+            assert len(batch.activations[b]) == len(solo.activations[0])
+            for mine, theirs in zip(batch.activations[b], solo.activations[0]):
+                assert mine.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("target", ["datapath", "next_layer"])
+    @pytest.mark.parametrize("dtype_name", ["DOUBLE", "FLOAT"])
+    def test_groups_of_eight_match_solo(self, dtype_name, target):
+        preps, propagate = self._unmasked(dtype_name, target)
+        groups: dict[int, list] = {}
+        for prep in preps:
+            groups.setdefault(prep.resume_index, []).append(prep)
+        for resume_index, items in groups.items():
+            for g0 in range(0, len(items), 8):
+                group = items[g0 : g0 + 8]
+                self._check_solo(propagate, propagate(resume_index, group), group)
+
+    @pytest.mark.parametrize("target", ["datapath", "next_layer"])
+    @pytest.mark.parametrize("dtype_name", ["DOUBLE", "FLOAT"])
+    def test_mixed_resume_groups_of_eight_match_solo(self, dtype_name, target):
+        """Groups of eight cut in ``run_many``'s order, across resume layers."""
+        preps, propagate = self._unmasked(dtype_name, target)
+        preps.sort(key=propagation_order)
+        groups = [preps[g0 : g0 + 8] for g0 in range(0, len(preps), 8)]
+        assert any(len({p.resume_index for p in group}) > 1 for group in groups)
+        for group in groups:
+            batch = propagate([p.resume_index for p in group], group)
+            self._check_solo(propagate, batch, group)
+
+
+def _net(name, layers, input_shape, seed=0):
+    network = Network(name, layers, input_shape=input_shape)
+    g = np.random.default_rng(seed)
+    for i in network.mac_layer_indices():
+        for arr in network.layers[i].params().values():
+            arr[:] = g.normal(0.0, 0.3, arr.shape)
+    return network
+
+
+def _corrupt(golden, layer_index, victims, value=1000.0):
+    """Golden input of ``layer_index`` with ``value`` written at ``victims``."""
+    act = golden.activations[layer_index].copy()
+    for victim in victims:
+        act[victim] = value
+    return act
+
+
+class TestOwnRowWindows:
+    """ReLU, LRN and max-pool recompute each trial's own rows in one
+    stacked call: windows of one height, the largest own span, each
+    placed over its trial's span."""
+
+    def test_windows_are_own_span_height(self, monkeypatch):
+        network = _net(
+            "windows",
+            [ReLU("r"), LRN("n"), MaxPool2D("p", 2), Flatten("fl"), Dense("fc", 4 * 4 * 4, 3)],
+            (4, 8, 8),
+        )
+        x = np.random.default_rng(3).uniform(0.5, 1.5, (4, 8, 8))
+        golden = network.forward(x, dtype=FLOAT16, record=True)
+        h = network.shapes[0][1]
+        acts = [_corrupt(golden, 0, [(1, 0, 3)]), _corrupt(golden, 0, [(2, h - 1, 5)])]
+        heights: dict[str, list[int]] = {"relu": [], "lrn": [], "pool": []}
+
+        def spy(cls, method, kind, height):
+            real = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                heights[kind].append(height(*args))
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        spy(ReLU, "forward", "relu", lambda x, *_: x.shape[2])
+        spy(LRN, "forward", "lrn", lambda x, *_: x.shape[2])
+        spy(MaxPool2D, "forward_rows", "pool", lambda xs, dtype, starts, rows: rows)
+        batch = network.forward_from_batch(
+            0, acts, dtype=FLOAT16, record=True, goldens=[golden] * 2,
+            dirty_rows=[(0, 1), (h - 1, h)],
+        )
+        assert heights == {"relu": [1], "lrn": [1], "pool": [1]}
+        assert_same_bytes(batch, [network.forward_from(0, a, FLOAT16, True) for a in acts])
+
+    def test_pool_that_skips_the_dirty_row(self):
+        """A strided sweep that reads no dirty row leaves an empty output
+        span: that trial is golden from the pool on."""
+        network = _net(
+            "skip",
+            [ReLU("r"), MaxPool2D("p", 1, stride=2), Flatten("fl"), Dense("fc", 2 * 4 * 4, 3)],
+            (2, 8, 8),
+        )
+        x = np.random.default_rng(4).uniform(0.5, 1.5, (2, 8, 8))
+        golden = network.forward(x, dtype=FLOAT16, record=True)
+        skipped, read = _corrupt(golden, 0, [(0, 3, 2)]), _corrupt(golden, 0, [(1, 4, 6)])
+        for acts, rows in (([skipped, read], [(3, 4), (4, 5)]), ([skipped], [(3, 4)])):
+            batch = network.forward_from_batch(
+                0, acts, dtype=FLOAT16, record=True, goldens=[golden] * len(acts),
+                dirty_rows=rows,
+            )
+            assert_same_bytes(batch, [network.forward_from(0, a, FLOAT16, True) for a in acts])
+        assert batch.scores[0].tobytes() == golden.scores.tobytes()
+
+    def test_live_set_empties_before_a_later_join(self, tiny_input):
+        """A trial that ReLU masks leaves no live trial at the first pool;
+        a confined trial joins at the second conv, an unconfined one at
+        the fc."""
+        network = build_tiny_network()
+        golden = network.forward(tiny_input, dtype=FLOAT16, record=True)
+        negative = tuple(int(v) for v in np.argwhere(golden.activations[1] < 0)[0])
+        masked = _corrupt(golden, 1, [negative], value=-1000.0)
+        late = _corrupt(golden, 3, [(1, 1, 1)])
+        fc = network.layers.index(network.layer_named("fc"))
+        unconfined = golden.activations[fc] * 2.0
+        resume = [1, 3, fc]
+        acts = [masked, late, unconfined]
+        batch = network.forward_from_batch(
+            resume, acts, dtype=FLOAT16, record=True, goldens=[golden] * 3,
+            dirty_rows=[(negative[1], negative[1] + 1), (1, 2), None],
+        )
+        assert_same_bytes(
+            batch, [network.forward_from(r, a, FLOAT16, True) for r, a in zip(resume, acts)]
+        )
+        assert batch.scores[0].tobytes() == golden.scores.tobytes()
+        assert batch.scores[1].tobytes() != golden.scores.tobytes()
 
 
 class TestGoldenImmutability:
@@ -360,6 +559,30 @@ class TestSliceReplay:
         for result in runs[1:]:
             assert repr(result.records) == repr(runs[0].records)
             assert _summary(result) == _summary(runs[0])
+
+    def test_slice_fills_every_propagation_group(self, monkeypatch):
+        """A 64-trial slice at batch 16 propagates its unmasked trials in
+        ceil(unmasked / 16) calls, across resume layers."""
+        spec = SLICE_SPECS[0]
+        task = _CampaignTask(spec, batch=16)
+        indices = list(range(64))
+        unmasked = sum(not task.build_trial(*task.sample_trial(t)).masked for t in indices)
+        calls: list[list[int]] = []
+        real = Network.forward_from_batch
+
+        def counted(self, layer_index, acts, *args, goldens=None, **kwargs):
+            if goldens is not None:
+                many = not np.isscalar(layer_index)
+                calls.append(list(layer_index) if many else [layer_index] * len(acts))
+            return real(self, layer_index, acts, *args, goldens=goldens, **kwargs)
+
+        monkeypatch.setattr(Network, "forward_from_batch", counted)
+        results = task.run_many(indices)
+        assert not any(isinstance(r, TrialError) for r in results)
+        assert unmasked > 16
+        assert len(calls) == -(-unmasked // 16)
+        assert sum(map(len, calls)) == unmasked
+        assert any(len(set(resume)) > 1 for resume in calls)
 
     def test_one_replay_call_per_layer_per_slice(self, monkeypatch):
         self._check_one_replay_call_per_layer(monkeypatch, "datapath")

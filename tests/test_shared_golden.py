@@ -53,7 +53,7 @@ def _segments() -> set[str]:
 class TestSharedGoldenParity:
     def test_byte_identity_across_execution_modes(self):
         before = _segments()
-        baseline = _summary(run_campaign(SPEC))
+        baseline = _summary(run_campaign(SPEC, batch=1))
         assert _summary(run_campaign(SPEC, jobs=2)) == baseline  # shm auto-on
         assert _summary(run_campaign(SPEC, jobs=1, shared_golden=True)) == baseline
         assert _summary(run_campaign(SPEC, jobs=2, batch=16, shared_golden=True)) == baseline
@@ -181,7 +181,7 @@ class TestEarlyStopping:
             assert counters[f"early_stop/skipped/{site}"] == n
 
     def test_parity_across_jobs_shm_and_batch(self):
-        baseline = _summary(run_campaign(STOP_SPEC))
+        baseline = _summary(run_campaign(STOP_SPEC, batch=1))
         shared = run_campaign(STOP_SPEC, jobs=2, batch=8, shared_golden=True)
         assert _summary(shared) == baseline
 

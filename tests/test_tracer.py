@@ -98,7 +98,7 @@ class TestTraceIdentity:
     def test_serial_jobs_batch_shm_byte_identical(self, tmp_path):
         files = {}
         for label, kwargs in {
-            "serial": {},
+            "serial": {"batch": 1},
             "jobs2": {"jobs": 2},
             "batch16": {"batch": 16},
             "shm2": {"jobs": 2, "shared_golden": True},
