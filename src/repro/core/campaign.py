@@ -57,7 +57,7 @@ from repro.obs.tracer import (
     default_trace_path,
     load_trace,
 )
-from repro.utils.parallel import TrialFailure, effective_jobs, exc_summary, map_trials
+from repro.utils.parallel import TrialFailure, blas_threads, effective_jobs, exc_summary, map_trials
 from repro.utils.rng import child_rng
 from repro.zoo.registry import eval_inputs, get_network
 
@@ -1088,7 +1088,7 @@ class RunOptions:
     options resumes correctly under another.
 
     Attributes:
-        jobs: Worker processes (1 = inline, None/0 = all cores).
+        jobs: Worker processes (1 = inline, None/0 = every usable CPU).
         batch: Maximum group size: trials propagated per
             ``forward_from_batch`` call (each trial's arithmetic is
             independent of its batch-mates).  A group fills across
@@ -1195,7 +1195,7 @@ def run_campaign(spec: CampaignSpec, jobs: int | None = 1, *,
 
     Args:
         spec: Campaign configuration.
-        jobs: Worker processes (1 = inline, None/0 = all cores).
+        jobs: Worker processes (1 = inline, None/0 = every usable CPU).
         events: :class:`~repro.obs.events.EventRecorder` observing
             retry/rebuild/quarantine/resume events (a fresh one is used
             when None; note ``stats`` counts reflect every emission the
@@ -1342,6 +1342,7 @@ class _CampaignRun:
                 "resumed": self.resumed > 0,
                 "resumed_trials": self.resumed,
                 "shared_golden": self.use_shm,
+                "blas_threads": blas_threads(options.jobs),
                 "trace": {
                     "mode": spec.trace_mode,
                     "every": spec.trace_every,

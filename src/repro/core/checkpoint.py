@@ -80,7 +80,7 @@ def campaign_fingerprint(spec: CampaignSpec) -> str:
 
 def encode_record(record: TrialRecord) -> dict:
     """Serialize one trial record to JSON-safe types."""
-    return to_jsonable(dataclasses.asdict(record))
+    return to_jsonable(record)
 
 
 def decode_record(data: dict) -> TrialRecord:
@@ -225,10 +225,10 @@ class CheckpointWriter:
         self._log.add(index, {"index": index, "record": encode_record(record)})
 
     def add_error(self, index: int, error: TrialError) -> None:
-        self._log.add(index, {"index": index, "error": to_jsonable(dataclasses.asdict(error))})
+        self._log.add(index, {"index": index, "error": to_jsonable(error)})
 
     def add_skip(self, index: int, skip: TrialSkip) -> None:
-        self._log.add(index, {"index": index, "skip": to_jsonable(dataclasses.asdict(skip))})
+        self._log.add(index, {"index": index, "skip": to_jsonable(skip)})
 
     def flush(self) -> Path:
         """Write every added trial to the file (snapshot once, then append)."""

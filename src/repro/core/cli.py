@@ -56,7 +56,7 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> tuple:
     Returns the ``(stopping, resilience, observability)`` argument
     groups; each CLI adds its own flags to them.
     """
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (0 = all cores)")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes (0 = every usable CPU)")
     parser.add_argument("--batch", type=int, default=RunOptions.batch,
                         help="maximum group size: trials propagated per batched "
                              "forward pass (results are bit-identical)")

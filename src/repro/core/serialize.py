@@ -46,7 +46,9 @@ def to_jsonable(obj: object) -> object:
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(dataclasses.asdict(obj))
+        # One walk over the fields: the same output as converting
+        # ``dataclasses.asdict(obj)``, without its deep copy.
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():

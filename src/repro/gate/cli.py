@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out", default="gate-evidence.json",
                          help="evidence manifest path (default: ./gate-evidence.json)")
     p_check.add_argument("--jobs", type=int, default=1,
-                         help="recipes run at once (default 1; 0 = all cores)")
+                         help="recipes run at once (default 1; 0 = every usable CPU)")
     p_check.add_argument("--root", default=None,
                          help="checkout to run recipes against (default: specs' parent)")
 

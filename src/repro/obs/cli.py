@@ -203,7 +203,7 @@ def render_tail(run: dict, n: int = 20, kind: str | None = None) -> str:
 #: identity (they live in the spec and the fingerprint), but the dict
 #: also records the trace file path, which differs between equivalent
 #: runs, so the whole meta entry is an execution knob for diffing.
-_EXECUTION_META = ("jobs", "batch", "resumed", "resumed_trials", "shared_golden", "trace")
+_EXECUTION_META = ("jobs", "batch", "resumed", "resumed_trials", "shared_golden", "blas_threads", "trace")
 
 
 def run_identity(run: dict) -> dict:

@@ -10,8 +10,10 @@ fork-once/reuse-state idiom from the HPC guides.
 At the paper's scale (~3M injections, Section 4) the pool itself must
 survive faults, so the fan-out is *supervised*:
 
-- chunks are submitted as futures with per-chunk deadlines (a hung trial
-  cannot stall the campaign forever);
+- chunks are submitted as futures, one queued behind each running one,
+  so a worker starts its next chunk while the parent absorbs the last;
+- each chunk has a deadline that starts when the chunk starts (a hung
+  trial cannot stall the campaign forever);
 - a crashed worker (``BrokenProcessPool``) triggers a pool rebuild with
   capped exponential backoff instead of aborting;
 - crashed or timed-out chunks are retried against a retry budget, then
@@ -31,6 +33,9 @@ that kills or wedges the process kills or wedges the campaign.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import os
 import time
 import traceback
@@ -39,29 +44,94 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.obs.spans import span
 
-__all__ = ["effective_jobs", "exc_summary", "map_trials", "TrialFailure"]
+__all__ = [
+    "blas_threads",
+    "effective_jobs",
+    "exc_summary",
+    "map_trials",
+    "TrialFailure",
+    "usable_cpus",
+]
 
 _WORKER_TASK = None
 
 #: Shortest supervision poll when a deadline is imminent (seconds).
 _MIN_TICK = 0.02
 
+#: Chunks in flight per worker: the one it runs and one queued behind
+#: it, so a worker starts its next chunk while the parent absorbs (and
+#: checkpoints) the one it just returned.
+_QUEUE_DEPTH = 2
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform has one.
+
+    A process pinned to fewer CPUs than the host has (``taskset``, a
+    cpuset) would oversubscribe them if it counted ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def effective_jobs(jobs: int | None) -> int:
-    """Resolve a job-count request: None/0 -> all cores.
+    """Resolve a job-count request: None/0 -> every usable CPU.
 
     Negative values are a caller bug (typically bad CLI arithmetic such
     as ``jobs = cores - reserved`` going below zero) and raise rather
     than being silently coerced to serial execution.
     """
     if jobs is not None and not jobs >= 0:
-        raise ValueError(f"jobs must be >= 0 (0/None = all cores), got {jobs}")
+        raise ValueError(f"jobs must be >= 0 (0/None = every usable CPU), got {jobs}")
     if jobs is None or jobs == 0:
-        return max(1, os.cpu_count() or 1)
+        return usable_cpus()
     return jobs
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, with its thread getter and setter declared.
+
+    None when numpy ships no ``libscipy_openblas64_`` exporting both
+    symbols: thread control is then a no-op.
+    """
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            getter = lib.scipy_openblas_get_num_threads64_
+            setter = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+def blas_threads(jobs: int | None = 1) -> int | None:
+    """OpenBLAS threads each process running trials gets at ``jobs``.
+
+    Inline (``jobs == 1``) that is this process's own count.  A pool
+    worker gets its share of the usable CPUs, ``max(1, usable // jobs)``,
+    or this process's count when that is lower: the cap never raises
+    it.  None when numpy's OpenBLAS exposes no thread getter.  The count
+    moves no campaign bits (the tests compare every format's summaries
+    at one and two threads).
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    current = lib.scipy_openblas_get_num_threads64_()
+    n_jobs = effective_jobs(jobs)
+    return current if n_jobs == 1 else min(current, max(1, usable_cpus() // n_jobs))
 
 
 @dataclass(frozen=True)
@@ -102,8 +172,14 @@ class _Chunk:
     ctl: object = None
 
 
-def _init_worker(task_factory: Callable[[], object]) -> None:
+def _init_worker(task_factory: Callable[[], object], blas: int | None) -> None:
     global _WORKER_TASK
+    # Workers inherit the parent's BLAS threads, one per core by
+    # default: lowered to ``blas`` (never raised), ``jobs`` workers
+    # share the cores instead of oversubscribing them.
+    lib = _openblas()
+    if blas is not None and lib is not None and lib.scipy_openblas_get_num_threads64_() > blas:
+        lib.scipy_openblas_set_num_threads64_(blas)
     # Worker-lifetime task cache, rebound exactly once per process at
     # pool start.
     _WORKER_TASK = task_factory()
@@ -188,12 +264,14 @@ class _Supervisor:
         backoff_cap: float,
         on_event: Callable[[str, dict], None] | None,
         on_result: Callable[[int, object], None] | None,
+        blas: int | None,
         on_obs: Callable[[object], None] | None = None,
         plan: Callable[[], tuple[Sequence[int], object] | None] | None = None,
         inline: bool = False,
     ):
         self.task_factory = task_factory
         self.n_jobs = n_jobs
+        self.blas = blas
         self.chunk = chunk
         self.timeout = timeout
         self.timeout_grace = timeout_grace
@@ -209,7 +287,13 @@ class _Supervisor:
         self.results: dict[int, object] = {}
         self.pending: deque[_Chunk] = deque()
         self.probation: deque[_Chunk] = deque()
-        self.in_flight: dict[Future, tuple[_Chunk, float | None]] = {}
+        #: Submitted chunks in submission order.  The executor runs them
+        #: first in, first out, so the oldest ``n_jobs`` are the running
+        #: ones and the rest are queued behind them.
+        self.in_flight: dict[Future, _Chunk] = {}
+        #: Deadlines of the running chunks (with a ``timeout``); a queued
+        #: chunk's clock starts when it moves up to a worker.
+        self.deadlines: dict[Future, float] = {}
         self.pool: ProcessPoolExecutor | None = None
         self.consecutive_rebuilds = 0
         self.ever_succeeded = False
@@ -278,7 +362,7 @@ class _Supervisor:
         self.pool = ProcessPoolExecutor(
             max_workers=self.n_jobs,
             initializer=_init_worker,
-            initargs=(self.task_factory,),
+            initargs=(self.task_factory, self.blas),
         )
 
     def _teardown_pool(self, kill: bool) -> None:
@@ -293,18 +377,26 @@ class _Supervisor:
         self.pool.shutdown(wait=False, cancel_futures=True)
         self.pool = None
 
-    def _reclaim_in_flight(self, reason: str, *, blame: bool) -> None:
-        """Return every in-flight chunk to the queue after a pool death."""
-        for fut, (c, _) in list(self.in_flight.items()):
-            if blame:
-                # The culprit cannot be identified after a crash, so every
-                # in-flight chunk takes the hit; innocents that exhaust
-                # their budget are bisected, not lost.
-                c.attempts += 1
-                self._requeue_or_bisect(c, reason)
-            else:
-                self.pending.append(c)
+    def _reclaim_in_flight(self, reason: str, charged: int) -> None:
+        """Return every unresolved chunk to the queue after the pool died.
+
+        Results that arrived before the pool died are kept.  Of the
+        chunks still unresolved, the oldest ``charged`` were running:
+        the culprit cannot be told apart from its fellows, so each takes
+        one attempt (innocents that exhaust their budget are bisected,
+        not lost).  The rest were queued behind them and go back to the
+        front of the queue, in order, free.
+        """
+        for fut in list(self.in_flight):
+            if fut.done():
+                self._settle(fut)
+        unresolved = list(self.in_flight.values())
         self.in_flight.clear()
+        self.deadlines.clear()
+        for c in unresolved[:charged]:
+            c.attempts += 1
+            self._requeue_or_bisect(c, reason)
+        self.pending.extendleft(reversed(unresolved[charged:]))
 
     # -- inline execution -------------------------------------------------- #
     def _degrade(self) -> None:
@@ -328,11 +420,45 @@ class _Supervisor:
 
     # -- completed-future processing --------------------------------------- #
     def _absorb(self, payload: tuple[list, object]) -> None:
-        pairs, obs = payload
-        for index, value in pairs:
-            self._record(index, value)
-        if obs is not None and self.on_obs is not None:
-            self.on_obs(obs)
+        with span("absorb"):
+            pairs, obs = payload
+            for index, value in pairs:
+                self._record(index, value)
+            if obs is not None and self.on_obs is not None:
+                self.on_obs(obs)
+
+    def _settle(self, fut: Future) -> bool:
+        """Resolve a done future's chunk; False when its pool broke first.
+
+        A chunk whose pool broke or shut down under it stays in flight
+        for :meth:`_reclaim_in_flight`.
+        """
+        if fut.cancelled() or isinstance(fut.exception(), BrokenProcessPool):
+            return False
+        c = self.in_flight.pop(fut)
+        self.deadlines.pop(fut, None)
+        try:
+            payload = fut.result()
+        except Exception:
+            # Infrastructure failure outside the trial (e.g. the result
+            # failed to unpickle): treat like a chunk fault.
+            c.attempts += 1
+            self._requeue_or_bisect(c, "crash")
+            return True
+        self.consecutive_rebuilds = 0
+        self.ever_succeeded = True
+        self._absorb(payload)
+        return True
+
+    def _start_clocks(self) -> None:
+        """Start the deadline of each chunk that has moved up to a worker."""
+        if self.timeout is None:
+            return
+        now = time.perf_counter()
+        for fut in itertools.islice(self.in_flight, self.n_jobs):
+            if fut not in self.deadlines:
+                budget = self.timeout * len(self.in_flight[fut].indices) + self.timeout_grace
+                self.deadlines[fut] = now + budget
 
     # -- main loop ---------------------------------------------------------- #
     def run(self) -> dict[int, object]:
@@ -378,100 +504,83 @@ class _Supervisor:
                 self._top_up()
                 broken = self._drain()
             except BrokenProcessPool:
-                self._reclaim_in_flight("crash", blame=True)
+                self._reclaim_in_flight("crash", charged=self.n_jobs)
                 broken = True
             if broken:
                 self.consecutive_rebuilds += 1
                 self._teardown_pool(kill=False)
 
     def _top_up(self) -> None:
-        """Keep at most ``n_jobs`` chunks in flight.
+        """Keep one chunk queued behind each running one.
 
-        Submitting one chunk per worker keeps submit-time ≈ start-time,
-        so per-chunk deadlines measure execution, not queueing.
+        ``_QUEUE_DEPTH * n_jobs`` chunks are in flight, so a worker that
+        returns a chunk starts its next one at once instead of waiting
+        while the parent absorbs the result.  Deadlines still measure
+        execution, not queueing: a chunk's clock starts when it moves up
+        to a worker (:meth:`_start_clocks`).
         """
         assert self.pool is not None
-        if any(c.solo for c, _ in self.in_flight.values()):
+        if any(c.solo for c in self.in_flight.values()):
             return  # a solo verification run owns the pool
         while self.pending or self.probation:
             if self.probation:
                 if self.in_flight:
-                    return  # drain shared work before the next solo run
+                    break  # drain shared work before the next solo run
                 c = self.probation.popleft()
-            elif len(self.in_flight) < self.n_jobs:
+            elif len(self.in_flight) < _QUEUE_DEPTH * self.n_jobs:
                 c = self.pending.popleft()
             else:
-                return
-            deadline = None
-            if self.timeout is not None:
-                deadline = (
-                    time.perf_counter() + self.timeout * len(c.indices) + self.timeout_grace
-                )
+                break
             try:
                 fut = self.pool.submit(_run_chunk, c.indices, c.ctl)
             except (BrokenProcessPool, RuntimeError):
                 queue = self.probation if c.solo else self.pending
                 queue.appendleft(c)
                 raise BrokenProcessPool("pool broke on submit")
-            self.in_flight[fut] = (c, deadline)
+            self.in_flight[fut] = c
             if c.solo:
-                return
+                break
+        self._start_clocks()
 
     def _drain(self) -> bool:
         """Wait for progress; returns True when the pool must be rebuilt."""
-        now = time.perf_counter()
-        deadlines = [d for _, d in self.in_flight.values() if d is not None]
         tick = None
-        if deadlines:
-            tick = max(_MIN_TICK, min(deadlines) - now)
+        if self.deadlines:
+            tick = max(_MIN_TICK, min(self.deadlines.values()) - time.perf_counter())
         done, _ = wait(set(self.in_flight), timeout=tick, return_when=FIRST_COMPLETED)
 
-        broken = False
-        for fut in done:
-            c, _ = self.in_flight.pop(fut)
-            try:
-                payload = fut.result()
-            except BrokenProcessPool:
-                broken = True
-                c.attempts += 1
-                self._requeue_or_bisect(c, "crash")
-                continue
-            except Exception:
-                # Infrastructure failure outside the trial (e.g. the
-                # result failed to unpickle): treat like a chunk fault.
-                c.attempts += 1
-                self._requeue_or_bisect(c, "crash")
-                continue
-            self.consecutive_rebuilds = 0
-            self.ever_succeeded = True
-            self._absorb(payload)
-        if broken:
-            self._reclaim_in_flight("crash", blame=True)
-            return True
+        # Settle in submission order: each resolved chunk hands its
+        # worker to the next queued one.
+        for fut in [f for f in self.in_flight if f in done]:
+            if not self._settle(fut):
+                self._reclaim_in_flight("crash", charged=self.n_jobs)
+                return True
+        self._start_clocks()
 
         # Deadline sweep: a chunk past its deadline means a wedged
         # worker; the only portable remedy is killing the whole pool.
         now = time.perf_counter()
-        expired = {
+        expired = [
             fut
-            for fut, (c, d) in self.in_flight.items()
+            for fut, d in self.deadlines.items()
             # A future that finished between wait() and this sweep is not
-            # hung; its result is collected on the next drain.
-            if d is not None and now > d and not fut.done()
-        }
+            # hung; its result is kept even if the pool is killed.
+            if now > d and not fut.done()
+        ]
         if expired:
             for fut in expired:
-                c, _ = self.in_flight[fut]
+                c = self.in_flight[fut]
                 _emit(self.on_event, "timeout",
                       span=(c.indices[0], c.indices[-1]), attempt=c.attempts + 1)
             self._teardown_pool(kill=True)
             for fut in expired:
-                c, _ = self.in_flight.pop(fut)
+                c = self.in_flight.pop(fut)
+                del self.deadlines[fut]
                 c.attempts += 1
                 self._requeue_or_bisect(c, "timeout")
             # Chunks that had not expired were victims of our own pool
             # kill: requeue them without burning retry budget.
-            self._reclaim_in_flight("timeout", blame=False)
+            self._reclaim_in_flight("timeout", charged=0)
             self.consecutive_rebuilds += 1
         return False
 
@@ -503,7 +612,9 @@ def map_trials(
             setup (network construction, golden run) is paid per worker
             rather than per trial.
         jobs: Worker processes; 1 runs inline (default, deterministic and
-            debuggable), None/0 uses every core, negative raises.
+            debuggable), None/0 uses every usable CPU, negative raises.
+            Each worker's OpenBLAS threads are capped at its share of
+            the usable CPUs (see :func:`blas_threads`).
         chunk: Trials per inter-process message, and per inline slice
             (must be >= 1).  Results stream to ``on_result`` a chunk at
             a time.
@@ -519,9 +630,12 @@ def map_trials(
             run, including on retries, bisection halves and degraded
             inline execution.  When given, ``indices`` is ignored.
         timeout: Per-trial time budget in seconds; a chunk's deadline is
-            ``timeout * len(chunk) + timeout_grace``.  None disables
-            deadlines.  Ignored inline (a wedged trial cannot be killed
-            from within its own process).
+            ``timeout * len(chunk) + timeout_grace`` after it starts.  One
+            chunk waits queued behind each running one, and its clock
+            starts when a worker frees up for it (the executor runs
+            chunks in submission order), so queueing never counts.  None
+            disables deadlines.  Ignored inline (a wedged trial cannot be
+            killed from within its own process).
         timeout_grace: Flat per-chunk allowance covering worker startup
             (network build + golden inference happen on first use).
         max_retries: Extra attempts per crashed or timed-out chunk
@@ -572,6 +686,7 @@ def map_trials(
         on_obs=on_obs,
         plan=plan,
         inline=n_jobs == 1 or (plan is None and len(indices) <= 1),
+        blas=blas_threads(n_jobs),
     )
     resolved = supervisor.run()
     if plan is not None:

@@ -11,7 +11,6 @@ real CLI against a sandbox spec directory.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from repro.gate.spec import (
     load_pack,
     load_specs,
 )
+from repro.utils.parallel import usable_cpus
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SPEC_DIR = REPO_ROOT / "obligations"
@@ -289,9 +289,9 @@ class TestCli:
         captured = capsys.readouterr()
         assert "--jobs" in captured.err and captured.out == ""
         assert not out.exists()
-        # 0 means every core, as in repro-campaign and repro-exp.
+        # 0 means every usable CPU, as in repro-campaign and repro-exp.
         assert gate_cli.main([*argv, "0"]) == 0
-        assert f"jobs={os.cpu_count()}" in capsys.readouterr().out
+        assert f"jobs={usable_cpus()}" in capsys.readouterr().out
 
     def test_check_green_sandbox_writes_manifest(self, tmp_path, capsys):
         _command_pack(tmp_path, exit_code=0)

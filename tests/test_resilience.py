@@ -39,6 +39,7 @@ from repro.obs.cli import compare_runs
 from repro.obs.events import EventRecorder
 from repro.obs.manifest import default_obs_paths, load_run
 from repro.obs.tracer import default_trace_path
+from repro.utils import parallel
 from repro.utils.parallel import TrialFailure, map_trials
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +90,34 @@ class _Hang5(_Squares):
         return i
 
 
+class _Slow(_Squares):
+    """Every trial sleeps: a chunk of ``k`` trials runs for ``k * SLOW_S``."""
+
+    SLOW_S = 0.15
+
+    def trial(self, i: int):
+        time.sleep(self.SLOW_S)
+        return i * i
+
+
+class _CrashOnceAt0(_Squares):
+    """Trial 0 kills its worker once (claimed through a marker file); the
+    rest sleep, so chunks submitted behind the running ones stay queued."""
+
+    def __init__(self, marker: str):
+        self.marker = marker
+
+    def trial(self, i: int):
+        if i == 0:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return 0
+            os._exit(17)
+        time.sleep(0.3)
+        return i * i
+
+
 class TestSupervisedPool:
     def test_crashing_worker_quarantines_exactly_the_poison_trial(self):
         kinds = []
@@ -129,6 +158,48 @@ class TestSupervisedPool:
         # Inline fallback runs in the parent, where the task succeeds.
         assert results == [i + 100 for i in range(6)]
         assert "degrade" in kinds
+
+    def test_deadline_starts_when_the_chunk_starts(self):
+        # Four chunks on two workers: the last two wait one chunk's run
+        # time (0.6 s) in the queue.  The 0.95 s budget covers a chunk's
+        # run but not its queueing plus its run.
+        kinds = []
+        results = map_trials(
+            _Slow, indices=range(16), jobs=2, chunk=4, max_retries=0,
+            timeout=0.2, timeout_grace=0.15,
+            on_event=lambda kind, detail: kinds.append(kind), **FAST,
+        )
+        assert results == [i * i for i in range(16)]
+        assert "timeout" not in kinds
+
+    def test_crash_charges_only_started_chunks(self, tmp_path):
+        # Chunks (0, 1) and (2, 3) run; (4, 5) and (6, 7) are queued
+        # behind them when trial 0 kills its worker.
+        events = []
+        results = map_trials(
+            partial(_CrashOnceAt0, str(tmp_path / "crashed")), indices=range(8), jobs=2,
+            chunk=2, max_retries=1, on_event=lambda kind, detail: events.append((kind, detail)),
+            **FAST,
+        )
+        assert results == [i * i for i in range(8)]
+        charged = {d["span"] for kind, d in events if kind in ("retry", "bisect")}
+        assert (0, 1) in charged
+        assert not charged & {(4, 5), (6, 7)}
+
+    def test_two_chunks_per_worker_in_flight_and_solo_runs_alone(self, monkeypatch):
+        seen = []
+        drain = parallel._Supervisor._drain
+
+        def spy(supervisor):
+            seen.append([c.solo for c in supervisor.in_flight.values()])
+            return drain(supervisor)
+
+        monkeypatch.setattr(parallel._Supervisor, "_drain", spy)
+        results = map_trials(_Crash7, indices=range(24), jobs=2, chunk=2, max_retries=1, **FAST)
+        assert isinstance(results[7], TrialFailure)
+        assert max(len(flight) for flight in seen) == 4
+        solo = [flight for flight in seen if any(flight)]
+        assert solo and all(flight == [True] for flight in solo)
 
     def test_explicit_indices_run_the_gap_set(self):
         assert map_trials(_Squares, jobs=1, indices=[3, 9, 4]) == [9, 81, 16]

@@ -1,9 +1,16 @@
 """Utilities: RNG streams, table rendering, parallel fan-out, validation."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
-from repro.utils.parallel import effective_jobs, map_trials
+from repro.core.campaign import CampaignSpec, run_campaign
+from repro.core.serialize import campaign_summary
+from repro.dtypes import DTYPES
+from repro.utils import parallel
+from repro.utils.parallel import blas_threads, effective_jobs, map_trials
 from repro.utils.rng import child_rng, make_rng, spawn_rngs
 from repro.utils.tables import fmt_num, fmt_pct, format_mapping, format_table
 from repro.utils.validation import as_f64, check_in, check_positive, check_prob, require
@@ -54,10 +61,13 @@ class TestTables:
 
 
 class TestParallel:
-    def test_effective_jobs(self):
+    def test_effective_jobs(self, monkeypatch):
         assert effective_jobs(4) == 4
         assert effective_jobs(None) >= 1
         assert effective_jobs(0) >= 1
+        # A process pinned to one CPU counts one, whatever the host has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert effective_jobs(0) == 1
 
     def test_effective_jobs_negative_raises(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -93,6 +103,48 @@ class _Squares:
 
     def run_many(self, indices: list[int]) -> list[int]:
         return [i * i for i in indices]
+
+
+class _BlasThreads:
+    """Pool task: every trial reports its worker's OpenBLAS thread count."""
+
+    def run_many(self, indices: list[int]) -> list[int | None]:
+        return [blas_threads() for _ in indices]
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS thread control; the test's thread count is restored."""
+    lib = parallel._openblas()
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS exposes no thread getter and setter")
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib.scipy_openblas_set_num_threads64_
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+class TestBlasThreads:
+    def test_pool_workers_get_their_share_and_never_more(self, openblas, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        openblas(2)
+        assert set(map_trials(_BlasThreads, indices=range(8), jobs=2, chunk=1)) == {1}
+        assert blas_threads(2) == 1 and blas_threads(1) == 2
+        # A cap above the inherited count leaves it alone.
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+        openblas(1)
+        assert set(map_trials(_BlasThreads, indices=range(8), jobs=2, chunk=1)) == {1}
+        assert blas_threads(2) == 1
+
+    @pytest.mark.parametrize("dtype", sorted(DTYPES))
+    def test_thread_count_moves_no_bits(self, openblas, dtype):
+        spec = CampaignSpec(network="ConvNet", dtype=dtype, n_trials=24, seed=4)
+        summaries = []
+        for threads in (1, 2):
+            openblas(threads)
+            summary = campaign_summary(run_campaign(spec))
+            summary.pop("execution")
+            summaries.append(json.dumps(summary, sort_keys=True))
+        assert summaries[0] == summaries[1]
 
 
 class TestValidation:
