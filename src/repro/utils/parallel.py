@@ -37,6 +37,7 @@ import ctypes
 import functools
 import itertools
 import os
+import threading
 import time
 import traceback
 from collections import deque
@@ -66,6 +67,9 @@ _MIN_TICK = 0.02
 #: it, so a worker starts its next chunk while the parent absorbs (and
 #: checkpoints) the one it just returned.
 _QUEUE_DEPTH = 2
+
+#: How often a pool worker checks that its parent is still alive (seconds).
+_PARENT_POLL_S = 1.0
 
 
 def usable_cpus() -> int:
@@ -172,8 +176,20 @@ class _Chunk:
     ctl: object = None
 
 
+def _watch_parent(parent: int) -> None:
+    """Exit this worker once ``parent`` is gone (the worker was reparented)."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _init_worker(task_factory: Callable[[], object], blas: int | None) -> None:
     global _WORKER_TASK
+    # A SIGKILLed parent cannot shut its pool down, and its workers
+    # would idle on, reparented, forever.  Each watches the parent it
+    # started under instead: whatever the start method, a dead parent
+    # changes the worker's ppid.
+    threading.Thread(target=_watch_parent, args=(os.getppid(),), daemon=True).start()
     # Workers inherit the parent's BLAS threads, one per core by
     # default: lowered to ``blas`` (never raised), ``jobs`` workers
     # share the cores instead of oversubscribing them.

@@ -118,6 +118,38 @@ class _CrashOnceAt0(_Squares):
         return i * i
 
 
+class _PidThenHang(_Squares):
+    """Each trial names its worker's pid by a file in ``directory``, then wedges."""
+
+    def __init__(self, directory: str):
+        self.directory = directory
+
+    def trial(self, i: int):
+        Path(self.directory, str(os.getpid())).touch()
+        time.sleep(600.0)
+        return i
+
+
+#: A parent whose two pool workers wedge: run with the pid directory as
+#: its argument, then SIGKILLed by the test.
+_WEDGED_POOL = (
+    "import sys\n"
+    "from functools import partial\n"
+    "from repro.utils.parallel import map_trials\n"
+    "from tests.test_resilience import _PidThenHang\n"
+    "map_trials(partial(_PidThenHang, sys.argv[1]), indices=range(2), jobs=2, chunk=1)\n"
+)
+
+
+def _gone(pid: int) -> bool:
+    """Has ``pid`` exited?  No such process, or a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
 class TestSupervisedPool:
     def test_crashing_worker_quarantines_exactly_the_poison_trial(self):
         kinds = []
@@ -209,6 +241,39 @@ class TestSupervisedPool:
         map_trials(_Squares, indices=range(4), jobs=1,
                    on_result=lambda i, v: seen.append((i, v)))
         assert seen == [(0, 0), (1, 1), (2, 4), (3, 9)]
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _WEDGED_POOL, str(tmp_path)], env=env, cwd=REPO_ROOT,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = [int(f.name) for f in tmp_path.iterdir()]
+            assert len(pids) == 2, "the pool's two workers never started their chunks"
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while not all(map(_gone, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert all(map(_gone, pids)), "pool workers outlived their SIGKILLed parent"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            for pid in pids:
+                if not _gone(pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
 
 
 SPEC = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=12, seed=3)

@@ -43,6 +43,7 @@ from repro.obs.tracer import (
     trace_deviation_by_depth,
     trace_layer_matrix,
 )
+from repro.zoo import get_network
 from tests.conftest import reference_campaign
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -453,6 +454,57 @@ class TestPropagationExperiment:
             assert locus_total == cfg.trials
         rendering = ext_propagation.render(result)
         assert "masking locus" in rendering and "ConvNet" in rendering
+
+
+def _reached_from_row(row: dict, final_act: int) -> bool:
+    """``reached_output`` read from a trace row alone.
+
+    False when the flip was masked at injection.  Otherwise the final
+    ACT fmap, the output of layer ``final_act`` (the last layer before
+    softmax, or the last layer of a network without one), must differ
+    from golden: its entry is ``injected`` when the trial resumes right
+    after that layer, and the ``layers`` entry for it otherwise (absent
+    when an earlier layer masked the fault).
+    """
+    if row["masked_at_injection"]:
+        return False
+    if row["resume_layer"] == final_act + 1:
+        entry = row["injected"]
+    else:
+        entry = next((e for e in row["layers"] if e["layer"] == final_act), None)
+    return entry is not None and entry["corrupted"] > 0
+
+
+class TestReachedOutputFromTrace:
+    # Each case names the seed-3 trials that refute a simpler reading.
+    # In the ConvNet cases softmax's rounding masks a fault that changed
+    # the final ACT fmap, so ``reached_output`` is not ``masking is None``.
+    # In the AlexNet case a last-FC weight flip leaves that layer's output
+    # bit-equal to golden, and that fault too reads as masked at softmax,
+    # so it is not "no masking before softmax" either.
+    @pytest.mark.parametrize("network, dtype, target, reached, unreached", [
+        ("ConvNet", "DOUBLE", "row_activation", [32], []),
+        ("ConvNet", "DOUBLE", "next_layer", [20], []),
+        ("AlexNet", "FLOAT16", "layer_weight", [], [14, 16, 17]),
+    ], ids=["ConvNet-DOUBLE-row_activation", "ConvNet-DOUBLE-next_layer",
+            "AlexNet-FLOAT16-layer_weight"])
+    def test_reached_output_is_the_final_act_entry(self, network, dtype, target,
+                                                   reached, unreached):
+        spec = CampaignSpec(network=network, dtype=dtype, target=target, n_trials=40,
+                            seed=3, record_propagation=True, trace_mode="all")
+        rows = run_campaign(spec).traces
+        layers = get_network(network).layers
+        assert layers[-1].kind == "softmax"
+        final_act = len(layers) - 2
+        assert sorted(rows) == list(range(40))
+        for index, row in rows.items():
+            assert row["reached_output"] is _reached_from_row(row, final_act), index
+        for index in reached + unreached:
+            assert rows[index]["masking"]["layer"] == final_act + 1, index
+            assert rows[index]["reached_output"] is (index in reached), index
+        for index in unreached:
+            assert rows[index]["resume_layer"] == final_act + 1
+            assert not rows[index]["masked_at_injection"]
 
 
 def _faulty_activation(injection: InjectionResult, layer_index: int) -> np.ndarray | None:
