@@ -1,111 +1,16 @@
-"""Benchmark fixtures.
+"""Shared set-up for the benches.
 
-Each benchmark regenerates one table/figure of the paper (printing the
-paper-style rows) while pytest-benchmark times the cold run.  Campaigns
-inside one benchmark run are memoized per-process, so a single timed
-round reflects the real cost.
-
-Timings are also captured into a :class:`repro.obs.metrics.MetricsRegistry`
-and persisted at session end as ``benchmarks/BENCH_<date>.json`` — a
-plain metrics snapshot, so historical runs can be merged or diffed with
-the same tooling as campaign metrics (``merge_snapshots``, ``repro-obs``).
+Each ``test_bench_*`` module regenerates one table or figure of the
+paper, or measures one speed bound, and asserts its claims as a plain
+pytest test.  Campaigns inside one pytest process are memoized, so
+benches that share specs share the work.  CI's ``claims`` job runs them
+all: ``python -m pytest benchmarks --ignore=benchmarks/perf``.
 """
 
-from __future__ import annotations
-
-import json
 import os
-import time
 from pathlib import Path
-
-import pytest
 
 os.environ.setdefault(
     "REPRO_CACHE",
     str(Path(__file__).resolve().parent.parent / ".cache" / "repro-weights"),
 )
-
-BENCH_DIR = Path(__file__).resolve().parent
-
-_metrics = None
-
-
-def _registry():
-    global _metrics
-    if _metrics is None:
-        from repro.obs.metrics import MetricsRegistry
-
-        _metrics = MetricsRegistry()
-    return _metrics
-
-
-@pytest.fixture
-def run_once(benchmark, request):
-    """Time exactly one cold execution of ``fn`` and return its result."""
-
-    def _run(fn, *args, **kwargs):
-        registry = _registry()
-        start = time.perf_counter()
-        try:
-            return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-        finally:
-            registry.time_span(f"bench/{request.node.name}", time.perf_counter() - start)
-            registry.inc("benchmarks")
-
-    return _run
-
-
-def _merge_same_day(existing: dict, snapshot: dict) -> dict:
-    """Fold a previous same-day snapshot into this session's.
-
-    A second benchmark session on the same date must *merge* rather than
-    clobber: otherwise a partial run (one benchmark file) would erase the
-    gauges every other file produced that day, and a gate floor check
-    could read a partial snapshot.  Counters/histograms/timing merge with
-    the standard session algebra; gauges are re-measurements, so this
-    session's value replaces the old one (max-merging would let a stale
-    high-water mark mask a real regression) while untouched gauges from
-    earlier sessions survive.
-    """
-    from repro.obs.metrics import merge_snapshots
-
-    merged = merge_snapshots(existing, snapshot)
-    merged["gauges"] = {**existing.get("gauges", {}), **snapshot.get("gauges", {})}
-    return merged
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Persist the session's benchmark timings as a metrics snapshot."""
-    del session
-    if _metrics is None:
-        return
-    _metrics.inc("exitstatus/nonzero" if exitstatus else "exitstatus/zero")
-    snapshot = _metrics.snapshot()
-    payload = {
-        "format": "repro-bench-metrics",
-        "version": 1,
-        "date": time.strftime("%Y-%m-%d"),
-        "snapshot": snapshot,
-    }
-    out_path = BENCH_DIR / f"BENCH_{payload['date']}.json"
-    try:
-        existing = json.loads(out_path.read_text(encoding="utf-8"))
-        if (
-            existing.get("format") == payload["format"]
-            and existing.get("date") == payload["date"]
-        ):
-            payload["snapshot"] = _merge_same_day(existing.get("snapshot", {}), snapshot)
-    except (OSError, ValueError):
-        pass  # no (or torn) previous snapshot today: publish ours alone
-    try:
-        from repro.core.checkpoint import atomic_write_text
-
-        atomic_write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError:
-        pass  # a read-only checkout must not fail the benchmark run
-
-
-def pytest_collection_modifyitems(config, items):
-    # Benchmarks live here; plain `pytest benchmarks/` should still work
-    # without the tests/ conftest.
-    del config, items

@@ -43,14 +43,10 @@ def _compare(dtype, chains):
     return np.array(diffs)
 
 
-def test_bench_ablation_accumulation(run_once):
+def test_bench_ablation_accumulation():
     chains = _chain_samples()
-
-    def measure():
-        return {name: _compare(dtype, chains[name])
-                for name, dtype in (("FLOAT16", FLOAT16), ("16b_rb10", FXP_16B_RB10))}
-
-    diffs = run_once(measure)
+    diffs = {name: _compare(dtype, chains[name])
+             for name, dtype in (("FLOAT16", FLOAT16), ("16b_rb10", FXP_16B_RB10))}
     print()
     for name, d in diffs.items():
         print(f"{name}: mean |per-step - lazy| = {d.mean():.4g}, "

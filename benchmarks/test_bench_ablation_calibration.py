@@ -33,16 +33,12 @@ def _sdc_rate(net, x, trials, seed):
     return hits / trials
 
 
-def test_bench_ablation_calibration(run_once):
+def test_bench_ablation_calibration():
     x = eval_inputs("AlexNet", 1)[0]
     calibrated = get_network("AlexNet")
     raw = build_alexnet("reduced")
     he_init(raw, seed=7)
-
-    def measure():
-        return (_sdc_rate(calibrated, x, 250, 90), _sdc_rate(raw, x, 250, 90))
-
-    cal_rate, raw_rate = run_once(measure)
+    cal_rate, raw_rate = _sdc_rate(calibrated, x, 250, 90), _sdc_rate(raw, x, 250, 90)
     print(f"\ncalibrated SDC-1: {cal_rate:.2%}   raw He-init SDC-1: {raw_rate:.2%}")
     # Calibration changes the measured sensitivity — the substitution is
     # load-bearing, not cosmetic.

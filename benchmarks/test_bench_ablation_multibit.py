@@ -12,19 +12,14 @@ from repro.core.campaign import CampaignSpec, run_campaign
 from bench_common import TRIALS
 
 
-def test_bench_ablation_multibit(run_once):
-    bursts = (1, 2, 4)
-
-    def sweep():
-        return {
-            b: run_campaign(
-                CampaignSpec(network="AlexNet", dtype="32b_rb10",
-                             n_trials=TRIALS, seed=92, burst=b)
-            ).sdc_rate()
-            for b in bursts
-        }
-
-    rates = run_once(sweep)
+def test_bench_ablation_multibit():
+    rates = {
+        b: run_campaign(
+            CampaignSpec(network="AlexNet", dtype="32b_rb10",
+                         n_trials=TRIALS, seed=92, burst=b)
+        ).sdc_rate()
+        for b in (1, 2, 4)
+    }
     print()
     for b, r in rates.items():
         print(f"burst {b}: SDC-1 {r}")

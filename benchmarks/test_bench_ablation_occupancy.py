@@ -12,16 +12,11 @@ from repro.core.campaign import CampaignSpec, run_campaign
 from bench_common import TRIALS
 
 
-def test_bench_ablation_occupancy(run_once):
+def test_bench_ablation_occupancy():
     base = dict(network="AlexNet", dtype="16b_rb10", target="layer_weight",
                 n_trials=TRIALS, seed=95)
-
-    def sweep():
-        static = run_campaign(CampaignSpec(**base))
-        weighted = run_campaign(CampaignSpec(**base, occupancy_weighted=True))
-        return static, weighted
-
-    static, weighted = run_once(sweep)
+    static = run_campaign(CampaignSpec(**base))
+    weighted = run_campaign(CampaignSpec(**base, occupancy_weighted=True))
     print()
     print(f"static sampling:    SDC-1 {static.sdc_rate()}")
     print(f"occupancy sampling: SDC-1 {weighted.sdc_rate()}")

@@ -10,20 +10,15 @@ from repro.core.campaign import CampaignSpec, run_campaign
 from bench_common import TRIALS
 
 
-def test_bench_ablation_sed_cushion(run_once):
+def test_bench_ablation_sed_cushion():
     cushions = (0.0, 0.05, 0.10, 0.25)
-
-    def sweep():
-        out = {}
-        for cushion in cushions:
-            spec = CampaignSpec(
-                network="AlexNet", dtype="32b_rb10", n_trials=TRIALS, seed=91,
-                with_detection=True, sed_cushion=cushion,
-            )
-            out[cushion] = run_campaign(spec).detection_quality("sdc1")
-        return out
-
-    results = run_once(sweep)
+    results = {}
+    for cushion in cushions:
+        spec = CampaignSpec(
+            network="AlexNet", dtype="32b_rb10", n_trials=TRIALS, seed=91,
+            with_detection=True, sed_cushion=cushion,
+        )
+        results[cushion] = run_campaign(spec).detection_quality("sdc1")
     print()
     for cushion, q in results.items():
         print(f"cushion {cushion:4.0%}: precision {q.precision:.2%}  "

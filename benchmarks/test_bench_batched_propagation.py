@@ -19,7 +19,6 @@ at group sizes 16/32/64.
 
 from time import perf_counter
 
-from conftest import _registry
 from repro.core.campaign import CampaignSpec, _CampaignTask
 from repro.core.injector import finish_injection
 
@@ -86,14 +85,10 @@ def _measure():
     return TRIALS / serial_s, rows
 
 
-def test_bench_batched_propagation(run_once):
-    serial_tps, rows = run_once(_measure)
-    registry = _registry()
-    registry.set_gauge("batched_propagation/serial_trials_per_s", serial_tps)
+def test_bench_batched_propagation():
+    serial_tps, rows = _measure()
     print(f"\nserial   {serial_tps:8.1f} trials/s")
     for group, tps, speedup, matches in rows:
-        registry.set_gauge(f"batched_propagation/group{group}_trials_per_s", tps)
-        registry.set_gauge(f"batched_propagation/group{group}_speedup", speedup)
         print(f"group={group:<3d} {tps:8.1f} trials/s  ({speedup:.2f}x)")
         assert matches, f"group={group}: batched records diverge from serial"
     floor = {group: speedup for group, _, speedup, _ in rows}

@@ -10,8 +10,8 @@ from repro.experiments import e2e_protected_fit as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_e2e_protected_fit(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_e2e_protected_fit():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     budget = result["accel_budget"]
     for network, d in result["networks"].items():

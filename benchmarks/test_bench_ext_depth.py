@@ -10,8 +10,8 @@ from repro.experiments import ext_depth as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_ext_depth(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_ext_depth():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     nets = result["networks"]
     # Pool density ordering predicts masking ordering at the extremes.

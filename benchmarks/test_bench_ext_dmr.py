@@ -10,8 +10,8 @@ from repro.experiments import ext_dmr_baseline as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_ext_dmr(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_ext_dmr():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for network, row in result["networks"].items():
         assert row["sed"]["precision"] >= row["dmr"]["precision"], network

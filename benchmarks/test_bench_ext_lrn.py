@@ -11,8 +11,8 @@ from repro.experiments import ext_lrn_ablation as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_ext_lrn(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_ext_lrn():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     with_lrn = result["with_lrn"]
     without = result["without_lrn"]

@@ -12,8 +12,8 @@ from repro.experiments import ext_proteus as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_ext_proteus(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_ext_proteus():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for component, d in result["components"].items():
         assert d["proteus_sdc"] <= d["wide_sdc"] + 0.02, component

@@ -9,8 +9,8 @@ from repro.experiments import fig3_datatype_sdc as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_fig3_datatype_sdc(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_fig3_datatype_sdc():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for network, per_dtype in result["rates"].items():
         wide = per_dtype["32b_rb10"]["sdc1"][0]

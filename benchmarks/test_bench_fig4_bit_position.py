@@ -10,8 +10,8 @@ from repro.experiments import fig4_bit_position as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_fig4_bit_position(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_fig4_bit_position():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for panel, data in result["panels"].items():
         dtype = get_dtype(data["dtype"])

@@ -10,8 +10,8 @@ from repro.experiments import fig5_value_deviation as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_fig5_value_deviation(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_fig5_value_deviation():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     if result["sdc_pairs"]:
         assert result["sdc_out_of_range"] > result["benign_out_of_range"]

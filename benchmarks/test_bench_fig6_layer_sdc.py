@@ -9,8 +9,8 @@ from repro.experiments import fig6_layer_sdc as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_fig6_layer_sdc(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_fig6_layer_sdc():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for network in ("AlexNet", "CaffeNet"):
         per_block = result["layers"][network]

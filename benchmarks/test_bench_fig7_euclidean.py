@@ -9,8 +9,8 @@ from repro.experiments import fig7_euclidean as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_fig7_euclidean(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_fig7_euclidean():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for network in ("AlexNet", "CaffeNet"):
         d = list(result["distances"][network].values())

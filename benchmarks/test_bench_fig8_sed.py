@@ -7,14 +7,10 @@ Shape claims checked: precision and recall in the paper's ballpark
 from repro.experiments import fig8_sed as exp
 
 from bench_common import BENCH_CFG
-from conftest import _registry
 
 
-def test_bench_fig8_sed(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_fig8_sed():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
-    registry = _registry()
-    registry.set_gauge("sed/avg_precision", result["avg_precision"])
-    registry.set_gauge("sed/avg_recall", result["avg_recall"])
     assert result["avg_precision"] > 0.85
     assert result["avg_recall"] > 0.6

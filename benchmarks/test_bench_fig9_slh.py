@@ -10,8 +10,8 @@ from repro.experiments import fig9_slh as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_fig9_slh(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_fig9_slh():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for dtype_name, data in result["dtypes"].items():
         curves = data["overhead_curves"]

@@ -28,7 +28,7 @@ def _noop_span_cost(reps: int = 200_000) -> float:
     return (perf_counter() - start) / reps
 
 
-def test_bench_obs_span_noop_overhead(run_once):
+def test_bench_obs_span_noop_overhead():
     # Count how many span entries one trial makes (spans on, small run).
     counting_spec = CampaignSpec(
         network=SPEC.network, dtype=SPEC.dtype, n_trials=8, n_inputs=SPEC.n_inputs, seed=SPEC.seed
@@ -40,7 +40,7 @@ def test_bench_obs_span_noop_overhead(run_once):
 
     # Time the default (spans off) campaign and the no-op span itself.
     start = perf_counter()
-    result = run_once(run_campaign, SPEC, jobs=1)
+    result = run_campaign(SPEC, jobs=1)
     campaign_s = perf_counter() - start
     assert len(result.records) == SPEC.n_trials
     per_trial_s = campaign_s / SPEC.n_trials

@@ -50,8 +50,8 @@ def _measure():
     return plan_protection(inputs, fit_budget=BUDGET)
 
 
-def test_bench_planner(run_once):
-    plans = run_once(_measure)
+def test_bench_planner():
+    plans = _measure()
     print()
     for plan in plans[:4]:
         print(plan.describe())

@@ -23,7 +23,6 @@ neither mode pays weight generation).
 import json
 from time import perf_counter
 
-from conftest import _registry
 from repro.core.campaign import CampaignSpec, run_campaign
 from repro.core.serialize import campaign_summary
 
@@ -66,13 +65,9 @@ def _measure():
     return baseline_s, shm_s, identical
 
 
-def test_bench_shm_golden(run_once):
-    baseline_s, shm_s, identical = run_once(_measure)
+def test_bench_shm_golden():
+    baseline_s, shm_s, identical = _measure()
     speedup = baseline_s / shm_s
-    registry = _registry()
-    registry.set_gauge("campaign/shm_baseline_s", baseline_s)
-    registry.set_gauge("campaign/shm_shared_s", shm_s)
-    registry.set_gauge("campaign/shm_speedup", speedup)
     print(f"\nper-worker golden inference  {baseline_s:6.2f}s")
     print(f"shared golden segment        {shm_s:6.2f}s  ({speedup:.2f}x)")
     assert identical, "shared-golden summary diverges from per-worker baseline"

@@ -5,8 +5,8 @@ from repro.experiments import table1_reuse as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_table1_reuse(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_table1_reuse():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     eyeriss = next(r for r in result["taxonomy"] if r["accelerator"] == "Eyeriss")
     assert eyeriss["weight_reuse"] and eyeriss["image_reuse"] and eyeriss["output_reuse"]

@@ -5,8 +5,8 @@ from repro.experiments import table2_networks as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_table2_networks(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_table2_networks():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     by_name = {d["network"]: d for d in result["networks"]}
     assert by_name["ConvNet"]["output_candidates"] == 10

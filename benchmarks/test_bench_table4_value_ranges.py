@@ -9,8 +9,8 @@ from repro.experiments import table4_value_ranges as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_table4_value_ranges(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_table4_value_ranges():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for network in ("AlexNet", "CaffeNet", "NiN"):
         for blk, lo, hi, plo, phi in result["ranges"][network]:

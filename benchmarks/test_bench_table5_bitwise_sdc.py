@@ -10,8 +10,8 @@ from repro.experiments import table5_bitwise_sdc as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_table5_bitwise_sdc(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_table5_bitwise_sdc():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     assert result["avg_masked"] > 0.5
     rows = result["propagation"]

@@ -10,8 +10,8 @@ from repro.experiments import table6_datapath_fit as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_table6_datapath_fit(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_table6_datapath_fit():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     for network in ("AlexNet", "CaffeNet", "NiN"):
         wide = result["fit"][(network, "32b_rb10")][0]

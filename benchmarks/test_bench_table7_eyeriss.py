@@ -5,8 +5,8 @@ from repro.experiments import table7_eyeriss_scaling as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_table7_eyeriss(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_table7_eyeriss():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     nm16 = result["rows"][1]
     assert nm16["n_pe"] == 1344

@@ -10,8 +10,8 @@ from repro.experiments import table6_datapath_fit, table8_buffer_fit as exp
 from bench_common import BENCH_CFG
 
 
-def test_bench_table8_buffer_fit(run_once):
-    result = run_once(exp.run, BENCH_CFG)
+def test_bench_table8_buffer_fit():
+    result = exp.run(BENCH_CFG)
     print("\n" + exp.render(result))
     dp = table6_datapath_fit.run(BENCH_CFG)
     for network, comps in result["buffers"].items():

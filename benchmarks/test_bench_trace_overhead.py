@@ -20,7 +20,6 @@ against a forward pass over a whole network) which is exactly what a
 
 from time import perf_counter
 
-from conftest import _registry
 from repro.core.campaign import CampaignSpec, run_campaign
 
 SPEC = CampaignSpec(
@@ -49,13 +48,9 @@ def _measure():
     return campaign_s, per_trial_s, hook_s
 
 
-def test_bench_trace_overhead(run_once):
-    campaign_s, per_trial_s, hook_s = run_once(_measure)
+def test_bench_trace_overhead():
+    campaign_s, per_trial_s, hook_s = _measure()
     overhead_pct = 100.0 * hook_s / per_trial_s
-    registry = _registry()
-    registry.set_gauge("trace/off_campaign_s", campaign_s)
-    registry.set_gauge("trace/off_hook_us", hook_s * 1e6)
-    registry.set_gauge("trace/off_overhead_pct", overhead_pct)
     print(f"\ncampaign (trace off)   {campaign_s:8.2f}s  ({per_trial_s * 1e3:.2f} ms/trial)")
     print(f"per-trial hook cost    {hook_s * 1e6:8.3f}us  ({overhead_pct:.4f}% of a trial)")
     assert overhead_pct < 1.0, (

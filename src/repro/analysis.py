@@ -2,10 +2,10 @@
 
 The paper's conclusions rest on statistically valid fault-injection
 campaigns: ~3,000 injections per layer, bit-exact datatype semantics and
-deterministic re-execution.  The parity obligations and outcome digests
-check determinism end to end (``docs/release_gates.md``); this module
-checks the invariants no run can see, with seven AST checks in five
-families:
+deterministic re-execution.  The parity obligations' tests and the
+benchmark's outcome digests check determinism end to end
+(``obligations/*.json``, ``docs/release_gates.md``); this module checks
+the invariants no run can see, with seven AST checks in five families:
 
 - ``RP1xx`` library output — no bare ``print()`` in library code.
 - ``RP2xx`` dtype safety — no float ``==``/``!=`` outside the
@@ -20,7 +20,8 @@ families:
 :func:`lint_paths` parses each file once and runs every check on it.
 Tier-1 runs it over the whole checkout
 (``tests/test_analysis.py::TestRepoSelfCheck::test_repo_is_lint_clean``,
-the node of the ``OBL-LINT-CLEAN`` obligation).  A finding is suppressed
+the node of the ``OBL-LINT-CLEAN`` obligation, which also requires the
+run to take under 60 s).  A finding is suppressed
 inline by naming its id on its line: ``# repro: noqa[RP201]`` or
 ``# repro: noqa[RP105, RP201]``.  Rule-by-rule rationale:
 ``docs/static_analysis.md``.
@@ -58,7 +59,6 @@ PRINT_EXEMPT_PATHS = (
     "repro/core/cli.py",
     "repro/experiments/runner.py",
     "repro/obs/cli.py",
-    "repro/gate/cli.py",
     "repro/obs/progress.py",
 )
 #: Bit-exactness assertions are the point of the test and benchmark
@@ -189,7 +189,7 @@ def _bare_print(src: _Source) -> Iterator[Finding]:
                 node,
                 "bare print() in library code; emit through an EventRecorder "
                 "sink / repro.obs instead, or list this module under "
-                "print-exempt-paths if its job is to print",
+                "PRINT_EXEMPT_PATHS if its job is to print",
             )
 
 
