@@ -565,7 +565,7 @@ def propagation_order(prep) -> tuple:
     (the bit-exactness contract of ``forward_from_batch``), so the order
     is purely an efficiency choice.
     """
-    return (prep.resume_index, prep.dirty_rows is None, prep.dirty_rows or (0, 0))
+    return (prep.resume_index, prep.box is None, prep.box[:2] if prep.box else (0, 0))
 
 
 class _CampaignTask:
@@ -638,6 +638,13 @@ class _CampaignTask:
                     )
                     for x in inputs
                 ]
+            # Trials read patches over these arrays and masked trials
+            # return them by reference, so a stray write through any of
+            # them would corrupt every later trial on that input: make
+            # it raise, as the shared-memory views do.
+            for golden in self.goldens:
+                for arr in (golden.scores, *golden.activations):
+                    arr.setflags(write=False)
             self.detector = None
             if spec.with_detection and spec.detector_kind == "sed":
                 learn_x = eval_inputs(spec.network, spec.sed_learn_inputs, spec.scale, seed=200)
@@ -951,12 +958,12 @@ class _CampaignTask:
             with span("propagate_batch"):
                 batch = self.network.forward_from_batch(
                     [prep.resume_index for _, _, prep, _ in items],
-                    [prep.act for _, _, prep, _ in items],
+                    [prep.patch for _, _, prep, _ in items],
                     dtype=self.dtype,
                     record=record,
                     storage_dtype=self.storage_dtype,
                     goldens=[meta["golden"] for _, _, _, meta in items],
-                    dirty_rows=[prep.dirty_rows for _, _, prep, _ in items],
+                    boxes=[prep.box for _, _, prep, _ in items],
                 )
         except Exception as exc:
             if len(items) == 1:

@@ -19,10 +19,14 @@ Each engine is split into two separable stages:
 
 - ``prepare_*`` builds the corruption — it replays the corrupted MAC
   chain(s), decides maskedness, and produces a
-  :class:`PreparedInjection` holding the patched activation plus the
-  input-row span the corruption is confined to.  An Img REG fault's
-  chains are built from one tap gather per affected column, so its
-  cost grows with those columns, not with the filters;
+  :class:`PreparedInjection`.  A confined corruption is held as the box
+  ``(r0, r1, c0, c1)`` of the fmap its injection site can change plus a
+  patch of the values there, over the golden activation: one pixel
+  column for a datapath, PSum REG or Global Buffer fault, the affected
+  columns of one output row for an Img REG fault.  No whole fmap is
+  copied for it.  An Img REG fault's chains are built from one tap
+  gather per affected column, so its cost grows with those columns, not
+  with the filters;
 - :func:`finish_injection` propagates one prepared corruption through
   the network tail by full recomputation — the per-trial reference.
 
@@ -43,8 +47,8 @@ import numpy as np
 
 from repro.dtypes.base import DataType
 from repro.nn.im2col import window_out_span
-from repro.nn.layers.base import MacChain, MacLayer
-from repro.nn.network import InferenceResult, Network
+from repro.nn.layers.base import Box, MacChain, MacLayer
+from repro.nn.network import InferenceResult, Network, paste_patch
 from repro.core.fault import DATAPATH_LATCHES, BufferFault, DatapathFault
 from repro.obs.spans import span
 
@@ -89,26 +93,53 @@ class InjectionResult:
 class PreparedInjection:
     """A corruption that has been built but not yet propagated.
 
+    A confined corruption is its ``patch`` over ``box`` of the golden
+    activation ``base``; the campaign hands patch and box to
+    :meth:`~repro.nn.network.Network.forward_from_batch` as they are.
+    :attr:`act` builds the whole corrupted activation on request, for
+    :func:`finish_injection` and for tests.
+
     Attributes:
         resume_index: Layer index execution must resume from.
         masked: True when the flip changed no architecturally visible
             value; no propagation is needed.
         value_before: Victim value before corruption.
         value_after: Victim value after corruption.
-        act: Corrupted input to ``layers[resume_index]`` (``None`` when
-            masked).
-        dirty_rows: Half-open row span ``(r0, r1)`` of ``act`` confining
-            the corruption, in the fmap's h dimension; ``None`` when the
-            corruption may be anywhere (FC-stage faults, whole-layer
-            weight faults).
+        patch: Corrupted values of the input to ``layers[resume_index]``
+            over ``box``; the whole corrupted input when ``box`` is
+            ``None`` (FC-stage faults, whole-layer weight faults, where
+            the corruption may be anywhere).  ``None`` when masked.
+        box: Half-open rows and columns ``(r0, r1, c0, c1)`` of the
+            fmap confining the corruption, or ``None``.
+        base: With a box, the golden input to ``layers[resume_index]``
+            that the patch sits over (a reference, never written).
     """
 
     resume_index: int
     masked: bool
     value_before: float
     value_after: float
-    act: np.ndarray | None = None
-    dirty_rows: tuple[int, int] | None = None
+    patch: np.ndarray | None = None
+    box: Box | None = None
+    base: np.ndarray | None = None
+
+    @property
+    def act(self) -> np.ndarray | None:
+        """Corrupted input to ``layers[resume_index]`` (``None`` when
+        masked); a new array on each access for a confined corruption."""
+        if self.box is None:
+            return self.patch
+        return paste_patch(self.base, self.patch, self.box)
+
+
+def _pixel_patch(
+    fmap: np.ndarray, index: tuple[int, int, int], value: float
+) -> tuple[np.ndarray, Box]:
+    """The one-pixel patch of ``fmap`` with ``fmap[index]`` set to ``value``."""
+    c, y, x = index
+    patch = fmap[:, y : y + 1, x : x + 1].copy()
+    patch[c, 0, 0] = value
+    return patch, (y, y + 1, x, x + 1)
 
 
 def replay_chain(
@@ -196,9 +227,10 @@ def finish_injection(
             value_after=prep.value_before,
             resume_index=prep.resume_index,
         )
-    assert prep.act is not None
+    act = prep.act
+    assert act is not None
     res = network.forward_from(
-        prep.resume_index, prep.act, dtype=dtype, record=record, storage_dtype=storage_dtype
+        prep.resume_index, act, dtype=dtype, record=record, storage_dtype=storage_dtype
     )
     return InjectionResult(
         scores=res.scores,
@@ -343,14 +375,13 @@ def prepare_datapath(
             faulty = float(storage_dtype.quantize(np.array([faulty]))[0])
         if faulty == clean or (np.isnan(faulty) and np.isnan(clean)):
             return PreparedInjection(li + 1, True, clean, clean)
-        act = golden.activations[li + 1].copy()
+        out = golden.activations[li + 1]
+        if len(fault.out_index) == 3:
+            patch, box = _pixel_patch(out, fault.out_index, faulty)
+            return PreparedInjection(li + 1, False, clean, faulty, patch, box, out)
+        act = out.copy()  # FC output: no spatial locality to exploit
         act[fault.out_index] = faulty
-    rows = (
-        (fault.out_index[1], fault.out_index[1] + 1)
-        if len(fault.out_index) == 3
-        else None  # FC output: no spatial locality to exploit
-    )
-    return PreparedInjection(li + 1, False, clean, faulty, act, rows)
+    return PreparedInjection(li + 1, False, clean, faulty, act)
 
 
 def inject_datapath(
@@ -412,10 +443,13 @@ def _prepare_next_layer(
     after = float(store.flip_bits(np.array([before]), fault.bit, fault.burst)[0])
     if after == before:
         return PreparedInjection(fault.layer_index, True, before, before)
-    act = x.copy()
-    act[fault.victim] = dtype.quantize(np.array([after]))[0]
-    rows = (fault.victim[1], fault.victim[1] + 1) if len(fault.victim) == 3 else None
-    return PreparedInjection(fault.layer_index, False, before, after, act, rows)
+    value = dtype.quantize(np.array([after]))[0]
+    if len(fault.victim) == 3:
+        patch, box = _pixel_patch(x, fault.victim, value)
+        return PreparedInjection(fault.layer_index, False, before, after, patch, box, x)
+    act = x.copy()  # an FC input: no spatial locality to exploit
+    act[fault.victim] = value
+    return PreparedInjection(fault.layer_index, False, before, after, act)
 
 
 def _prepare_row_activation(
@@ -486,10 +520,11 @@ def _prepare_row_activation(
         differs = (v_bad != v_ok) & ~(np.isnan(v_bad) & np.isnan(v_ok))
     if not differs.any():
         return PreparedInjection(fault.layer_index + 1, True, before, before)
-    act = golden.activations[fault.layer_index + 1].copy()
-    np.copyto(act[:, oy, lo:hi], v_bad, where=differs)
+    out = golden.activations[fault.layer_index + 1]
+    patch = out[:, oy : oy + 1, lo:hi].copy()
+    np.copyto(patch[:, 0], v_bad, where=differs)
     return PreparedInjection(
-        fault.layer_index + 1, False, before, after, act, (oy, oy + 1)
+        fault.layer_index + 1, False, before, after, patch, (oy, oy + 1, lo, hi), out
     )
 
 

@@ -7,8 +7,11 @@ needed by the training engine's convolution backward pass.
 
 The conv and max-pool window gathers, for inference and training, copy
 :func:`row_windows`, a strided view of the padded input, into the column
-layout their caller uses.  The index arrays of :func:`col_indices` serve
-only col2im's scatter-add, whose accumulation order they fix.
+layout their caller uses.  Delta propagation builds that input only
+where it reads: :func:`paste_window` copies a window of a golden fmap
+with a trial's patch pasted over its box.  The index arrays of
+:func:`col_indices` serve only col2im's scatter-add, whose accumulation
+order they fix.
 
 All fmaps are NCHW float64 arrays.
 """
@@ -26,8 +29,10 @@ __all__ = [
     "col2im",
     "col_indices",
     "pad_fmap",
+    "paste_window",
     "patch_indices",
     "row_windows",
+    "window_out_box",
     "window_out_span",
 ]
 
@@ -58,6 +63,56 @@ def window_out_span(
     lo = max(0, lo)
     hi = min(out_size - 1, hi)
     return (lo, hi + 1) if hi >= lo else (0, 0)
+
+
+def window_out_box(
+    box: tuple[int, int, int, int], kernel: int, stride: int, pad: int, out_h: int, out_w: int
+) -> tuple[int, int, int, int]:
+    """:func:`window_out_span` on both axes of an input box ``(r0, r1, c0, c1)``.
+
+    The result is empty on an axis whose sweep skips the box's span.
+    """
+    r0, r1, c0, c1 = box
+    return (
+        *window_out_span(r0, r1, kernel, stride, pad, out_h),
+        *window_out_span(c0, c1, kernel, stride, pad, out_w),
+    )
+
+
+def paste_window(
+    out: np.ndarray,
+    base: np.ndarray,
+    patch: np.ndarray | None,
+    box: tuple[int, int, int, int] | None,
+    y0: int,
+    x0: int,
+) -> np.ndarray:
+    """Fill ``out`` with a window of ``base`` that has ``patch`` pasted over ``box``.
+
+    Args:
+        out: ``(c, H, W)`` destination; element ``[:, y, x]`` receives
+            input position ``(y0 + y, x0 + x)``.  Positions outside
+            ``base`` keep what ``out`` holds: the caller's padding fill.
+        base: ``(c, h, w)`` fmap, read only.
+        patch: Values over ``box`` (``(c, r1 - r0, c1 - c0)``), or None.
+        box: Input rows and columns ``(r0, r1, c0, c1)`` of ``patch``.
+
+    Returns:
+        ``out``.
+    """
+    _, h, w = base.shape
+    _, oh, ow = out.shape
+    ya, yb = max(y0, 0), min(y0 + oh, h)
+    xa, xb = max(x0, 0), min(x0 + ow, w)
+    out[:, ya - y0 : yb - y0, xa - x0 : xb - x0] = base[:, ya:yb, xa:xb]
+    if patch is not None:
+        r0, r1, c0, c1 = box
+        ya, yb, xa, xb = max(ya, r0), min(yb, r1), max(xa, c0), min(xb, c1)
+        if ya < yb and xa < xb:
+            out[:, ya - y0 : yb - y0, xa - x0 : xb - x0] = patch[
+                :, ya - r0 : yb - r0, xa - c0 : xb - c0
+            ]
+    return out
 
 
 def _col_indices(
@@ -111,7 +166,6 @@ def row_windows(
     stride: int,
     r0: int,
     r1: int,
-    trials: list[int] | None = None,
 ) -> np.ndarray:
     """The sliding windows of output rows ``[r0, r1)``, tap-major.
 
@@ -119,8 +173,6 @@ def row_windows(
         xp: Already padded input ``(n, ..., H, W)``.
         kh, kw, stride: Window geometry.
         r0, r1: Output row span (non-empty).
-        trials: Indices into axis 0 to keep; only those samples' band of
-            input rows is copied, never their whole fmaps.
 
     Returns:
         A read-only view of shape ``(n, ..., kh, kw, r1 - r0, ow)`` whose
@@ -132,8 +184,6 @@ def row_windows(
         ValueError: if ``xp`` holds no such windows.
     """
     band = xp[..., r0 * stride : (r1 - 1) * stride + kh, :]
-    if trials is not None:
-        band = band[trials]
     *lead, bh, w = band.shape
     if not 0 <= r0 < r1 or bh != (r1 - r0 - 1) * stride + kh or w < kw:
         raise ValueError(f"no {kh}x{kw} windows of output rows [{r0}, {r1}) in {xp.shape}")

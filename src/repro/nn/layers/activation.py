@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dtypes.base import DataType
-from repro.nn.layers.base import Layer, Shape
+from repro.nn.layers.base import Box, Layer, Shape
 
 __all__ = ["ReLU", "Softmax", "Flatten"]
 
@@ -27,8 +27,8 @@ class ReLU(Layer):
     def out_shape(self, in_shape: Shape) -> Shape:
         return in_shape
 
-    def out_row_span(self, in_shape: Shape, span: tuple[int, int]) -> tuple[int, int]:
-        return span  # elementwise
+    def out_box(self, in_shape: Shape, box: Box) -> Box:
+        return box  # elementwise
 
     def forward(self, x: np.ndarray, dtype: DataType | None = None) -> np.ndarray:
         # NaNs (possible after FP bit flips) pass through unchanged: a

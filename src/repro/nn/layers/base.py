@@ -29,10 +29,14 @@ import numpy as np
 
 from repro.dtypes.base import DataType
 
-__all__ = ["Layer", "MacLayer", "MacChain", "Shape"]
+__all__ = ["Box", "Layer", "MacLayer", "MacChain", "Shape"]
 
 #: Fmap shape without the batch dimension: ``(c, h, w)`` or ``(features,)``.
 Shape = tuple[int, ...]
+
+#: Half-open rows and columns ``(r0, r1, c0, c1)`` of a ``(c, h, w)``
+#: fmap, across every channel.
+Box = tuple[int, int, int, int]
 
 
 @dataclass
@@ -79,13 +83,14 @@ class Layer(abc.ABC):
         """Number of multiply-accumulate operations per inference."""
         return 0
 
-    def out_row_span(self, in_shape: Shape, span: tuple[int, int]) -> tuple[int, int] | None:
-        """Output rows affected by a change to input rows ``[r0, r1)``.
+    def out_box(self, in_shape: Shape, box: Box) -> Box | None:
+        """Output positions affected by a change to the input inside ``box``.
 
         Used by the batched propagation engine to recompute only the
         region a corruption can reach.  ``None`` (the default) means the
         whole output may change (fully-connected layers, flatten, ...);
-        spatially local layers return the covering output row span.
+        spatially local layers return the covering output box, empty on
+        an axis when no output reads the changed positions.
         """
         return None
 

@@ -6,12 +6,14 @@ GEMM per sample and tile.  BLAS picks different accumulation orders for
 different matrix extents, so a fixed partition is what makes results
 invariant to how much of the output is computed at once: a single
 sample, a stack of B corrupted samples (``Network.forward_from_batch``),
-or a recomputation of only the output rows a fault can reach
+or a recomputation of only the output box a fault can reach
 (``forward_rows_batch``) all issue GEMM calls of identical shapes over
 identical data and therefore produce bit-identical values.  Both halves
 are load-bearing on real DOUBLE and FLOAT data: one ``(K, Bt * tc)``
 GEMM over a tile's whole stack, or column extents below a tile, move
-bits (``TestRoundingFormatParity`` catches the former).
+bits (``TestRoundingFormatParity`` catches the former).  A box
+recomputation still runs whole tiles; the tile columns outside the box
+read only golden input, so they hold golden bits and are dropped.
 
 The GEMM operands are copied from a strided window view of the padded
 input (:func:`~repro.nn.im2col.row_windows`) into C-contiguous
@@ -24,6 +26,10 @@ contiguous matrices.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import accumulate
+from math import prod
+
 import numpy as np
 
 from repro.dtypes.base import DataType
@@ -32,11 +38,12 @@ from repro.nn.im2col import (
     conv_out_size,
     im2col,
     pad_fmap,
+    paste_window,
     patch_indices,
     row_windows,
-    window_out_span,
+    window_out_box,
 )
-from repro.nn.layers.base import MacChain, MacLayer, Shape
+from repro.nn.layers.base import Box, MacChain, MacLayer, Shape
 
 __all__ = ["Conv2D"]
 
@@ -150,67 +157,75 @@ class Conv2D(MacLayer):
 
     def forward_rows_batch(
         self,
-        x: np.ndarray,
+        xs: Sequence[np.ndarray],
         dtype: DataType | None,
-        spans: list[tuple[int, int]],
-    ) -> list[tuple[np.ndarray, int, int]]:
-        """Per-sample row-span recomputation, batched tile by tile.
+        boxes: Sequence[Box],
+        patches: Sequence[np.ndarray] | None = None,
+        in_boxes: Sequence[Box] | None = None,
+    ) -> list[np.ndarray]:
+        """Per-sample output-box recomputation, batched tile by tile.
 
-        For each sample ``b`` of ``x`` this computes rows ``[a0, a1)`` of
-        ``forward(x[b:b+1], dtype)`` with the same bits, where
-        ``[a0, a1)`` is the requested span ``spans[b]`` expanded to the
-        canonical tile partition.  The work is grouped by canonical
-        tile: every tile GEMM runs at its fixed ``(K, tile_cols)`` shape
-        over a stack holding only the samples whose span covers that
-        tile.  FLOPs stay proportional to each sample's own span while
-        the padding and dispatch overhead is paid per call and per tile
-        instead of per sample.  A tile copies its samples' windows
-        straight from the band of input rows it reads, never their whole
-        fmaps.
+        Sample ``b``'s input is ``xs[b]`` with ``patches[b]`` pasted over
+        input box ``in_boxes[b]`` (no patch when ``patches`` is None).
+        For each sample this computes output box ``boxes[b]`` of
+        ``forward`` of that input with the same bits.  The work is
+        grouped by canonical tile: every tile a box's rows touch runs at
+        its fixed ``(K, tile_cols)`` shape, over a stack holding only the
+        samples that need it.  Each sample's band of padded input rows is
+        built from ``xs[b]`` and its patch, never a whole fmap; the tile
+        columns outside the box are golden bits and are neither
+        quantized nor returned.
 
         Args:
-            x: Stacked inputs ``(B, c, h, w)``.
-            spans: Per-sample requested output row spans (non-empty).
+            xs: Unbatched inputs ``(c, h, w)``, or one stack of them.
+            boxes: Per-sample output boxes (non-empty).
 
         Returns:
-            One ``(y, a0, a1)`` per sample; ``y`` holds output rows
-            ``[a0, a1)``.
+            One ``(out_channels, r1 - r0, c1 - c0)`` array per sample.
         """
-        _, oh, ow = self.out_shape(x.shape[1:])
+        c, h, w = xs[0].shape
+        _, oh, ow = self.out_shape((c, h, w))
+        k, s, p = self.kernel, self.stride, self.pad
         rpt = self._rows_per_tile(ow)
         weight, bias = self.quantized_weights(dtype)
         wmat = weight.reshape(self.out_channels, -1)
-        xp = pad_fmap(x, self.pad)
-        aligned: list[tuple[int, int]] = []
-        bufs: list[np.ndarray] = []
+        f = self.out_channels
+        if patches is None:
+            patches = in_boxes = [None] * len(boxes)
+        shapes = [(f, r1 - r0, c1 - c0) for r0, r1, c0, c1 in boxes]
+        offs = [0, *accumulate(map(prod, shapes))]
+        flat = np.empty(offs[-1])
+        outs = [flat[offs[b] : offs[b + 1]].reshape(sh) for b, sh in enumerate(shapes)]
         need: dict[int, list[int]] = {}
-        for b, (r0, r1) in enumerate(spans):
-            a0 = (r0 // rpt) * rpt
-            a1 = min(oh, -(-r1 // rpt) * rpt)
-            aligned.append((a0, a1))
-            bufs.append(np.empty((self.out_channels, (a1 - a0) * ow), dtype=np.float64))
-            for t in range(a0 // rpt, -(-a1 // rpt)):
+        for b, (r0, r1, _, _) in enumerate(boxes):
+            for t in range(r0 // rpt, -(-r1 // rpt)):
                 need.setdefault(t, []).append(b)
         with np.errstate(invalid="ignore", over="ignore"):
             for t, sel in need.items():
                 t0, t1 = t * rpt, min((t + 1) * rpt, oh)
-                tc = (t1 - t0) * ow
-                win = row_windows(xp, self.kernel, self.kernel, self.stride, t0, t1, sel)
-                cols = np.ascontiguousarray(win.reshape(len(sel), -1, tc))  # (Bt, K, tc)
+                # Padded input rows [t0 * s, (t1 - 1) * s + k) at full
+                # padded width; only the padding needs the zero fill.
+                shape = (len(sel), c, (t1 - t0 - 1) * s + k, w + 2 * p)
+                band = np.zeros(shape) if p else np.empty(shape)
+                for pos, b in enumerate(sel):
+                    paste_window(band[pos], xs[b], patches[b], in_boxes[b], t0 * s - p, -p)
+                win = row_windows(band, k, k, s, 0, t1 - t0)
+                cols = np.ascontiguousarray(win.reshape(len(sel), -1, (t1 - t0) * ow))
                 yt = np.matmul(wmat, cols)  # per-slice canonical GEMMs
                 yt += bias[:, None]
+                yt = yt.reshape(len(sel), f, t1 - t0, ow)
                 for pos, b in enumerate(sel):
-                    o0 = (t0 - aligned[b][0]) * ow
-                    bufs[b][:, o0 : o0 + tc] = yt[pos]
-        out = []
-        for b, (a0, a1) in enumerate(aligned):
-            y = bufs[b].reshape(self.out_channels, a1 - a0, ow)
-            out.append((dtype.quantize(y) if dtype is not None else y, a0, a1))
-        return out
+                    r0, r1, c0, c1 = boxes[b]
+                    lo, hi = max(r0, t0), min(r1, t1)
+                    outs[b][:, lo - r0 : hi - r0] = yt[pos, :, lo - t0 : hi - t0, c0:c1]
+        if dtype is None:
+            return outs
+        q = dtype.quantize(flat)  # elementwise: one call for every sample
+        return [q[offs[b] : offs[b + 1]].reshape(sh) for b, sh in enumerate(shapes)]
 
-    def out_row_span(self, in_shape: Shape, span: tuple[int, int]) -> tuple[int, int]:
-        _, oh, _ = self.out_shape(in_shape)
-        return window_out_span(span[0], span[1], self.kernel, self.stride, self.pad, oh)
+    def out_box(self, in_shape: Shape, box: Box) -> Box:
+        _, oh, ow = self.out_shape(in_shape)
+        return window_out_box(box, self.kernel, self.stride, self.pad, oh, ow)
 
     # -- training ------------------------------------------------------------- #
     def forward_train(self, x: np.ndarray) -> tuple[np.ndarray, object]:

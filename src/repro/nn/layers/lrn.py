@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dtypes.base import DataType
-from repro.nn.layers.base import Layer, Shape
+from repro.nn.layers.base import Box, Layer, Shape
 
 __all__ = ["LRN"]
 
@@ -44,9 +44,9 @@ class LRN(Layer):
     def out_shape(self, in_shape: Shape) -> Shape:
         return in_shape
 
-    def out_row_span(self, in_shape: Shape, span: tuple[int, int]) -> tuple[int, int]:
+    def out_box(self, in_shape: Shape, box: Box) -> Box:
         # Normalization mixes channels, never spatial positions.
-        return span
+        return box
 
     def _denominator(self, x: np.ndarray) -> np.ndarray:
         c = x.shape[1]

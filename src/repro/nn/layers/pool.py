@@ -16,10 +16,11 @@ from repro.nn.im2col import (
     col2im,
     conv_out_size,
     im2col,
+    paste_window,
     row_windows,
-    window_out_span,
+    window_out_box,
 )
-from repro.nn.layers.base import Layer, Shape
+from repro.nn.layers.base import Box, Layer, Shape
 
 __all__ = ["MaxPool2D", "GlobalAvgPool"]
 
@@ -64,46 +65,75 @@ class MaxPool2D(Layer):
         return cols.max(axis=0).reshape(shape)  # selection only: values stay representable
 
     def forward_rows(
-        self, xs: Sequence[np.ndarray], dtype: DataType | None, starts: Sequence[int], rows: int
-    ) -> np.ndarray:
-        """Output rows ``[r0, r0 + rows)`` of each input, ``r0 = starts[b]``.
+        self,
+        xs: Sequence[np.ndarray],
+        dtype: DataType | None,
+        boxes: Sequence[Box],
+        patches: Sequence[np.ndarray] | None = None,
+        in_boxes: Sequence[Box] | None = None,
+    ) -> list[np.ndarray]:
+        """Output box ``boxes[b]`` of each input, in one ``max`` call.
 
-        Window maxima are per-column selections, so any subset of output
+        Input ``b`` is ``xs[b]`` with ``patches[b]`` pasted over input box
+        ``in_boxes[b]`` (no patch when ``patches`` is None).  Window
+        maxima are per-column selections, so any subset of output
         positions reproduces the full :meth:`forward` bit-for-bit — no
-        tile alignment needed.  Each input contributes only the band of
-        rows its windows read, copied into one stack; a band position
-        outside the input, at a true fmap edge, holds ``-inf`` as
-        :meth:`forward`'s padding does.
+        tile alignment needed.  Inputs whose boxes share a shape share
+        one stack of the input regions their windows read, and every
+        box's windows are copied into one ``(k*k, columns)`` matrix
+        reduced over its taps in order, as :meth:`forward`'s is, so the
+        call computes exactly the boxes' elements; a region position outside the input, at a true fmap
+        edge, holds ``-inf`` as :meth:`forward`'s padding does.
 
         Args:
             xs: Unbatched inputs ``(c, h, w)``, or one stack of them.
-            starts: First output row of each input's window.
-            rows: Output rows per window (at least one).
+            boxes: Per-input output boxes (non-empty).
 
         Returns:
-            ``(n, c, rows, ow)``.
+            One ``(c, r1 - r0, c1 - c0)`` array per input.
         """
-        n = len(xs)
-        c, h, w = xs[0].shape
         k, s, p = self.kernel, self.stride, self.pad
-        bh = (rows - 1) * s + k
-        band = np.full((n, c, bh, w + 2 * p), -np.inf)
-        for b, (x, r0) in enumerate(zip(xs, starts)):
-            lo = r0 * s - p  # input row of the band's first row
-            a0, a1 = max(lo, 0), min(lo + bh, h)
-            band[b, :, a0 - lo : a1 - lo, p : p + w] = x[:, a0:a1]
-        win = row_windows(band, k, k, s, 0, rows)
-        # (n*c, kh*kw, ncols) with n*c innermost in memory, the layout of
-        # the col_indices gather: max keeps its reduction layout, and its
-        # inner loops span all n*c fmaps (6x faster than C order for
-        # hundreds of fmaps).
-        taps = np.ascontiguousarray(win.transpose(2, 3, 4, 5, 0, 1))
-        cols = taps.reshape(k**2, -1, n * c).transpose(2, 0, 1)
-        return cols.max(axis=1).reshape(n, c, rows, win.shape[-1])
+        c, h, w = xs[0].shape
+        if patches is None:
+            patches = in_boxes = [None] * len(boxes)
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for b, (r0, r1, c0, c1) in enumerate(boxes):
+            shapes.setdefault((r1 - r0, c1 - c0), []).append(b)
+        taps = np.empty((k, k, c * sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in boxes)))
+        spans = []  # (members, first column, rows, cols) of each shape
+        off = 0
+        for (rows, cols), members in shapes.items():
+            m = len(members)
+            corners = [(boxes[b][0] * s - p, boxes[b][2] * s - p) for b in members]
+            region = (m, c, (rows - 1) * s + k, (cols - 1) * s + k)
+            inside = all(
+                y0 >= 0 and x0 >= 0 and y0 + region[2] <= h and x0 + region[3] <= w
+                for y0, x0 in corners
+            )
+            band = np.empty(region) if inside else np.full(region, -np.inf)
+            for pos, (b, (y0, x0)) in enumerate(zip(members, corners)):
+                paste_window(band[pos], xs[b], patches[b], in_boxes[b], y0, x0)
+            win = row_windows(band, k, k, s, 0, rows)  # (m, c, k, k, rows, cols)
+            # Columns run (rows, cols, m, c): the copy's inner loop spans
+            # the channels, not a box's few columns.
+            n = m * c * rows * cols
+            taps[:, :, off : off + n].reshape(k, k, rows, cols, m, c)[...] = win.transpose(
+                2, 3, 4, 5, 0, 1
+            )
+            spans.append((members, off, rows, cols))
+            off += n
+        y = taps.reshape(k * k, -1).max(axis=0)
+        out: list[np.ndarray | None] = [None] * len(boxes)
+        for members, off, rows, cols in spans:
+            n = len(members) * c * rows * cols
+            ys = y[off : off + n].reshape(rows, cols, len(members), c).transpose(2, 3, 0, 1)
+            for b, y_b in zip(members, np.ascontiguousarray(ys)):
+                out[b] = y_b
+        return out
 
-    def out_row_span(self, in_shape: Shape, span: tuple[int, int]) -> tuple[int, int]:
-        _, oh, _ = self.out_shape(in_shape)
-        return window_out_span(span[0], span[1], self.kernel, self.stride, self.pad, oh)
+    def out_box(self, in_shape: Shape, box: Box) -> Box:
+        _, oh, ow = self.out_shape(in_shape)
+        return window_out_box(box, self.kernel, self.stride, self.pad, oh, ow)
 
     def forward_train(self, x: np.ndarray) -> tuple[np.ndarray, object]:
         cols, (n, c, oh, ow) = self._window_cols(x)

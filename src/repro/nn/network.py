@@ -11,10 +11,15 @@ Both are provided here, by one layer loop: :meth:`Network.forward_from_batch`
 resumes B activations at once, each at its own layer, ``forward_from``
 is a batch of one, and ``forward`` quantizes the input and resumes at
 layer 0.  Given golden traces, the loop delta-propagates: through the
-spatially local layers each trial recomputes only its own dirty rows,
-and a trial whose corruption is masked takes its golden results from
-there on.  All four paper networks are sequential stacks, so no general
-DAG machinery is required.
+spatially local layers (conv, ReLU, max-pool, LRN) a trial is a box
+``(r0, r1, c0, c1)`` plus a patch of its values there, read over the
+golden activation; each layer recomputes only the box its corruption
+can reach, and a trial whose corruption is masked takes its golden
+results from there on.  A trial's full activation is built
+(:func:`paste_patch`) only where one is needed: when it reaches a layer
+that mixes positions (flatten, FC, GAP), at the network's end, or for
+the activation trace of a recording call.  All four paper networks are
+sequential stacks, so no general DAG machinery is required.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dtypes.base import DataType
-from repro.nn.layers.base import Layer, MacLayer, Shape
+from repro.nn.im2col import paste_window
+from repro.nn.layers.base import Box, Layer, MacLayer, Shape
 from repro.obs.spans import span
 
-__all__ = ["Network", "InferenceResult", "BatchInferenceResult"]
+__all__ = ["Network", "InferenceResult", "BatchInferenceResult", "paste_patch"]
 
 #: Layer kinds the delta-propagation engine can recompute partially; any
 #: other kind (flatten, fc, gap, softmax) mixes all spatial positions, so
@@ -45,8 +51,43 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     identically through our deterministic arithmetic.  Comparing the raw
     bit patterns gives exactly the guarantee delta propagation needs:
     substituting one array for the other cannot change any later bit.
+    Both arrays are float64 of one shape, so their C-order bytes are
+    their bit patterns (and ``bytes`` equality beats a ufunc on the
+    small boxes delta propagation compares).
     """
-    return bool((a.view(np.uint64) == b.view(np.uint64)).all())
+    return a.tobytes() == b.tobytes()
+
+
+def paste_patch(
+    base: np.ndarray, patch: np.ndarray, box: Box, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``base`` with ``patch`` written over ``box``: a trial's full activation.
+
+    The one place delta propagation and :class:`PreparedInjection
+    <repro.core.injector.PreparedInjection>` build a confined trial's
+    whole fmap.  Writes into ``out`` when given, else into a new array;
+    ``base`` is never written.
+    """
+    return paste_window(np.empty_like(base) if out is None else out, base, patch, box, 0, 0)
+
+
+def _per_pixel(layer: Layer, patches: list[np.ndarray], dtype: DataType | None) -> list[np.ndarray]:
+    """``layer`` over each patch, in one call over their pixels side by side.
+
+    For ReLU and LRN, whose outputs at a pixel read only that pixel's
+    channel column: the patches' pixels are laid out along one axis of a
+    ``(1, c, 1, pixels)`` stack, so the call computes exactly the boxes'
+    elements, with the bits of a whole-fmap call.
+    """
+    c = patches[0].shape[0]
+    flat = np.concatenate([p.reshape(c, -1) for p in patches], axis=1)
+    y = layer.forward(flat[None, :, None, :], dtype)[0, :, 0]
+    out, off = [], 0
+    for p in patches:
+        n = p.shape[1] * p.shape[2]
+        out.append(y[:, off : off + n].reshape(p.shape))
+        off += n
+    return out
 
 
 @dataclass
@@ -305,14 +346,15 @@ class Network:
         storage_dtype: DataType | None = None,
         *,
         goldens: list[InferenceResult] | None = None,
-        dirty_rows: list[tuple[int, int] | None] | None = None,
+        boxes: list[Box | None] | None = None,
     ) -> BatchInferenceResult:
         """Resume inference for B trials at once, each at its own layer.
 
         Bit-exactness contract: for every trial ``b``, trial ``b`` of
         ``forward_from_batch(layer_index, acts)`` is byte-identical to
-        ``forward_from(layer_index[b], acts[b])`` (a batch of one) with
-        the same arguments, with or without delta propagation.  This holds
+        ``forward_from(layer_index[b], act)`` (a batch of one) with the
+        same arguments, where ``act`` is the trial's full corrupted
+        activation, with or without delta propagation.  This holds
         because every layer evaluates each sample with the exact
         arithmetic (GEMM call shapes, reduction orders, per-pixel path
         choices) whatever the batch and its resume layers — see the conv
@@ -321,14 +363,15 @@ class Network:
         One layer loop serves the whole batch: a trial joins it at its
         own resume layer, and each layer runs once over every trial
         still live.  Resume layers accept the same ``[0, len(layers)]``
-        range as :meth:`forward_from`; the upper boundary echoes
-        ``acts[b]``.
+        range as :meth:`forward_from`; the upper boundary echoes the
+        trial's activation.
 
         Args:
             layer_index: Layer each trial resumes at: one per trial, or
                 one ``int`` for all of them.
             acts: B corrupted activations; ``acts[b]`` has the shape of
-                its resume layer's input.
+                its resume layer's input, or, for a trial with a box,
+                the box's shape.
             dtype: Datapath format (as in :meth:`forward`).
             record: Keep per-trial activation traces.
             storage_dtype: Proteus-style narrow format applied at block
@@ -336,13 +379,15 @@ class Network:
             goldens: Optional per-trial golden traces (recorded with the
                 same ``dtype``/``storage_dtype``).  Enables *delta
                 propagation*: through the spatially local layers, each
-                trial recomputes only the output rows its corruption can
-                reach, patching them into a copy of the golden
-                activation.
-            dirty_rows: With ``goldens``: per-trial half-open input row
-                spans ``(r0, r1)`` confining the corruption in ``acts[b]``
-                (``None`` = anywhere: the trial is fully recomputed from
-                its resume layer on).
+                trial is carried as a patch over its golden activation
+                and recomputes only the output box its corruption can
+                reach.
+            boxes: With ``goldens``: per-trial input boxes ``(r0, r1, c0,
+                c1)`` confining the corruption; ``acts[b]`` then holds
+                only the values inside the box (the *patch*), and the
+                golden input holds the rest.  ``None`` = anywhere:
+                ``acts[b]`` is the whole activation, recomputed in full
+                from its resume layer on.
         """
         if not acts:
             raise ValueError("forward_from_batch needs at least one activation")
@@ -350,22 +395,23 @@ class Network:
         resume = [int(layer_index)] * B if np.isscalar(layer_index) else list(layer_index)
         if len(resume) != B:
             raise ValueError("layer_index must give one resume layer per trial")
-        for r, act in zip(resume, acts):
-            self._check_resume_index(r)
-            if tuple(act.shape) != self.shapes[r]:
-                raise ValueError(f"expected activation {self.shapes[r]}, got {tuple(act.shape)}")
-        spans: list[tuple[int, int] | None] = [None] * B
-        if goldens is not None and dirty_rows is not None:
-            if len(goldens) != B or len(dirty_rows) != B:
-                raise ValueError("goldens/dirty_rows must have one entry per trial")
+        box_of: list[Box | None] = [None] * B
+        if goldens is not None and boxes is not None:
+            if len(goldens) != B or len(boxes) != B:
+                raise ValueError("goldens/boxes must have one entry per trial")
             for g in goldens:
                 if len(g.activations) != len(self.layers) + 1:
                     raise ValueError("delta propagation needs fully recorded goldens")
-            spans = list(dirty_rows)
+            box_of = list(boxes)
+        for r, act, box in zip(resume, acts, box_of):
+            self._check_resume_index(r)
+            self._check_patch(self.shapes[r], act, box)
         narrow = storage_dtype.quantize if storage_dtype is not None else None
         store_at = self.block_output_indices() if narrow is not None else frozenset()
+        # cur[b]: trial b's values over box_of[b] (golden elsewhere), or
+        # its whole activation when it has no box.
         cur = [np.asarray(a, dtype=np.float64) for a in acts]
-        traces: list[list[np.ndarray]] = [[c] for c in cur] if record else []
+        traces: list[list[np.ndarray]] = [[] for _ in range(B)] if record else []
         scores: list[np.ndarray | None] = [None] * B
 
         def retire(dead: list[int], i: int) -> None:
@@ -377,28 +423,43 @@ class Network:
                 if record:
                     traces[b].extend(goldens[b].activations[i + 1 :])  # type: ignore[index]
 
+        def whole(b: int, i: int, out: np.ndarray | None = None) -> np.ndarray:
+            """Live trial ``b``'s full input of layer ``i``."""
+            return paste_patch(goldens[b].activations[i], cur[b], box_of[b], out)  # type: ignore
+
         joins: dict[int, list[int]] = {}
         for b, r in enumerate(resume):
             joins.setdefault(r, []).append(b)
-        live: list[int] = []  # delta trials: cur[b] is golden outside spans[b]
+        live: list[int] = []
         full_ids: list[int] = []  # fully recomputed trials, the rows of `full`
         full: np.ndarray | None = None
         end = len(self.layers)
         for i in range(min(resume), end + 1):
             entering = []
             for b in joins.get(i, ()):
-                s = spans[b]
-                if s is None:
+                box = box_of[b]
+                if box is None:
                     entering.append(b)
-                elif s[0] < s[1]:
+                    if record:
+                        traces[b].append(cur[b])
+                elif box[0] < box[1] and box[2] < box[3]:
                     live.append(b)
-                else:
-                    retire([b], i)  # nothing corrupted: golden from its input on
+                    if record:
+                        traces[b].append(whole(b, i))
+                else:  # nothing corrupted: golden from its input on
+                    if record:
+                        traces[b].append(goldens[b].activations[i])  # type: ignore[index]
+                    retire([b], i)
             if i < end and live and self.layers[i].kind not in _DELTA_KINDS:
-                entering += live  # this layer mixes rows: finish them in full
+                entering += live  # this layer mixes positions: finish them in full
                 live = []
             if entering:
-                stack = np.stack([cur[b] for b in entering])
+                stack = np.empty((len(entering), *self.shapes[i]))
+                for pos, b in enumerate(entering):
+                    if box_of[b] is None:
+                        stack[pos] = cur[b]
+                    else:
+                        whole(b, i, stack[pos])
                 full = stack if full is None else np.concatenate([full, stack])
                 full_ids += entering
             if i == end:
@@ -409,7 +470,7 @@ class Network:
             with span(f"layer:{layer.name}"):
                 if live:
                     live, dead = self._delta_layer(
-                        i, live, cur, spans, goldens, dtype, narrow if i in store_at else None
+                        i, live, cur, box_of, goldens, dtype, narrow if i in store_at else None
                     )
                     retire(dead, i)
                 if full is not None:
@@ -418,46 +479,59 @@ class Network:
                         full = narrow(full)
             if record:
                 for b in live:
-                    traces[b].append(cur[b])
+                    traces[b].append(whole(b, i + 1))
                 for pos, b in enumerate(full_ids):
                     traces[b].append(full[pos])
         for b in live:
-            scores[b] = cur[b].reshape(-1)
+            scores[b] = whole(b, end).reshape(-1)
         if full is not None:
             flat = full.reshape(len(full_ids), -1)
             for pos, b in enumerate(full_ids):
                 scores[b] = flat[pos]
         return BatchInferenceResult(scores=np.stack(scores), activations=traces)
 
+    @staticmethod
+    def _check_patch(shape: Shape, act: np.ndarray, box: Box | None) -> None:
+        """``act`` must be a whole activation of ``shape``, or the patch
+        over ``box``, a box inside a ``(c, h, w)`` fmap."""
+        if box is not None:
+            r0, r1, c0, c1 = box
+            if len(shape) != 3 or not (0 <= r0 <= r1 <= shape[1] and 0 <= c0 <= c1 <= shape[2]):
+                raise ValueError(f"box {box} outside activation {shape}")
+            shape = (shape[0], r1 - r0, c1 - c0)
+        if tuple(act.shape) != shape:
+            raise ValueError(f"expected activation {shape}, got {tuple(act.shape)}")
+
     def _delta_layer(
         self,
         i: int,
         live: list[int],
         cur: list[np.ndarray],
-        spans: list[tuple[int, int] | None],
+        box_of: list[Box | None],
         goldens: list[InferenceResult],
         dtype: DataType | None,
         narrow: Callable[[np.ndarray], np.ndarray] | None,
     ) -> tuple[list[int], list[int]]:
         """Delta-propagate the live trials through spatially local layer ``i``.
 
-        Each trial recomputes only its own output rows (``spans[b]``
-        becomes their span): conv in its canonical tiles, batched tile
-        by tile (``Conv2D.forward_rows_batch``); ReLU, LRN and max-pool
-        in one stacked call over windows of one height, the largest own
-        span, each placed over its trial's span.  A window's rows
-        outside its trial's span read only golden input, so they
-        recompute golden bits and are simply not patched.
+        Each trial recomputes only its own output box (``box_of[b]``
+        becomes it, and ``cur[b]`` the trial's values there), in one
+        call for all of them: conv in its canonical
+        row tiles, batched tile by tile, with each tile's input band
+        built from golden rows plus the patch
+        (``Conv2D.forward_rows_batch``); max-pool over exactly the
+        boxes' windows (``MaxPool2D.forward_rows``); ReLU and LRN over
+        the patches' pixels side by side (``forward``).
 
-        After each recomputation the patch is compared bit-for-bit
-        against the golden rows: when a corruption is architecturally
+        After each recomputation the new patch is compared bit-for-bit
+        against the golden box: when a corruption is architecturally
         masked mid-flight (ReLU clips a negative delta, pooling drops a
         non-max delta, quantization rounds a tiny delta away — the
         paper's section 5 masking mechanisms), the trial is dead and all
         remaining work for it disappears.  A full recompute would
         produce exactly those golden bits, so skipping them is
-        observationally identical.  Goldens are never written: a live
-        trial's ``cur[b]`` is a patched copy.
+        observationally identical.  Goldens are never written, and no
+        trial's whole fmap is built here.
 
         Returns ``(live, dead)``: the trials still corrupted after layer
         ``i``, and those whose output of layer ``i`` is golden.
@@ -465,40 +539,35 @@ class Network:
         layer = self.layers[i]
         todo: list[int] = []
         dead: list[int] = []
+        out_boxes: list[Box] = []
         for b in live:
-            spans[b] = layer.out_row_span(self.shapes[i], spans[b])
-            # A strided pool sweep can skip every dirty row.
-            (todo if spans[b][0] < spans[b][1] else dead).append(b)
+            box = layer.out_box(self.shapes[i], box_of[b])
+            # A strided pool sweep can skip every dirty row or column.
+            if box[0] < box[1] and box[2] < box[3]:
+                todo.append(b)
+                out_boxes.append(box)
+            else:
+                dead.append(b)
         if not todo:
             return todo, dead
-        if layer.kind == "conv":
-            patches = layer.forward_rows_batch(
-                np.stack([cur[b] for b in todo]), dtype, [spans[b] for b in todo]
+        if layer.kind in ("conv", "pool"):
+            run = layer.forward_rows_batch if layer.kind == "conv" else layer.forward_rows
+            ys = run(
+                [goldens[b].activations[i] for b in todo], dtype, out_boxes,
+                [cur[b] for b in todo], [box_of[b] for b in todo],
             )
-        else:
-            rows = max(spans[b][1] - spans[b][0] for b in todo)
-            oh = self.shapes[i + 1][1]
-            starts = [min(spans[b][0], oh - rows) for b in todo]
-            if layer.kind == "pool":
-                y = layer.forward_rows([cur[b] for b in todo], dtype, starts, rows)
-            else:  # relu / lrn: elementwise / per-pixel on row windows
-                y = layer.forward(
-                    np.stack([cur[b][:, s : s + rows] for b, s in zip(todo, starts)]), dtype
-                )
-            patches = []
-            for pos, (b, s) in enumerate(zip(todo, starts)):
-                r0, r1 = spans[b]
-                patches.append((y[pos, :, r0 - s : r1 - s], r0, r1))
+        else:  # relu / lrn: per pixel, so a box maps onto itself
+            ys = _per_pixel(layer, [cur[b] for b in todo], dtype)
         survivors = []
-        for b, (y, a0, a1) in zip(todo, patches):
-            golden = goldens[b].activations[i + 1]
+        for b, box, y in zip(todo, out_boxes, ys):
             if narrow is not None:
                 y = narrow(y)
-            if _bits_equal(y, golden[:, a0:a1]):
+            r0, r1, c0, c1 = box
+            if _bits_equal(y, goldens[b].activations[i + 1][:, r0:r1, c0:c1]):
                 dead.append(b)
             else:
-                cur[b] = golden.copy()
-                cur[b][:, a0:a1] = y
+                cur[b] = y
+                box_of[b] = box
                 survivors.append(b)
         return survivors, dead
 

@@ -84,9 +84,12 @@ def reference_datapath(network, dtype, fault, golden, storage_dtype=None):
     alone, clean and faulty, by :func:`~repro.core.injector.replay_chain`
     (a 1-D ``multiply`` + ``partials`` from step 0 each time).  A block
     output is narrowed to ``storage_dtype``; a faulty value that differs
-    from the clean one (NaN-aware) patches a copy of the golden output.
+    from the clean one (NaN-aware) patches a copy of the golden output,
+    confined to the victim's pixel (``box``) for a conv output.  Returns
+    what :func:`~repro.core.injector.finish_injection` reads of a
+    preparation, with the whole ``act`` built here.
     """
-    from repro.core.injector import PreparedInjection, replay_chain
+    from repro.core.injector import replay_chain
 
     li = fault.layer_index
     chain = network.layers[li].mac_operands(golden.activations[li], fault.out_index, dtype)
@@ -94,11 +97,16 @@ def reference_datapath(network, dtype, fault, golden, storage_dtype=None):
     if storage_dtype is not None and li in network.block_output_indices():
         clean, faulty = (float(storage_dtype.quantize(np.array([v]))[0]) for v in (clean, faulty))
     if faulty == clean or (np.isnan(faulty) and np.isnan(clean)):
-        return PreparedInjection(li + 1, True, clean, clean)
+        return SimpleNamespace(resume_index=li + 1, masked=True, value_before=clean,
+                               value_after=clean, act=None, box=None)
     act = golden.activations[li + 1].copy()
     act[fault.out_index] = faulty
-    rows = (fault.out_index[1], fault.out_index[1] + 1) if len(fault.out_index) == 3 else None
-    return PreparedInjection(li + 1, False, clean, faulty, act, rows)
+    box = None
+    if len(fault.out_index) == 3:
+        _, oy, ox = fault.out_index
+        box = (oy, oy + 1, ox, ox + 1)
+    return SimpleNamespace(resume_index=li + 1, masked=False, value_before=clean,
+                           value_after=faulty, act=act, box=box)
 
 
 def reference_campaign(spec) -> SimpleNamespace:

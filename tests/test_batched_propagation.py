@@ -7,10 +7,12 @@ layer.  The contract is byte-identity with the per-trial
 ``forward_from`` path — per trial, on scores and on every recorded
 activation — which these tests enforce over mixed datapath and buffer
 faults, with and without the Proteus storage narrowing, for both the
-plain stacked engine and the delta engine (goldens + dirty row spans),
-in groups of one resume layer and of many, and through padded
-max-pools.  Further tests pin the delta engine's own-row windows and
-its edge cases, and the slice's fill of its groups.  Campaign-level
+plain stacked engine and the delta engine (goldens + box patches), in
+groups of one resume layer and of many, and through padded max-pools.
+Further tests pin the delta engine's box patches at fmap edges, through
+strided and padded windows, LRN and mixed box shapes, the elements each
+call recomputes, the full fmaps it builds, and the slice's fill of its
+groups.  Campaign-level
 tests compare every group size with a trial-by-trial full-recompute
 reference and drive the quarantine of groups whose propagation raises.
 """
@@ -32,7 +34,7 @@ from repro.core.fault import BufferFault, DatapathFault, sample_buffer_fault, sa
 from repro.core.injector import finish_injection, prepare_buffer, prepare_datapath
 from repro.core.serialize import campaign_summary
 from repro.dtypes import DTYPES, FLOAT16
-from repro.nn import LRN, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn import LRN, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.utils.rng import child_rng
@@ -142,10 +144,10 @@ class TestSerialBatchedEquivalence:
                 record=True, storage_dtype=storage,
             )
             delta = network.forward_from_batch(
-                resume_index, [p.act for p in items], dtype=FLOAT16,
+                resume_index, [p.patch for p in items], dtype=FLOAT16,
                 record=True, storage_dtype=storage,
                 goldens=[golden] * len(items),
-                dirty_rows=[p.dirty_rows for p in items],
+                boxes=[p.box for p in items],
             )
             for batch in (plain, delta):
                 assert_same_bytes(batch, serial)
@@ -167,8 +169,8 @@ class TestSerialBatchedEquivalence:
             resume, acts, dtype=FLOAT16, record=True, storage_dtype=storage
         )
         delta = network.forward_from_batch(
-            resume, acts, dtype=FLOAT16, record=True, storage_dtype=storage,
-            goldens=[golden] * len(preps), dirty_rows=[p.dirty_rows for p in preps],
+            resume, [p.patch for p in preps], dtype=FLOAT16, record=True,
+            storage_dtype=storage, goldens=[golden] * len(preps), boxes=[p.box for p in preps],
         )
         for batch in (plain, delta):
             assert_same_bytes(batch, serial)
@@ -224,8 +226,8 @@ class TestRoundingFormatParity:
 
         def propagate(resume, group):
             return network.forward_from_batch(
-                resume, [p.act for p in group], dtype=dtype, record=True,
-                goldens=[golden] * len(group), dirty_rows=[p.dirty_rows for p in group],
+                resume, [p.patch for p in group], dtype=dtype, record=True,
+                goldens=[golden] * len(group), boxes=[p.box for p in group],
             )
 
         return preps, propagate
@@ -281,12 +283,25 @@ def _corrupt(golden, layer_index, victims, value=1000.0):
     return act
 
 
-class TestOwnRowWindows:
-    """ReLU, LRN and max-pool recompute each trial's own rows in one
-    stacked call: windows of one height, the largest own span, each
-    placed over its trial's span."""
+def _patch(act, box):
+    """``act``'s values over ``box``: what delta propagation is handed."""
+    return None if box is None else act[:, box[0] : box[1], box[2] : box[3]]
 
-    def test_windows_are_own_span_height(self, monkeypatch):
+
+def _delta(network, resume, acts, boxes, golden, dtype=FLOAT16, record=True):
+    """Delta-propagate whole activations ``acts``, each confined to its box."""
+    patches = [act if box is None else _patch(act, box) for act, box in zip(acts, boxes)]
+    return network.forward_from_batch(
+        resume, patches, dtype=dtype, record=record, goldens=[golden] * len(acts), boxes=boxes
+    )
+
+
+class TestOwnRowWindows:
+    """ReLU, LRN and max-pool recompute each trial's own box in one
+    stacked call: ReLU and LRN over the patches' pixels side by side,
+    max-pool over exactly the boxes' windows."""
+
+    def test_layers_recompute_only_the_boxes(self, monkeypatch):
         network = _net(
             "windows",
             [ReLU("r"), LRN("n"), MaxPool2D("p", 2), Flatten("fl"), Dense("fc", 4 * 4 * 4, 3)],
@@ -295,31 +310,35 @@ class TestOwnRowWindows:
         x = np.random.default_rng(3).uniform(0.5, 1.5, (4, 8, 8))
         golden = network.forward(x, dtype=FLOAT16, record=True)
         h = network.shapes[0][1]
-        acts = [_corrupt(golden, 0, [(1, 0, 3)]), _corrupt(golden, 0, [(2, h - 1, 5)])]
-        heights: dict[str, list[int]] = {"relu": [], "lrn": [], "pool": []}
+        acts = [
+            _corrupt(golden, 0, [(1, 0, 3)]),
+            _corrupt(golden, 0, [(2, h - 1, 5), (0, h - 1, 6)]),
+        ]
+        boxes = [(0, 1, 3, 4), (h - 1, h, 5, 7)]
+        computed: dict[str, list[int]] = {"relu": [], "lrn": [], "pool": []}
 
-        def spy(cls, method, kind, height):
+        def spy(cls, method, kind, pixels):
             real = getattr(cls, method)
 
             def wrapper(self, *args, **kwargs):
-                heights[kind].append(height(*args))
-                return real(self, *args, **kwargs)
+                out = real(self, *args, **kwargs)
+                computed[kind].append(pixels(out))
+                return out
 
             monkeypatch.setattr(cls, method, wrapper)
 
-        spy(ReLU, "forward", "relu", lambda x, *_: x.shape[2])
-        spy(LRN, "forward", "lrn", lambda x, *_: x.shape[2])
-        spy(MaxPool2D, "forward_rows", "pool", lambda xs, dtype, starts, rows: rows)
-        batch = network.forward_from_batch(
-            0, acts, dtype=FLOAT16, record=True, goldens=[golden] * 2,
-            dirty_rows=[(0, 1), (h - 1, h)],
-        )
-        assert heights == {"relu": [1], "lrn": [1], "pool": [1]}
+        spy(ReLU, "forward", "relu", lambda y: y[0, 0].size)
+        spy(LRN, "forward", "lrn", lambda y: y[0, 0].size)
+        spy(MaxPool2D, "forward_rows", "pool", lambda ys: sum(y[0].size for y in ys))
+        batch = _delta(network, 0, acts, boxes, golden)
+        # ReLU and LRN: the boxes' 1 + 2 pixels; the 2x2 pool reads them
+        # in 1 + 2 windows (columns 5 and 6 lie in two of them).
+        assert computed == {"relu": [3], "lrn": [3], "pool": [3]}
         assert_same_bytes(batch, [network.forward_from(0, a, FLOAT16, True) for a in acts])
 
     def test_pool_that_skips_the_dirty_row(self):
         """A strided sweep that reads no dirty row leaves an empty output
-        span: that trial is golden from the pool on."""
+        box: that trial is golden from the pool on."""
         network = _net(
             "skip",
             [ReLU("r"), MaxPool2D("p", 1, stride=2), Flatten("fl"), Dense("fc", 2 * 4 * 4, 3)],
@@ -328,11 +347,9 @@ class TestOwnRowWindows:
         x = np.random.default_rng(4).uniform(0.5, 1.5, (2, 8, 8))
         golden = network.forward(x, dtype=FLOAT16, record=True)
         skipped, read = _corrupt(golden, 0, [(0, 3, 2)]), _corrupt(golden, 0, [(1, 4, 6)])
-        for acts, rows in (([skipped, read], [(3, 4), (4, 5)]), ([skipped], [(3, 4)])):
-            batch = network.forward_from_batch(
-                0, acts, dtype=FLOAT16, record=True, goldens=[golden] * len(acts),
-                dirty_rows=rows,
-            )
+        for acts, boxes in (([skipped, read], [(3, 4, 2, 3), (4, 5, 6, 7)]),
+                            ([skipped], [(3, 4, 2, 3)])):
+            batch = _delta(network, 0, acts, boxes, golden)
             assert_same_bytes(batch, [network.forward_from(0, a, FLOAT16, True) for a in acts])
         assert batch.scores[0].tobytes() == golden.scores.tobytes()
 
@@ -349,15 +366,217 @@ class TestOwnRowWindows:
         unconfined = golden.activations[fc] * 2.0
         resume = [1, 3, fc]
         acts = [masked, late, unconfined]
-        batch = network.forward_from_batch(
-            resume, acts, dtype=FLOAT16, record=True, goldens=[golden] * 3,
-            dirty_rows=[(negative[1], negative[1] + 1), (1, 2), None],
-        )
+        _, y, x = negative
+        batch = _delta(network, resume, acts, [(y, y + 1, x, x + 1), (1, 2, 1, 2), None], golden)
         assert_same_bytes(
             batch, [network.forward_from(r, a, FLOAT16, True) for r, a in zip(resume, acts)]
         )
         assert batch.scores[0].tobytes() == golden.scores.tobytes()
         assert batch.scores[1].tobytes() != golden.scores.tobytes()
+
+
+def _box_net():
+    """Padded k3 and k5, unpadded k5 and 1x1 convs, LRN, a padded max-pool
+    and a strided one that reads every other column: 16x16 down to 2x2."""
+    return _net(
+        "boxes",
+        [
+            Conv2D("c1", 3, 6, 3, pad=1), ReLU("r1"), LRN("n1", n=3),
+            MaxPool2D("p1", 3, stride=2, pad=1), Conv2D("c2", 6, 8, 5, pad=2), ReLU("r2"),
+            Conv2D("c3", 8, 8, 5), ReLU("r3"), Conv2D("cccp", 8, 8, 1), ReLU("r4"),
+            MaxPool2D("p2", 1, stride=2), Flatten("fl"), Dense("fc", 8 * 2 * 2, 5),
+        ],
+        (3, 16, 16),
+    )
+
+
+def _strided_net():
+    """AlexNet conv1's geometry (k11, stride 4, no padding), then an
+    unpadded k3 conv."""
+    return _net(
+        "strided",
+        [
+            Conv2D("c1", 3, 6, 11, stride=4), ReLU("r1"), Conv2D("c2", 6, 6, 3), ReLU("r2"),
+            Flatten("fl"), Dense("fc", 6 * 4 * 4, 5),
+        ],
+        (3, 31, 31),
+    )
+
+
+def _edge_boxes(h, w):
+    """One-pixel boxes at the four corners and the four edge midpoints,
+    and two-pixel ones along the top and down the right edge."""
+    pixels = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
+              (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1)]
+    return [(y, y + 1, x, x + 1) for y, x in pixels] + [(0, 1, w - 2, w), (h - 2, h, w - 1, w)]
+
+
+def _boxed_trial(network, golden, dtype, li, box, values):
+    """``(li, act, box)``: golden input of layer ``li`` with ``values``
+    (cycled, quantized) written over every channel of ``box``."""
+    act = golden.activations[li].copy()
+    r0, r1, c0, c1 = box
+    region = act[:, r0:r1, c0:c1]
+    region[...] = np.resize(dtype.quantize(np.asarray(values, dtype=np.float64)), region.shape)
+    return li, act, box
+
+
+BOX_DTYPES = ["FLOAT16", "DOUBLE", "16b_rb10"]
+
+
+class TestBoxPatches:
+    """Delta propagation carries each confined trial as a patch over its
+    box of the golden activation; whatever the box, its shape and place,
+    every trial must equal ``forward_from``'s full recompute of its whole
+    activation, bit for bit, on scores and on every recorded activation."""
+
+    @staticmethod
+    def _check(network, golden, dtype, trials, record=True):
+        resume = [li for li, _, _ in trials]
+        acts = [act for _, act, _ in trials]
+        boxes = [box for _, _, box in trials]
+        batch = _delta(network, resume, acts, boxes, golden, dtype=dtype, record=record)
+        refs = [network.forward_from(li, act, dtype, record) for li, act in zip(resume, acts)]
+        if record:
+            assert_same_bytes(batch, refs)
+        else:
+            assert batch.activations == []
+            for b, ref in enumerate(refs):
+                assert batch.scores[b].tobytes() == ref.scores.tobytes()
+        return batch
+
+    @staticmethod
+    def _golden(network, dtype, seed=0):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.5, network.input_shape)
+        return network.forward(x, dtype=dtype, record=True)
+
+    @pytest.mark.parametrize("dtype_name", BOX_DTYPES)
+    @pytest.mark.parametrize("build", [_box_net, _strided_net], ids=["padded", "strided"])
+    def test_conv_edge_faults(self, build, dtype_name):
+        """Corners and edge midpoints of every conv input, one trial at a
+        time and all of them in one mixed-resume call."""
+        dtype = DTYPES[dtype_name]
+        network = build()
+        golden = self._golden(network, dtype)
+        trials = []
+        for li, layer in enumerate(network.layers):
+            if layer.kind == "conv":
+                _, h, w = network.shapes[li]
+                trials += [_boxed_trial(network, golden, dtype, li, box, [7.5, -3.25])
+                           for box in _edge_boxes(h, w)]
+        for trial in trials:
+            self._check(network, golden, dtype, [trial])
+        batch = self._check(network, golden, dtype, trials)
+        assert any(s.tobytes() != golden.scores.tobytes() for s in batch.scores)
+
+    @pytest.mark.parametrize("dtype_name", BOX_DTYPES)
+    def test_lrn_box_with_inf_and_nan(self, dtype_name):
+        dtype = DTYPES[dtype_name]
+        network = _box_net()
+        golden = self._golden(network, dtype, seed=1)
+        lrn = network.layers.index(network.layer_named("n1"))
+        _, h, w = network.shapes[lrn]
+        trials = [
+            _boxed_trial(network, golden, dtype, lrn, (0, 1, 3, 6), [np.inf, np.nan, -np.inf]),
+            _boxed_trial(network, golden, dtype, lrn, (h - 2, h, w - 2, w), [np.nan, 2.0]),
+            _boxed_trial(network, golden, dtype, lrn, (5, 7, 0, 3), [1e30, -np.inf]),
+        ]
+        self._check(network, golden, dtype, trials)
+
+    @pytest.mark.parametrize("dtype_name", BOX_DTYPES)
+    def test_padded_pool_edges(self, dtype_name):
+        """Negative values fill the real part of the corner windows, so a
+        window's padding must read ``-inf`` for its max to stay negative."""
+        dtype = DTYPES[dtype_name]
+        network = _box_net()
+        golden = self._golden(network, dtype, seed=2)
+        pool = network.layers.index(network.layer_named("p1"))
+        _, h, w = network.shapes[pool]
+        boxes = _edge_boxes(h, w) + [(0, 2, 0, 2), (h - 3, h, w - 3, w)]
+        trials = [_boxed_trial(network, golden, dtype, pool, box, [-9.0, -0.5])
+                  for box in boxes]
+        batch = self._check(network, golden, dtype, trials)
+        assert all(s.tobytes() != golden.scores.tobytes() for s in batch.scores[-2:])
+
+    def test_strided_pool_skips_every_dirty_column(self):
+        """Columns 1 and 3 are read by no window of a k1 stride-2 sweep:
+        the trial is golden from that pool on, in any group."""
+        network = _box_net()
+        golden = self._golden(network, FLOAT16, seed=3)
+        pool = network.layers.index(network.layer_named("p2"))
+        _, h, _ = network.shapes[pool]
+        skipped = _boxed_trial(network, golden, FLOAT16, pool, (0, h, 1, 2), [5.0])
+        read = _boxed_trial(network, golden, FLOAT16, pool, (0, h, 2, 3), [5.0])
+        batch = self._check(network, golden, FLOAT16, [skipped, read])
+        assert batch.scores[0].tobytes() == golden.scores.tobytes()
+        assert batch.scores[1].tobytes() != golden.scores.tobytes()
+        assert network.layers[pool].out_box(network.shapes[pool], (0, h, 3, 4)) == (0, 2, 0, 0)
+
+    @pytest.mark.parametrize("record", [True, False], ids=["record", "no-record"])
+    @pytest.mark.parametrize("dtype_name", BOX_DTYPES)
+    def test_mixed_resume_boxes_of_many_shapes(self, dtype_name, record):
+        dtype = DTYPES[dtype_name]
+        network = _box_net()
+        golden = self._golden(network, dtype, seed=4)
+        index = {layer.name: li for li, layer in enumerate(network.layers)}
+        shapes = {
+            "c1": [(3, 4, 0, 16), (0, 16, 0, 16), (6, 9, 2, 4)],
+            "r1": [(15, 16, 15, 16), (4, 5, 2, 12)],
+            "p1": [(0, 3, 0, 1), (7, 8, 4, 16)],
+            "c2": [(2, 3, 1, 2), (0, 8, 7, 8), (3, 5, 3, 6)],
+            "c3": [(0, 1, 0, 8), (7, 8, 0, 1)],
+            "cccp": [(1, 3, 1, 3), (3, 4, 0, 4)],
+        }
+        trials = [
+            _boxed_trial(network, golden, dtype, index[name], box, [6.0, -2.5, 0.75])
+            for name, boxes in shapes.items()
+            for box in boxes
+        ]
+        fc = index["fc"]
+        trials.append((fc, golden.activations[fc] * 2.0, None))
+        self._check(network, golden, dtype, trials, record=record)
+        self._check(network, golden, dtype, trials[::-1], record=record)
+
+    def test_confined_trials_build_no_full_fmap(self, monkeypatch):
+        """Without recording, a confined trial's whole activation is built
+        only where it leaves the delta layers (the flatten here); its
+        preparation holds only the pixel column it changed."""
+        import repro.nn.network as network_module
+
+        network = _box_net()
+        golden = self._golden(network, FLOAT16, seed=5)
+        built: list[tuple[int, ...]] = []
+        real = network_module.paste_patch
+
+        def counted(base, patch, box, out=None):
+            built.append(base.shape)
+            return real(base, patch, box, out)
+
+        monkeypatch.setattr(network_module, "paste_patch", counted)
+        preps = []
+        for li, layer in enumerate(network.layers):
+            if layer.kind in ("conv", "pool"):
+                c, h, w = network.shapes[li]
+                for y, x in [(0, 0), (h // 2, w - 1)]:
+                    fault = BufferFault(scope="next_layer", layer_index=li, victim=(c - 1, y, x),
+                                        bit=14)
+                    prep = prepare_buffer(network, FLOAT16, fault, golden)
+                    assert prep.patch.shape == (c, 1, 1) and prep.box == (y, y + 1, x, x + 1)
+                    preps.append(prep)
+        assert built == []
+        batch = network.forward_from_batch(
+            [p.resume_index for p in preps], [p.patch for p in preps], dtype=FLOAT16,
+            goldens=[golden] * len(preps), boxes=[p.box for p in preps],
+        )
+        exit_shape = network.shapes[network.layers.index(network.layer_named("fl"))]
+        live = sum(s.tobytes() != golden.scores.tobytes() for s in batch.scores)
+        assert 0 < len(built) == live and set(built) == {exit_shape}
+        built.clear()
+        network.forward_from_batch(
+            [p.resume_index for p in preps], [p.patch for p in preps], dtype=FLOAT16,
+            record=True, goldens=[golden] * len(preps), boxes=[p.box for p in preps],
+        )
+        assert len(set(built)) > 1  # recording builds every layer's fmap
 
 
 class TestGoldenImmutability:

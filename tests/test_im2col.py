@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
@@ -14,6 +14,7 @@ from repro.nn.im2col import (
     pad_fmap,
     patch_indices,
     row_windows,
+    window_out_span,
 )
 from repro.nn.layers.conv import _TILE_COLS, Conv2D
 from repro.nn.layers.pool import MaxPool2D
@@ -109,6 +110,38 @@ class TestPatchIndices:
         assert valid[4]  # centre tap is real
 
 
+@st.composite
+def _window_spans(draw):
+    """``(kernel, stride, pad, size, r0, r1)``: a valid sweep and a
+    non-empty span of its input positions."""
+    k, s, p = draw(st.integers(1, 11)), draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    size = draw(st.integers(max(1, k - 2 * p), 40))
+    r0 = draw(st.integers(0, size - 1))
+    return k, s, p, size, r0, draw(st.integers(r0 + 1, size))
+
+
+class TestWindowOutSpan:
+    """Delta propagation maps a corruption's box through conv and max-pool
+    with ``window_out_span`` on both axes; a span too narrow drops
+    corrupted outputs and a wrong empty span retires a live trial."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_window_spans())
+    @example((1, 2, 0, 8, 3, 4))  # a strided sweep skips the span: empty
+    @example((2, 4, 0, 11, 2, 4))  # skips a span of two
+    @example((3, 1, 1, 5, 0, 1))  # next to the padding, both edges
+    @example((3, 1, 1, 5, 4, 5))
+    @example((11, 4, 5, 1, 0, 1))  # more padding than input
+    @example((5, 3, 2, 40, 38, 40))
+    def test_matches_brute_force_scan(self, geometry):
+        k, s, p, size, r0, r1 = geometry
+        out = conv_out_size(size, k, s, p)
+        # Output o reads input positions [o * s - p, o * s - p + k).
+        reads = [o for o in range(out) if o * s - p < r1 and r0 < o * s - p + k]
+        want = (reads[0], reads[-1] + 1) if reads else (0, 0)
+        assert window_out_span(r0, r1, k, s, p, out) == want
+
+
 def _zoo_geometries(scales=("reduced", "full")):
     """Every distinct conv and max-pool geometry of the zoo networks, as
     ``(kind, c, h, w, kernel, stride, pad, out_channels)``."""
@@ -154,7 +187,6 @@ class TestRowWindows:
     """
 
     N, C = 3, 2
-    TRIALS = (None, [1], [0, 2])
 
     @pytest.mark.parametrize("kind,h,w,k,s,p", WINDOW_GEOMETRIES, ids=str)
     def test_matches_index_gather(self, rng, kind, h, w, k, s, p):
@@ -175,13 +207,10 @@ class TestRowWindows:
             spans = [(0, oh)] + [(r, r + 1) for r in range(oh)] + [(oh // 2, oh)]
         assert _same_bits(flat, oracle.transpose(1, 0, 2).reshape(flat.shape))
         for r0, r1 in spans:
-            for trials in self.TRIALS:
-                want = oracle[:, :, r0 * ow : r1 * ow]
-                if trials is not None:
-                    want = want[trials]
-                win = row_windows(xp, k, k, s, r0, r1, trials)
-                got = win.reshape(want.shape[0], -1, (r1 - r0) * ow)
-                assert _same_bits(got, want), (r0, r1, trials)
+            want = oracle[:, :, r0 * ow : r1 * ow]
+            win = row_windows(xp, k, k, s, r0, r1)
+            got = win.reshape(want.shape[0], -1, (r1 - r0) * ow)
+            assert _same_bits(got, want), (r0, r1)
 
     @pytest.mark.parametrize("kind,c,h,w,k,s,p,out", REDUCED_LAYERS, ids=str)
     def test_layer_matches_index_gather(self, rng, kind, c, h, w, k, s, p, out):
@@ -206,9 +235,11 @@ class TestRowWindows:
                     want[:, :, c0 : c0 + step] = np.matmul(wmat, cols[:, :, c0 : c0 + step])
                 want += layer.bias[:, None]
                 assert _same_bits(layer.forward(x), want.reshape(n, out, oh, ow))
-                spans = [(0, 1), (oh - 1, oh), (0, oh)]
-                for b, (y, a0, a1) in enumerate(layer.forward_rows_batch(x, None, spans)):
-                    assert _same_bits(y, want[b].reshape(out, oh, ow)[:, a0:a1])
+                for boxes in ([(0, 1, 0, ow), (oh - 1, oh, ow - 1, ow), (0, oh, 0, ow)],
+                              [(oh // 2, oh, 0, ow // 2 + 1)] * n):
+                    for b, y in enumerate(layer.forward_rows_batch(x, None, boxes)):
+                        r0, r1, c0, c1 = boxes[b]
+                        assert _same_bits(y, want[b].reshape(out, oh, ow)[:, r0:r1, c0:c1])
         else:
             layer = MaxPool2D("p", k, stride=s, pad=p)
             values = [-0.0, 0.0, -1.0, 1.0, -np.inf, np.nan]
@@ -219,10 +250,12 @@ class TestRowWindows:
             cols = xp[:, ii, jj]  # (n*c, k*k, oh*ow)
             want = cols.transpose(1, 0, 2).reshape(k * k, -1).max(axis=0)
             assert _same_bits(layer.forward(x), want.reshape(n, c, oh, ow))
-            for r0, r1 in [(0, oh), (oh - 1, oh), (oh // 2, oh)]:
-                y = layer.forward_rows(x, None, [r0] * n, r1 - r0)
-                rows = cols[:, :, r0 * ow : r1 * ow].max(axis=1)
-                assert _same_bits(y, rows.reshape(n, c, r1 - r0, ow))
+            for r0, r1, c0, c1 in [(0, oh, 0, ow), (oh - 1, oh, ow - 1, ow),
+                                   (oh // 2, oh, 0, ow // 2 + 1)]:
+                ys = layer.forward_rows(x, None, [(r0, r1, c0, c1)] * n)
+                boxed = cols.max(axis=1).reshape(n, c, oh, ow)[:, :, r0:r1, c0:c1]
+                for y, ref in zip(ys, boxed):
+                    assert _same_bits(y, ref)
 
     def test_view_is_read_only(self, rng):
         x = rng.normal(0, 1, (2, 3, 9, 9))

@@ -247,8 +247,9 @@ def reference_row_activation(network, dtype, fault, golden, storage_dtype=None):
     ``mac_operands`` on a corrupted copy of the ifmap and replayed alone
     with :func:`replay_chain` (1-D ``multiply`` + ``partials`` from step
     0, never a shared prefix).  A chain whose narrowed value differs from
-    the clean replay (NaN-aware) patches the golden output.  Besides the
-    preparation's fields, reports whether any corrupted chain's running
+    the clean replay (NaN-aware) patches the golden output; the box spans
+    the residency row's columns whose windows read the victim.  Besides
+    the preparation's fields, reports whether any corrupted chain's running
     sum left the format's range (``saturated``) or ended inf/NaN
     (``nonfinite``).
     """
@@ -264,6 +265,7 @@ def reference_row_activation(network, dtype, fault, golden, storage_dtype=None):
     act = golden.activations[li + 1].copy()
     n_out, _, ow = layer.out_shape(x.shape)
     changed = saturated = nonfinite = False
+    read = set()
     for f in range(n_out):
         for ox in range(ow):
             idx = (f, fault.residency_row, ox)
@@ -271,6 +273,7 @@ def reference_row_activation(network, dtype, fault, golden, storage_dtype=None):
             chain_bad = layer.mac_operands(x_bad, idx, dtype)
             if np.array_equal(chain_bad.inputs, chain_ok.inputs):
                 continue  # this window never reads the victim pixel
+            read.add(ox)
             ok = np.array([replay_chain(dtype, chain_ok)])
             bad = np.array([replay_chain(dtype, chain_bad)])
             steps = dtype.multiply(chain_bad.weights, chain_bad.inputs)
@@ -287,7 +290,7 @@ def reference_row_activation(network, dtype, fault, golden, storage_dtype=None):
         masked=not changed,
         value_before=before,
         value_after=after if changed else before,
-        dirty_rows=(oy, oy + 1) if changed else None,
+        box=(oy, oy + 1, min(read), max(read) + 1) if changed else None,
         act=act if changed else None,
         saturated=saturated,
         nonfinite=nonfinite,
@@ -378,7 +381,7 @@ class TestRowActivationReference:
                 assert prep.masked == ref.masked, fault
                 assert _same_bits(prep.value_before, ref.value_before), fault
                 assert _same_bits(prep.value_after, ref.value_after), fault
-                assert prep.dirty_rows == ref.dirty_rows, fault
+                assert prep.box == ref.box, fault
                 if not ref.masked:
                     assert prep.act.tobytes() == ref.act.tobytes(), fault
                 saturated += ref.saturated
@@ -495,7 +498,7 @@ class TestDatapathReference:
                     assert prep.masked == ref.masked, fault
                     assert _same_bits(prep.value_before, ref.value_before), fault
                     assert _same_bits(prep.value_after, ref.value_after), fault
-                    assert prep.dirty_rows == ref.dirty_rows, fault
+                    assert prep.box == ref.box, fault
                     if not ref.masked:
                         assert prep.act.tobytes() == ref.act.tobytes(), fault
                 li = fault.layer_index

@@ -93,6 +93,18 @@ class TestGoldenImmutability:
         finally:
             release_segment(shm)
 
+    def test_private_goldens_are_read_only(self):
+        """A ``jobs=1`` task's own golden arrays refuse writes as the
+        attached views do: trials read patches over them, so a stray
+        write would corrupt every later trial on that input."""
+        task = _CampaignTask(SPEC)
+        for golden in task.goldens:
+            with pytest.raises(ValueError):
+                golden.scores[0] = 0.0
+            for act in golden.activations:
+                with pytest.raises(ValueError):
+                    act[...] = 0.0
+
     def test_golden_bits_survive_a_shared_campaign(self):
         proto = _CampaignTask(SPEC)
         golden_bits = [g.scores.copy() for g in proto.goldens]
