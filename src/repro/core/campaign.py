@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from repro.core import sharedgolden
 from repro.core.detectors import SymptomDetector, learn_detector
 from repro.core.fault import (
     DATAPATH_LATCHES,
@@ -310,7 +312,7 @@ def record_skip_metrics(metrics: MetricsRegistry, spec: CampaignSpec, skip: Tria
     Same discipline as :func:`record_trial_metrics`: integer counters
     only, incremented identically by workers (live skips) and by the
     parent's checkpoint replay (resumed skips), so totals stay
-    byte-identical across serial / parallel / shared-mem / resume.
+    byte-identical across serial / parallel / resume.
     """
     metrics.inc("early_stop/skipped")
     metrics.inc(
@@ -569,17 +571,11 @@ def propagation_order(prep) -> tuple:
 
 
 class _CampaignTask:
-    """Per-worker campaign task: builds the network/goldens once, then
-    runs slices of trials through :meth:`run_many`.  Constructed lazily
-    inside each worker process.
-
-    When a :class:`~repro.core.sharedgolden.GoldenDescriptor` is given,
-    the golden activations, quantized weights and learned detector are
-    *attached* from the parent's shared-memory segment instead of being
-    recomputed — the expensive ``golden_infer`` / ``learn_detector``
-    phases run exactly once per campaign, in the parent.  Either way the
-    golden bits are identical (the parent computed them with this same
-    code), so trial outcomes are unaffected by the transport.
+    """Campaign task: builds the network/goldens once, then runs slices
+    of trials through :meth:`run_many`.  A multi-worker campaign builds
+    one in the parent, and forked pool workers inherit it (see
+    :mod:`repro.core.sharedgolden`); a worker that inherits none builds
+    its own, with the same golden bits.
 
     An exception inside a trial becomes a quarantined
     :class:`TrialError` value instead of poisoning the slice.  The task
@@ -594,8 +590,7 @@ class _CampaignTask:
     byte-identical.
     """
 
-    def __init__(self, spec: CampaignSpec, *, spans: bool = False, batch: int = 1,
-                 golden=None):
+    def __init__(self, spec: CampaignSpec, *, spans: bool = False, batch: int = 1):
         if spans:
             # First, so golden_infer / learn_detector and the per-layer
             # forward spans inside them are captured.
@@ -617,41 +612,29 @@ class _CampaignTask:
         self.dtype = get_dtype(spec.dtype)
         self.storage_dtype = get_dtype(spec.storage_dtype) if spec.storage_dtype else None
         self.network = get_network(spec.network, spec.scale)
-        self._shm_view = None
-        if golden is not None:
-            from repro.core.sharedgolden import attach_golden_state
-
-            with span("golden_attach"):
-                self._shm_view = attach_golden_state(golden)
-            self.goldens = self._shm_view.goldens
-            self._shm_view.install_weights(self.network)
-            self.detector: SymptomDetector | None = None
-            if spec.with_detection and spec.detector_kind == "sed":
-                self.detector = golden.detector
-        else:
-            self.network.prepare(self.dtype)
-            inputs = eval_inputs(spec.network, spec.n_inputs, spec.scale, seed=100)
-            with span("golden_infer"):
-                self.goldens = [
-                    self.network.forward(
-                        x, dtype=self.dtype, record=True, storage_dtype=self.storage_dtype
-                    )
-                    for x in inputs
-                ]
-            # Trials read patches over these arrays and masked trials
-            # return them by reference, so a stray write through any of
-            # them would corrupt every later trial on that input: make
-            # it raise, as the shared-memory views do.
-            for golden in self.goldens:
-                for arr in (golden.scores, *golden.activations):
-                    arr.setflags(write=False)
-            self.detector = None
-            if spec.with_detection and spec.detector_kind == "sed":
-                learn_x = eval_inputs(spec.network, spec.sed_learn_inputs, spec.scale, seed=200)
-                with span("learn_detector"):
-                    self.detector = learn_detector(
-                        self.network, learn_x, dtype=self.dtype, cushion=spec.sed_cushion
-                    )
+        self.network.prepare(self.dtype)
+        inputs = eval_inputs(spec.network, spec.n_inputs, spec.scale, seed=100)
+        with span("golden_infer"):
+            self.goldens = [
+                self.network.forward(
+                    x, dtype=self.dtype, record=True, storage_dtype=self.storage_dtype
+                )
+                for x in inputs
+            ]
+        # Trials read patches over these arrays and masked trials return
+        # them by reference, so a stray write through any of them would
+        # corrupt every later trial on that input: make it raise, in this
+        # process and in every worker that inherits the task.
+        for golden in self.goldens:
+            for arr in (golden.scores, *golden.activations):
+                arr.setflags(write=False)
+        self.detector: SymptomDetector | None = None
+        if spec.with_detection and spec.detector_kind == "sed":
+            learn_x = eval_inputs(spec.network, spec.sed_learn_inputs, spec.scale, seed=200)
+            with span("learn_detector"):
+                self.detector = learn_detector(
+                    self.network, learn_x, dtype=self.dtype, cushion=spec.sed_cushion
+                )
         #: Layer index -> block for detector checkpoints; the tracer
         #: derives the detector-firing layer from it (empty when no
         #: symptom detector is configured).
@@ -749,24 +732,6 @@ class _CampaignTask:
         return prepare_buffer(
             self.network, self.dtype, fault, meta["golden"], self.storage_dtype
         )
-
-    def close(self) -> None:
-        """Detach the shared golden view, if one is attached.
-
-        Closing unmaps the segment immediately (numpy views do NOT keep
-        the mapping alive — they alias freed memory afterwards), so every
-        shared view must be purged first.  ``get_network`` memoizes
-        network instances per process, so the quantized-weight caches we
-        installed views into would otherwise serve dangling pointers to
-        the *next* campaign in this process.
-        """
-        if self._shm_view is None:
-            return
-        for li, dtype_name in self._shm_view.installed:
-            self.network.layers[li].discard_quantized_weights(dtype_name)
-        self.goldens = []
-        self._shm_view.close()
-        self._shm_view = None
 
     def complete_trial(self, meta: dict, injection: InjectionResult) -> TrialRecord:
         """Classify one propagated injection into a :class:`TrialRecord`."""
@@ -1011,9 +976,9 @@ class _EarlyStopPlanner:
     so the stop decision for wave ``w`` looks at exactly the records in
     the index prefix ``[0, w * stop_check_every)`` — a pure function of
     the spec and the checkpoint contents, never of ``jobs``, ``batch``,
-    ``chunk``, arrival order or wall-clock.  Serial, parallel,
-    shared-memory and kill/resume executions therefore make identical
-    skip decisions trial-for-trial.
+    ``chunk``, arrival order or wall-clock.  Serial, parallel and
+    kill/resume executions therefore make identical skip decisions
+    trial-for-trial.
 
     A stratum *closes* once the Wilson 95% half-width of its
     ``stop_sdc_class`` rate drops to ``target_halfwidth``.  Closed
@@ -1106,12 +1071,6 @@ class RunOptions:
         chunk: Trials per slice handed to a worker (or run inline) at
             once; with a checkpoint, capped at ``checkpoint_every`` so
             completed trials reach the checkpoint at that cadence.
-        shared_golden: Publish the golden activations / quantized
-            weights / detector into a ``multiprocessing.shared_memory``
-            segment computed once by the parent; workers attach
-            read-only views instead of re-running golden inference.
-            ``None`` (the default) auto-enables it for multi-worker
-            runs.  The golden bits are identical either way.
         checkpoint: JSONL checkpoint path; completed trials are logged
             there (see :mod:`repro.core.checkpoint`).
         resume: Skip trial indices already present in ``checkpoint``.
@@ -1150,8 +1109,8 @@ class RunOptions:
             is set, defaults to ``<checkpoint>.trace.jsonl`` next to it;
             with neither, trace rows are collected in memory only
             (``CampaignResult.traces``).  The file is byte-identical
-            across serial / parallel / batched / shared-mem / resumed
-            executions: rows are pure functions of the trial index, and
+            across serial / parallel / batched / resumed executions:
+            rows are pure functions of the trial index, and
             a resumed run re-executes any checkpointed trial whose trace
             row had not reached disk (re-deriving identical bytes)
             instead of leaving a hole.
@@ -1160,7 +1119,6 @@ class RunOptions:
     jobs: int | None = 1
     batch: int = 16
     chunk: int = 64
-    shared_golden: bool | None = None
     checkpoint: str | Path | None = None
     resume: bool = False
     checkpoint_every: int = 64
@@ -1217,7 +1175,7 @@ class _CampaignRun:
     """One execution of a campaign.
 
     Setup (the constructor): checkpoint and trace sinks, resume, the
-    early-stop planner, the shared-memory decision and the run observer.
+    early-stop planner and the run observer.
     :meth:`execute` runs the trial loop, closes the sinks and seals the
     manifest once, whatever the outcome.
     """
@@ -1257,15 +1215,7 @@ class _CampaignRun:
             _EarlyStopPlanner(spec, self.done, self.recorder)
             if spec.target_halfwidth is not None else None
         )
-        # Shared golden state pays off exactly when more than one worker
-        # would otherwise duplicate golden inference; ``shared_golden``
-        # forces it either way (it is outcome-neutral).
-        self.use_shm = (
-            options.shared_golden
-            if options.shared_golden is not None
-            else effective_jobs(options.jobs) > 1 and len(self.remaining) > 1
-        )
-        # After resume and the shm decision: the observer records both.
+        # After resume: the observer records it.
         self.observer = self._open_observer()
         self.error_budget = options.max_error_frac * spec.n_trials
         # Resumed quarantines count against the budget too.
@@ -1348,7 +1298,6 @@ class _CampaignRun:
                 "batch": options.batch,
                 "resumed": self.resumed > 0,
                 "resumed_trials": self.resumed,
-                "shared_golden": self.use_shm,
                 "blas_threads": blas_threads(options.jobs),
                 "trace": {
                     "mode": spec.trace_mode,
@@ -1399,32 +1348,25 @@ class _CampaignRun:
         return result
 
     def _map(self) -> None:
-        """Run the remaining trials, with the golden segment published around them."""
+        """Run the remaining trials, inline or across the pool."""
         spec, options = self.spec, self.options
         chunk = options.chunk
         if self.writer is not None:
             # A slice's trials return together; capping the slice lets
             # completed trials reach the checkpoint at its cadence.
             chunk = min(chunk, options.checkpoint_every)
-        descriptor = shm_handle = None
-        try:
-            if self.use_shm:
-                from repro.core.sharedgolden import publish_golden_state
-
-                # The parent pays for golden inference / detector
-                # learning exactly once; workers attach read-only.
-                with span("shm_publish"):
-                    descriptor, shm_handle = publish_golden_state(_CampaignTask(spec))
-                self.recorder.emit(
-                    "shm_publish", segment=descriptor.segment, nbytes=descriptor.nbytes
-                )
-            # functools.partial (not a lambda) so the factory pickles
-            # into workers.
+        # functools.partial (not a lambda) so the factory pickles into
+        # workers that do not fork.
+        build = factory = partial(_CampaignTask, spec, spans=options.spans, batch=options.batch)
+        published = nullcontext()
+        if effective_jobs(options.jobs) > 1 and len(self.remaining) > 1:
+            # A pool's workers inherit one task built here, so golden
+            # inference and detector learning run once per campaign.
+            factory = partial(sharedgolden.attach_golden_state, build)
+            published = sharedgolden.publish_golden_state(build())
+        with published:
             map_trials(
-                partial(
-                    _CampaignTask, spec, spans=options.spans, batch=options.batch,
-                    golden=descriptor,
-                ),
+                factory,
                 jobs=options.jobs,
                 chunk=chunk,
                 indices=self.remaining,
@@ -1435,12 +1377,6 @@ class _CampaignRun:
                 on_result=self._absorb,
                 on_obs=self._absorb_obs,
             )
-        finally:
-            if shm_handle is not None:
-                from repro.core.sharedgolden import release_segment
-
-                release_segment(shm_handle)
-                self.recorder.emit("shm_unlink", segment=descriptor.segment)
 
     def _absorb_obs(self, snapshot: dict) -> None:
         # Trace rows ride in the obs payload (same message as the
@@ -1565,7 +1501,7 @@ class _CampaignRun:
             if self.planner is not None:
                 # Deterministic: skip decisions are a pure function of the
                 # spec and trial indices, so these agree across serial /
-                # parallel / shared-mem / resumed executions.
+                # parallel / resumed executions.
                 summary["early_stop"] = {
                     "n_skips": len(result.skips),
                     "stopped_at": result.stopped_at,

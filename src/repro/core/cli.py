@@ -60,10 +60,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> tuple:
     parser.add_argument("--batch", type=int, default=RunOptions.batch,
                         help="maximum group size: trials propagated per batched "
                              "forward pass (results are bit-identical)")
-    parser.add_argument("--shm", choices=("auto", "on", "off"), default="auto",
-                        help="shared-memory golden state: the parent computes golden "
-                             "activations/weights once, workers attach read-only "
-                             "(auto = on for multi-worker runs; bit-identical)")
     stopping = parser.add_argument_group("early stopping (docs/architecture.md)")
     stopping.add_argument("--target-halfwidth", type=float, default=None, metavar="W",
                           help="stop sampling a stratum once its Wilson 95%% "
@@ -102,7 +98,6 @@ def run_options(args: argparse.Namespace, **extra) -> RunOptions:
     """
     return RunOptions(
         jobs=args.jobs, batch=args.batch,
-        shared_golden={"auto": None, "on": True, "off": False}[args.shm],
         resume=args.resume, trial_timeout=args.trial_timeout, max_retries=args.max_retries,
         max_error_frac=args.max_error_frac, progress_every=args.progress, spans=args.spans,
         **extra,

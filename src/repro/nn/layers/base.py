@@ -147,53 +147,26 @@ class MacLayer(Layer):
         """Return ``(weight, bias)`` float64 arrays."""
 
     def quantized_weights(self, dtype: DataType | None) -> tuple[np.ndarray, np.ndarray]:
-        """``(weight, bias)`` quantized to ``dtype`` (cached per format)."""
+        """``(weight, bias)`` quantized to ``dtype`` (cached per format).
+
+        The cached arrays are read-only: every trial, and every pool
+        worker that inherits the network, reads the same ones, so a
+        corruption build copies before it writes.
+        """
         w, b = self.weight_arrays()
         if dtype is None:
             return w, b
         cached = self._qweights.get(dtype.name)
         if cached is None:
             cached = (dtype.quantize(w), dtype.quantize(b))
+            for arr in cached:
+                arr.setflags(write=False)
             self._qweights[dtype.name] = cached
         return cached
 
     def invalidate_weight_cache(self) -> None:
         """Drop quantized-weight caches (call after mutating parameters)."""
         self._qweights.clear()
-
-    def cached_quantized_weights(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Snapshot of the warmed per-format weight cache.
-
-        Used by :mod:`repro.core.sharedgolden` to publish the quantized
-        weights a campaign parent has already paid for into a shared
-        segment; formats not in the cache are simply recomputed lazily by
-        :meth:`quantized_weights`.
-        """
-        return dict(self._qweights)
-
-    def install_quantized_weights(
-        self, dtype_name: str, weight: np.ndarray, bias: np.ndarray
-    ) -> bool:
-        """Seed the weight cache for one format with externally-held arrays.
-
-        The campaign workers hand in read-only views into a shared-memory
-        segment so :meth:`quantized_weights` never re-quantizes what the
-        parent already published.  Callers own array lifetime.
-
-        A format already in the cache is left alone and ``False`` is
-        returned: forked workers inherit the parent's warm private
-        arrays, which must not be shadowed by segment views — the views
-        die when the segment is detached, and purging them would throw
-        away quantization work the process already paid for.
-        """
-        if dtype_name in self._qweights:
-            return False
-        self._qweights[dtype_name] = (weight, bias)
-        return True
-
-    def discard_quantized_weights(self, dtype_name: str) -> None:
-        """Drop one format's cache entry (for purging installed views)."""
-        self._qweights.pop(dtype_name, None)
 
     # -- fault-injection support --------------------------------------------- #
     @abc.abstractmethod

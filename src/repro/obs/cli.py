@@ -12,7 +12,7 @@ Four subcommands over the artifacts :mod:`repro.obs.manifest` and
   verdict: 0 when the runs agree on every deterministic fact, 1 when
   they diverge — so scripts and CI jobs can consume the command as a
   pass/fail check instead of parsing its tables.
-  Execution knobs (jobs, batch, shared memory, trace path) are *flagged*
+  Execution knobs (jobs, batch, BLAS threads, trace path) are *flagged*
   when they differ but never count as divergence.
 - ``trace <run|tracefile>`` — render a campaign's propagation traces:
   cross-trial aggregation by default (depth histogram, per-layer
@@ -203,7 +203,7 @@ def render_tail(run: dict, n: int = 20, kind: str | None = None) -> str:
 #: identity (they live in the spec and the fingerprint), but the dict
 #: also records the trace file path, which differs between equivalent
 #: runs, so the whole meta entry is an execution knob for diffing.
-_EXECUTION_META = ("jobs", "batch", "resumed", "resumed_trials", "shared_golden", "blas_threads", "trace")
+_EXECUTION_META = ("jobs", "batch", "resumed", "resumed_trials", "blas_threads", "trace")
 
 
 def run_identity(run: dict) -> dict:

@@ -15,8 +15,8 @@ pure function of the trial index.  Trial selection is by index
 (``CampaignSpec.trace_mode`` / ``trace_every`` — part of the campaign
 identity, so two runs that trace different subsets have different
 fingerprints), the faulty activations a row is derived from are
-bit-identical across serial / ``--jobs N`` / ``--batch N`` / ``--shm``
-executions (the engine's bit-exactness contract), and the derived
+bit-identical across serial / ``--jobs N`` / ``--batch N`` executions
+(the engine's bit-exactness contract), and the derived
 statistics use bitwise comparison (NaN- and ``-0.0``-safe, mirroring
 ``repro.nn.network._bits_equal``).  The trace file is therefore
 byte-identical across every execution shape, including kill/resume —

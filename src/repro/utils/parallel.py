@@ -3,9 +3,11 @@
 A campaign is thousands of independent single-fault inference runs — an
 embarrassingly parallel workload.  ``map_trials`` shards trial indices
 into slices across a process pool and hands each slice to the task's
-``run_many``; each worker rebuilds its (picklable) task object once and
-reuses cached golden activations across its shard, following the
-fork-once/reuse-state idiom from the HPC guides.
+``run_many``; each worker gets its task once, from its (picklable) task
+factory, and reuses it across its shard, following the
+fork-once/reuse-state idiom from the HPC guides.  The pool forks where
+the platform allows it, so a factory can hand workers state the parent
+built before the fork (see :mod:`repro.core.sharedgolden`).
 
 At the paper's scale (~3M injections, Section 4) the pool itself must
 survive faults, so the fan-out is *supervised*:
@@ -36,7 +38,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import multiprocessing
 import os
+import sys
 import threading
 import time
 import traceback
@@ -47,7 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.obs.spans import span
+from repro.obs.spans import span, timing_snapshot
 
 __all__ = [
     "blas_threads",
@@ -70,6 +74,11 @@ _QUEUE_DEPTH = 2
 
 #: How often a pool worker checks that its parent is still alive (seconds).
 _PARENT_POLL_S = 1.0
+
+#: Start method of the pool's workers.  Fork lets them inherit what the
+#: parent built before the pool started; Python 3.14 makes forkserver
+#: the Linux default, so it is named here.  None is the platform default.
+_MP_CONTEXT = multiprocessing.get_context("fork") if sys.platform.startswith("linux") else None
 
 
 def usable_cpus() -> int:
@@ -196,6 +205,10 @@ def _init_worker(task_factory: Callable[[], object], blas: int | None) -> None:
     lib = _openblas()
     if blas is not None and lib is not None and lib.scipy_openblas_get_num_threads64_() > blas:
         lib.scipy_openblas_set_num_threads64_(blas)
+    # A forked worker inherits the span timings the parent recorded
+    # before the fork; they are the parent's to report, not the first
+    # chunk's.
+    timing_snapshot(reset=True)
     # Worker-lifetime task cache, rebound exactly once per process at
     # pool start.
     _WORKER_TASK = task_factory()
@@ -221,16 +234,6 @@ def _apply_ctl(task: object, ctl: object) -> None:
     apply = getattr(task, "apply_control", None)
     if callable(apply):
         apply(ctl)
-
-
-def _close_task(task: object) -> None:
-    """Best-effort ``task.close()`` (shared-memory views and the like)."""
-    close = getattr(task, "close", None)
-    if callable(close):
-        try:
-            close()
-        except Exception:
-            pass
 
 
 def _run_slice(task, indices: Sequence[int], ctl: object = None) -> tuple[list, object]:
@@ -377,6 +380,7 @@ class _Supervisor:
             time.sleep(delay)
         self.pool = ProcessPoolExecutor(
             max_workers=self.n_jobs,
+            mp_context=_MP_CONTEXT,
             initializer=_init_worker,
             initargs=(self.task_factory, self.blas),
         )
@@ -495,9 +499,6 @@ class _Supervisor:
                     self._run_round()
         finally:
             self._teardown_pool(kill=False)
-            if self.inline_task is not None:
-                _close_task(self.inline_task)
-                self.inline_task = None
         return self.results
 
     def _run_round(self) -> None:
@@ -653,7 +654,7 @@ def map_trials(
             disables deadlines.  Ignored inline (a wedged trial cannot be
             killed from within its own process).
         timeout_grace: Flat per-chunk allowance covering worker startup
-            (network build + golden inference happen on first use).
+            (a worker that inherits no task builds its own first).
         max_retries: Extra attempts per crashed or timed-out chunk
             before bisection/quarantine.
         max_rebuilds: Consecutive pool rebuilds without any completed

@@ -158,7 +158,7 @@ class TestExperimentConfig:
         from repro.core.campaign import RunOptions
 
         ExperimentConfig(run=RunOptions(
-            jobs=2, batch=4, shared_golden=False, resume=True, trial_timeout=5.0,
+            jobs=2, batch=4, resume=True, trial_timeout=5.0,
             max_retries=1, max_error_frac=0.5, spans=True, progress_every=1.0,
         ))
 

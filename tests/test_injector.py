@@ -166,6 +166,16 @@ class TestInjectBuffer:
         again = tiny_network.forward(tiny_input, dtype=FLOAT16)
         assert np.array_equal(again.scores, golden.scores)
 
+    def test_layer_weight_copies_the_read_only_weight_cache(self, tiny_network, tiny_input):
+        golden = tiny_network.forward(tiny_input, dtype=FLOAT16, record=True)
+        w, _ = tiny_network.layers[0].quantized_weights(FLOAT16)
+        w_before = w.copy()
+        fault = BufferFault("layer_weight", 0, (0, 0, 1, 1), 14)
+        assert not inject_buffer(tiny_network, FLOAT16, fault, golden).masked
+        assert tiny_network.layers[0].quantized_weights(FLOAT16)[0] is w
+        assert not w.flags.writeable
+        assert np.array_equal(w, w_before)
+
     def test_next_layer_corrupts_one_stored_act(self, tiny_network, tiny_input):
         golden = tiny_network.forward(tiny_input, dtype=FLOAT16, record=True)
         li = tiny_network.mac_layer_indices()[1]

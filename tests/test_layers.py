@@ -62,6 +62,14 @@ class TestConv2D:
         conv.invalidate_weight_cache()
         assert not np.array_equal(conv.quantized_weights(FLOAT16)[0], w1)
 
+    def test_quantized_weight_cache_is_read_only(self, rng):
+        conv = Conv2D("c", 2, 3, 3)
+        conv.weight[:] = rng.normal(0, 1, conv.weight.shape)
+        for arr in conv.quantized_weights(FLOAT16):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        conv.weight *= 2.0  # the layer's own parameters stay writable
+
     def test_gradients(self, rng):
         conv = Conv2D("c", 2, 3, 3, stride=2, pad=1)
         conv.weight[:] = rng.normal(0, 0.5, conv.weight.shape)

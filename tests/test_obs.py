@@ -268,6 +268,19 @@ class TestCampaignMetrics:
         assert any("golden_infer" in p for p in paths)
         assert any("layer:" in p for p in paths)
 
+    def test_parent_spans_count_once_across_a_pool(self):
+        """Forked workers drop the span timings they inherit, so the
+        parent's golden run and detector learning are reported once."""
+        spec = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=16, n_inputs=2,
+                            seed=11, with_detection=True, detector_kind="sed")
+        timing = run_campaign(spec, jobs=2, chunk=4, spans=True).metrics["timing"]
+        assert timing["golden_infer"]["count"] == 1
+        assert timing["golden_infer/layer:conv1"]["count"] == spec.n_inputs
+        assert timing["learn_detector"]["count"] == 1
+        assert timing["learn_detector/layer:conv1"]["count"] == spec.sed_learn_inputs
+        # The workers' own spans still arrive.
+        assert timing["chunk/trial"]["count"] == spec.n_trials
+
     def test_record_trial_metrics_is_deterministic_per_record(self):
         result = run_campaign(SPEC, jobs=1)
         replay = MetricsRegistry()

@@ -3,7 +3,7 @@
 The tracer's load-bearing promise is the repo's usual one, extended to a
 new artifact: a trace row is a pure function of (spec, trial index), so
 the trace JSONL is byte-identical across serial / ``--jobs N`` /
-``--batch N`` / shared-memory / kill-resume executions — including the
+``--batch N`` / kill-resume executions — including the
 batched engine's dead-trial collapse, which must report the same
 masking layer as the serial path.  Everything here either asserts that
 directly or exercises the machinery around it (sampling-as-identity,
@@ -96,18 +96,17 @@ class TestTraceIdentity:
         result = run_campaign(spec)
         assert result.traces == {}
 
-    def test_serial_jobs_batch_shm_byte_identical(self, tmp_path):
+    def test_serial_jobs_batch_byte_identical(self, tmp_path):
         files = {}
         for label, kwargs in {
             "serial": {"batch": 1},
             "jobs2": {"jobs": 2},
             "batch16": {"batch": 16},
-            "shm2": {"jobs": 2, "shared_golden": True},
         }.items():
             path = tmp_path / f"{label}.trace.jsonl"
             run_campaign(SPEC, trace_path=path, **kwargs)
             files[label] = path.read_bytes()
-        assert files["serial"] == files["jobs2"] == files["batch16"] == files["shm2"]
+        assert files["serial"] == files["jobs2"] == files["batch16"]
 
     def test_batched_dead_trial_collapse_masking_layer_matches_serial(self):
         # The delta engine retires dead trials by patching golden rows
