@@ -161,7 +161,7 @@ def _attr_chain(node: ast.expr) -> list[str]:
 #
 # A fault-injection campaign's one sanctioned user-facing channel is the
 # observability stack (repro.obs): metrics registries, supervision
-# events, run manifests and the progress reporter.  A bare print()
+# events, run logs and the progress reporter.  A bare print()
 # buried in library code bypasses all of it — the output cannot be
 # captured into a run log, breaks repro-obs tooling that parses stdout,
 # and (worst) interleaves nondeterministically when emitted from pool

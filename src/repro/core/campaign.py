@@ -1094,11 +1094,9 @@ class RunOptions:
             every worker (``trial``, ``golden_infer``, per-layer forward,
             injection phases).  Off by default; the disabled path is a
             single flag check.
-        manifest: Run-manifest JSON path.  When None and ``checkpoint``
-            is set, defaults to ``<checkpoint>.manifest.json`` next to
-            it (see :func:`repro.obs.manifest.default_obs_paths`).
-        run_log: Structured JSONL run-log path; same defaulting rule
-            (``<checkpoint>.runlog.jsonl``).
+        run_log: Structured JSONL run-log path.  When None and
+            ``checkpoint`` is set, defaults to ``<checkpoint>.runlog.jsonl``
+            next to it (see :func:`repro.obs.manifest.default_run_log_path`).
         progress_every: Seconds between ``progress`` events on the
             recorder (throughput / ETA material for a
             :class:`~repro.obs.progress.ProgressReporter` sink); 0
@@ -1126,7 +1124,6 @@ class RunOptions:
     max_retries: int = 2
     max_error_frac: float = 0.0
     spans: bool = False
-    manifest: str | Path | None = None
     run_log: str | Path | None = None
     progress_every: float = 0.0
     trace_path: str | Path | None = None
@@ -1177,7 +1174,7 @@ class _CampaignRun:
     Setup (the constructor): checkpoint and trace sinks, resume, the
     early-stop planner and the run observer.
     :meth:`execute` runs the trial loop, closes the sinks and seals the
-    manifest once, whatever the outcome.
+    run log once, whatever the outcome.
     """
 
     def __init__(self, spec: CampaignSpec, options: RunOptions,
@@ -1269,23 +1266,20 @@ class _CampaignRun:
         self.recorder.emit("resume", completed=self.resumed, path=str(self.options.checkpoint))
 
     def _open_observer(self):
-        """Begin the manifest and run log, or return None when neither is set."""
-        from repro.obs.manifest import RunObserver, default_obs_paths
+        """Begin the run log, or return None when it has no path."""
+        from repro.obs.manifest import RunObserver, default_run_log_path
 
         spec, options = self.spec, self.options
-        manifest, run_log = options.manifest, options.run_log
-        if options.checkpoint is not None:
-            auto_manifest, auto_log = default_obs_paths(options.checkpoint)
-            manifest = manifest if manifest is not None else auto_manifest
-            run_log = run_log if run_log is not None else auto_log
-        if manifest is None and run_log is None:
+        run_log = options.run_log
+        if run_log is None and options.checkpoint is not None:
+            run_log = default_run_log_path(options.checkpoint)
+        if run_log is None:
             return None
         from repro.core.checkpoint import campaign_fingerprint
         from repro.core.serialize import to_jsonable
 
         observer = RunObserver(
-            manifest_path=manifest,
-            run_log_path=run_log,
+            run_log,
             kind="campaign",
             meta={
                 "fingerprint": campaign_fingerprint(spec),
@@ -1312,7 +1306,7 @@ class _CampaignRun:
         return observer
 
     def execute(self) -> CampaignResult:
-        """Run the remaining trials, close the sinks, seal the manifest."""
+        """Run the remaining trials, close the sinks, seal the run log."""
         status, result = "failed", None
         try:
             try:
@@ -1486,9 +1480,7 @@ class _CampaignRun:
         )
 
     def _finish(self, status: str, result: CampaignResult | None) -> None:
-        """Seal the manifest; a completed run (``result``) adds its summary."""
-        from repro.core.serialize import to_jsonable
-
+        """Seal the run log; a completed run (``result``) adds its summary."""
         spec = self.spec
         summary = None
         if result is not None:
@@ -1519,9 +1511,5 @@ class _CampaignRun:
             stats=asdict(self._stats()),
             metrics=self._metrics() if result is None else result.metrics,
             events=self.recorder.counts,
-            event_tail=[
-                {"seq": e.seq, "event": e.kind, "detail": to_jsonable(e.detail)}
-                for e in self.recorder.tail()
-            ],
             summary=summary,
         )

@@ -86,7 +86,7 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> tuple:
                           "seconds (default 2.0 when given without a value)")
     obs.add_argument("--spans", action="store_true",
                      help="collect hierarchical timing spans (per-layer forward, "
-                          "injection, checkpoint flushes) into the manifest")
+                          "injection, checkpoint flushes) into the run log")
     return stopping, resilience, obs
 
 
@@ -136,11 +136,9 @@ def main(argv: list[str] | None = None) -> int:
                             help="completed trials between checkpoint flushes")
     resilience.add_argument("--events", action="store_true",
                             help="stream retry/rebuild/quarantine events to stderr")
-    obs.add_argument("--manifest", default=None, metavar="PATH",
-                     help="write the run-manifest JSON here (defaults next to "
-                          "--checkpoint when one is set)")
     obs.add_argument("--run-log", default=None, metavar="PATH",
-                     help="append the structured JSONL run log here (same default)")
+                     help="write the structured JSONL run log here (defaults "
+                          "next to --checkpoint when one is set)")
     obs.add_argument("--trace", choices=("off", "sample", "all"), default="off",
                      help="record per-layer propagation traces for a subset of "
                           "trials selected by index (part of the campaign "
@@ -159,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("--resume requires --checkpoint")
         options = run_options(
             args, checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
-            manifest=args.manifest, run_log=args.run_log, trace_path=args.trace_file,
+            run_log=args.run_log, trace_path=args.trace_file,
         )
     except (ValueError, KeyError) as exc:
         print(f"invalid campaign: {exc}", file=sys.stderr)

@@ -127,7 +127,7 @@ def campaign_summary(result: CampaignResult) -> dict:
     # Deterministic metric sections only: the summary must compare equal
     # across serial / parallel / resumed runs (the CI smoke test diffs
     # summaries after popping "execution"), so the wall-clock "timing"
-    # section stays out — it lives in the run manifest instead.
+    # section stays out — it lives in the run log's manifest line instead.
     metrics = {k: v for k, v in (result.metrics or {}).items() if k != "timing"}
     if any(metrics.values()):
         summary["metrics"] = to_jsonable(metrics)

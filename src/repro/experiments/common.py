@@ -25,8 +25,7 @@ PAPER_NETWORKS = ("ConvNet", "AlexNet", "CaffeNet", "NiN")
 IMAGENET_NETWORKS = ("AlexNet", "CaffeNet", "NiN")
 #: ``RunOptions`` fields an experiment leaves at their defaults
 #: (:func:`campaign` sets the paths per campaign).
-_FIXED_RUN_FIELDS = ("chunk", "checkpoint", "checkpoint_every", "manifest", "run_log",
-                     "trace_path")
+_FIXED_RUN_FIELDS = ("chunk", "checkpoint", "checkpoint_every", "run_log", "trace_path")
 
 
 @dataclass(frozen=True)
@@ -43,13 +42,13 @@ class ExperimentConfig:
             ``checkpoint_dir`` and ``obs_dir`` set its paths per campaign.
         checkpoint_dir: When set, every campaign snapshots completed
             trials to ``<dir>/<fingerprint>.jsonl``.
-        obs_dir: When set, every campaign writes a run manifest and a
-            structured JSONL run log to ``<dir>/<fingerprint>.manifest.json``
-            / ``<dir>/<fingerprint>.runlog.jsonl`` (docs/observability.md).
+        obs_dir: When set, every campaign writes a structured JSONL run
+            log to ``<dir>/<fingerprint>.runlog.jsonl``
+            (docs/observability.md).
         target_halfwidth: When set, overrides every campaign spec's
             Wilson-CI early-stopping target (docs/architecture.md,
             "Early stopping").  Spec-identity caveat: this *changes* the
-            campaign fingerprint, so checkpoints/manifests from runs
+            campaign fingerprint, so checkpoints from runs
             without it do not resume into runs with it.
         stop_stratify: Stratum key for the stopping rule (only applied
             when ``target_halfwidth`` is set).
@@ -101,7 +100,6 @@ def campaign(spec: CampaignSpec, cfg: ExperimentConfig) -> CampaignResult:
         options = replace(
             cfg.run,  # every path is this campaign's own
             checkpoint=None if ck is None else Path(ck) / f"{fingerprint}.jsonl",
-            manifest=None if obs is None else Path(obs) / f"{fingerprint}.manifest.json",
             run_log=None if obs is None else Path(obs) / f"{fingerprint}.runlog.jsonl",
         )
         recorder = None

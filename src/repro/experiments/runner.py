@@ -75,7 +75,8 @@ def run_experiment(exp_id: str, cfg: ExperimentConfig, out_dir: str | None = Non
         exp_id: Experiment identifier (see :data:`EXPERIMENTS`).
         cfg: Trial budget / scale / seed / parallelism.
         out_dir: When given, write ``<out_dir>/<exp_id>.json`` (sanitized
-            raw result) and ``<out_dir>/<exp_id>.txt`` (rendering).
+            raw result), ``<out_dir>/<exp_id>.txt`` (rendering) and the
+            run log ``<out_dir>/<exp_id>.runlog.jsonl``.
 
     Returns:
         The paper-style text rendering.
@@ -92,8 +93,7 @@ def run_experiment(exp_id: str, cfg: ExperimentConfig, out_dir: str | None = Non
 
         base = Path(out_dir)
         observer = RunObserver(
-            manifest_path=base / f"{exp_id}.manifest.json",
-            run_log_path=base / f"{exp_id}.runlog.jsonl",
+            base / f"{exp_id}.runlog.jsonl",
             kind="experiment",
             meta={
                 "experiment": exp_id,
@@ -143,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
     resilience.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                             help="snapshot each campaign to <DIR>/<fingerprint>.jsonl")
     obs.add_argument("--obs-dir", default=None, metavar="DIR",
-                     help="write each campaign's run manifest + JSONL run log to "
-                          "<DIR>/<fingerprint>.*")
+                     help="write each campaign's JSONL run log to "
+                          "<DIR>/<fingerprint>.runlog.jsonl")
     args = parser.parse_args(argv)
 
     if args.experiment == "list":

@@ -1,4 +1,4 @@
-"""Observability for fault-injection campaigns: metrics, spans, manifests.
+"""Observability for fault-injection campaigns: metrics, spans, run logs.
 
 A multi-million-trial campaign (the paper runs ~3,000 injections per
 configuration across dozens of configurations) cannot be tuned or
@@ -10,8 +10,8 @@ layer:
   serializable and mergeable across worker processes;
 - :mod:`repro.obs.spans` — hierarchical timing spans with a low-overhead
   no-op path, safe to leave compiled into hot loops;
-- :mod:`repro.obs.manifest` — run manifests and structured JSONL run
-  logs written atomically next to each campaign artifact;
+- :mod:`repro.obs.manifest` — the structured JSONL run log written next
+  to each campaign artifact, ending in the run's manifest line;
 - :mod:`repro.obs.jsonlog` — ``atomic_write_text`` and the append-only
   JSONL log behind checkpoint and trace files;
 - :mod:`repro.obs.events` — the campaign supervision event stream
@@ -19,7 +19,7 @@ layer:
 - :mod:`repro.obs.progress` — a live progress reporter (trials/s, ETA,
   quarantine/retry counts, memory RSS) driven off campaign events;
 - :mod:`repro.obs.cli` — the ``repro-obs`` command (``summarize`` /
-  ``tail`` / ``diff``).
+  ``tail`` / ``diff`` / ``trace``).
 
 Import discipline: this ``__init__`` pulls in only :mod:`metrics` and
 :mod:`spans`, which import nothing from the rest of ``repro`` — so the

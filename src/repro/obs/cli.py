@@ -1,24 +1,24 @@
-"""``repro-obs``: inspect campaign run manifests, run logs and traces.
+"""``repro-obs``: inspect campaign run logs and propagation traces.
 
 Four subcommands over the artifacts :mod:`repro.obs.manifest` and
 :mod:`repro.obs.tracer` write:
 
-- ``summarize <run>`` — render a run's manifest (identity, timing,
-  metric counters, span time split, event tallies) as tables; accepts a
-  ``.manifest.json`` or a ``.runlog.jsonl``.
+- ``summarize <run>`` — render a run log's final manifest (identity,
+  timing, metric counters, span time split, event tallies) as tables.
 - ``tail <run>`` — print the last N supervision events of a run log.
-- ``diff <a> <b>`` — compare two runs: throughput, error rates, and
-  per-phase time split, with deltas.  Exit status is the comparison
+- ``diff <a> <b>`` — compare two run logs: throughput, error rates,
+  and per-phase time split, with deltas.  Exit status is the comparison
   verdict: 0 when the runs agree on every deterministic fact, 1 when
   they diverge — so scripts and CI jobs can consume the command as a
-  pass/fail check instead of parsing its tables.
-  Execution knobs (jobs, batch, BLAS threads, trace path) are *flagged*
-  when they differ but never count as divergence.
+  pass/fail check instead of parsing its tables.  Every ``run`` key
+  outside the identity keys (jobs, batch, BLAS threads, trace path,
+  ...) is an execution knob: *flagged* when it differs, never counted
+  as divergence.
 - ``trace <run|tracefile>`` — render a campaign's propagation traces:
   cross-trial aggregation by default (depth histogram, per-layer
   kill/survival matrix, deviation-vs-depth), or one trial's layer-by-
   layer narrative with ``--trial N``.  Accepts the ``.trace.jsonl``
-  itself, or a manifest/runlog/checkpoint it can be resolved from.
+  itself, or a run log or checkpoint it can be resolved from.
 """
 
 from __future__ import annotations
@@ -54,8 +54,11 @@ def _fmt_seconds(value: float | None) -> str:
 def _run_facts(run: dict) -> dict:
     """Flatten a loaded run into the fields summarize/diff print."""
     manifest = run.get("manifest") or {}
-    meta = manifest.get("run", {}) or (run.get("begin") or {})
-    timing = manifest.get("timing", {})
+    begin = run.get("begin") or {}
+    meta = manifest.get("run", {}) or begin
+    # A killed run's log ends before its manifest line: fall back on
+    # what the begin line recorded.
+    timing = manifest.get("timing") or {"started_at": begin.get("started_at")}
     metrics = manifest.get("metrics", {})
     counters = metrics.get("counters", {})
     execution = manifest.get("execution", {})
@@ -77,7 +80,7 @@ def _run_facts(run: dict) -> dict:
         "execution": execution,
         "events": manifest.get("events", {}),
         "summary": summary,
-        "env": manifest.get("env", {}),
+        "env": manifest.get("env") or begin.get("env", {}),
         "duration_s": duration,
         "trials": trials,
         "throughput": throughput,
@@ -126,14 +129,8 @@ def render_summary(run: dict) -> str:
     """Tables describing one loaded run (see :func:`load_run`)."""
     facts = _run_facts(run)
     if not run.get("manifest"):
-        lines = [f"{run['path']}: no manifest found "
-                 "(run still in flight, or killed before its first flush)"]
-        if run.get("begin"):
-            lines.append(format_table(
-                ["key", "value"],
-                [[k, str(v)] for k, v in sorted(run["begin"].items()) if k != "kind"],
-                title="begin record",
-            ))
+        lines = [f"{run['path']}: no manifest line (run still in flight, or killed)",
+                 format_table(["key", "value"], _identity_rows(facts), title="begin record")]
         if run.get("events"):
             lines.append(f"{len(run['events'])} events logged; try 'repro-obs tail'")
         return "\n\n".join(lines)
@@ -197,31 +194,31 @@ def render_tail(run: dict, n: int = 20, kind: str | None = None) -> str:
     return format_table(["seq", "t+s", "event", "detail"], rows)
 
 
-#: ``run`` meta keys that describe *how* a run executed, not *what* it
-#: computed: two byte-identical campaigns may legitimately differ here.
-#: ``trace`` is the *effective* trace config dict — its mode/stride are
-#: identity (they live in the spec and the fingerprint), but the dict
-#: also records the trace file path, which differs between equivalent
-#: runs, so the whole meta entry is an execution knob for diffing.
-_EXECUTION_META = ("jobs", "batch", "resumed", "resumed_trials", "blas_threads", "trace")
+#: ``run`` meta keys that say *what* a run computed: a campaign's spec
+#: and its identity fields, or an experiment's id and budget.  Every
+#: other ``run`` key says how it executed (jobs, batch, resume counts,
+#: BLAS threads, the trace config with its file path, ...): two
+#: byte-identical runs may differ there, and a key that one version
+#: writes and another does not is no divergence either.
+_IDENTITY_META = ("fingerprint", "spec", "network", "dtype", "target", "seed", "n_trials",
+                  "experiment", "trials", "scale")
 
 
 def run_identity(run: dict) -> dict:
     """The deterministic projection of a loaded run.
 
-    Everything the repo's byte-identity promise covers: spec identity,
-    final status, metric counters/gauges/histograms, and the outcome
-    summary.  Wall-clock sections (timing, spans, throughput), harness
+    Everything the repo's byte-identity promise covers: the identity
+    keys of ``run`` (:data:`_IDENTITY_META`), final status, metric
+    counters/gauges/histograms, and the outcome summary.  Wall-clock
+    sections (timing, spans, throughput), execution knobs, harness
     accounting (``execution``, event counts) and environment provenance
     are excluded — they differ between equivalent runs by design.
     """
     manifest = run.get("manifest") or {}
     metrics = manifest.get("metrics", {})
-    meta = dict(manifest.get("run", {}) or {})
-    for key in _EXECUTION_META:
-        meta.pop(key, None)
+    meta = manifest.get("run") or {}
     return {
-        "run": meta,
+        "run": {key: meta[key] for key in _IDENTITY_META if key in meta},
         "status": manifest.get("status", "unknown"),
         "counters": metrics.get("counters", {}),
         "gauges": metrics.get("gauges", {}),
@@ -302,12 +299,12 @@ def render_diff(run_a: dict, run_b: dict) -> str:
         blocks.append(format_table(
             ["span", "a total s", "b total s", "delta"], span_rows,
             title="per-phase time split"))
-    knobs_a = {k: (run_a.get("manifest") or {}).get("run", {}).get(k) for k in _EXECUTION_META}
-    knobs_b = {k: (run_b.get("manifest") or {}).get("run", {}).get(k) for k in _EXECUTION_META}
+    meta_a = (run_a.get("manifest") or {}).get("run") or {}
+    meta_b = (run_b.get("manifest") or {}).get("run") or {}
     knob_rows = [
-        [key, str(knobs_a[key]), str(knobs_b[key])]
-        for key in _EXECUTION_META
-        if knobs_a[key] != knobs_b[key]
+        [key, str(meta_a.get(key)), str(meta_b.get(key))]
+        for key in sorted(set(meta_a) | set(meta_b))
+        if key not in _IDENTITY_META and meta_a.get(key) != meta_b.get(key)
     ]
     if knob_rows:
         blocks.append(format_table(
@@ -320,7 +317,7 @@ def render_diff(run_a: dict, run_b: dict) -> str:
 
 def _load_trace_rows(path: str) -> tuple[dict, dict[int, dict]]:
     """Resolve ``path`` to a propagation trace: the file itself, or a
-    manifest/runlog/checkpoint it can be derived from."""
+    run log or checkpoint it can be derived from."""
     from repro.obs.tracer import default_trace_path, load_trace
 
     target = Path(path)
@@ -334,15 +331,17 @@ def _load_trace_rows(path: str) -> tuple[dict, dict[int, dict]]:
         header, rows = load_trace(sibling)
         if header is not None:
             return header, rows
-    run = load_run(path)
-    meta = (run.get("manifest") or {}).get("run", {}) or (run.get("begin") or {})
+    try:
+        meta = _run_facts(load_run(path))["meta"]
+    except ValueError:
+        meta = {}  # a checkpoint, not a run log
     recorded = (meta.get("trace") or {}).get("path")
     if recorded:
         header, rows = load_trace(recorded)
         if header is not None:
             return header, rows
         raise FileNotFoundError(
-            f"trace file recorded in manifest does not exist: {recorded}")
+            f"trace file recorded in the run log does not exist: {recorded}")
     raise FileNotFoundError(
         f"no propagation trace found for {path} "
         "(was the campaign run with trace_mode off?)")
@@ -464,23 +463,23 @@ def render_trace(header: dict, rows: dict[int, dict]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
-        description="Inspect fault-injection run manifests and run logs.",
+        description="Inspect fault-injection run logs and propagation traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p_sum = sub.add_parser("summarize", help="render a run's manifest and metrics")
-    p_sum.add_argument("run", help="a .manifest.json or .runlog.jsonl file")
+    p_sum = sub.add_parser("summarize", help="render a run log's manifest and metrics")
+    p_sum.add_argument("run", help="a .runlog.jsonl file")
     p_tail = sub.add_parser("tail", help="print the last events of a run log")
-    p_tail.add_argument("run", help="a .runlog.jsonl (or manifest with an event tail)")
+    p_tail.add_argument("run", help="a .runlog.jsonl file")
     p_tail.add_argument("-n", type=int, default=20, help="events to show")
     p_tail.add_argument("--kind", default=None, help="only this event kind")
     p_diff = sub.add_parser(
         "diff", help="compare two runs (exit 1 when deterministic facts diverge)")
-    p_diff.add_argument("run_a")
-    p_diff.add_argument("run_b")
+    p_diff.add_argument("run_a", help="a .runlog.jsonl file")
+    p_diff.add_argument("run_b", help="a .runlog.jsonl file")
     p_trace = sub.add_parser(
         "trace", help="render a campaign's propagation traces")
     p_trace.add_argument(
-        "run", help="a .trace.jsonl, or a manifest/runlog/checkpoint to resolve one from")
+        "run", help="a .trace.jsonl, or a run log or checkpoint to resolve one from")
     p_trace.add_argument(
         "--trial", type=int, default=None,
         help="show one trial's layer-by-layer narrative instead of aggregates")
@@ -512,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"  {line}")
                 return 1
             print("\nruns agree on every deterministic fact")
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"repro-obs: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -9,7 +9,7 @@ emit ``retry`` / ``rebuild`` / ``timeout`` / ``bisect`` / ``quarantine``
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,11 +40,8 @@ class CampaignEvent:
 class EventRecorder:
     """Collects campaign supervision events; the pool's ``on_event`` hook.
 
-    Retains the **most recent** ``max_events`` events in a ring buffer (a
-    multi-million-trial campaign must not grow an unbounded log, but the
-    tail of a long run is exactly what post-mortem debugging needs) and
-    counts every emission, so :meth:`count` stays exact regardless of
-    truncation.
+    Counts every emission by kind and hands each event to its sinks; it
+    keeps no events itself (the run log is the record of a run's events).
 
     Args:
         sink: Optional callable invoked with every :class:`CampaignEvent`
@@ -52,15 +49,9 @@ class EventRecorder:
             for live progress on a long run).  Further sinks — a
             :class:`~repro.obs.progress.ProgressReporter`, a run-log
             writer — attach via :meth:`add_sink`.
-        max_events: Retention cap for the in-memory event buffer.
     """
 
-    def __init__(
-        self,
-        sink: Callable[[CampaignEvent], None] | None = None,
-        max_events: int = 1000,
-    ):
-        self.events: deque[CampaignEvent] = deque(maxlen=max_events)
+    def __init__(self, sink: Callable[[CampaignEvent], None] | None = None):
         self._counts: Counter[str] = Counter()
         self._sinks: list[Callable[[CampaignEvent], None]] = [] if sink is None else [sink]
         self._seq = 0
@@ -76,22 +67,15 @@ class EventRecorder:
         event = CampaignEvent(seq=self._seq, kind=kind, detail=payload)
         self._seq += 1
         self._counts[kind] += 1
-        self.events.append(event)
         for sink in self._sinks:
             sink(event)
         return event
 
     def count(self, kind: str) -> int:
-        """Total emissions of ``kind`` (unaffected by retention cap)."""
+        """Total emissions of ``kind``."""
         return self._counts[kind]
 
     @property
     def counts(self) -> dict[str, int]:
         """Emission totals by kind."""
         return dict(self._counts)
-
-    def tail(self, n: int = 50) -> list[CampaignEvent]:
-        """The most recent ``n`` retained events, oldest first."""
-        if n <= 0:
-            return []
-        return list(self.events)[-n:]

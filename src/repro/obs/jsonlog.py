@@ -36,7 +36,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
 
     The RP3xx atomic-write discipline in one place: a concurrent writer
     or a SIGKILL mid-write can never leave a torn file behind.  Used by
-    log snapshots and the run manifests of :mod:`repro.obs`.
+    the checkpoint and trace log snapshots.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -107,16 +107,6 @@ class MetricsRegistry:
             )
         counts[bisect_left(edges, float(value))] += 1
 
-    def time_span(self, path: str, seconds: float) -> None:
-        """Fold one span duration into the (non-deterministic) timing section."""
-        slot = self._timing.get(path)
-        if slot is None:
-            self._timing[path] = [1, float(seconds), float(seconds)]
-        else:
-            slot[0] += 1
-            slot[1] += float(seconds)
-            slot[2] = max(slot[2], float(seconds))
-
     # -- snapshots --------------------------------------------------------- #
     def snapshot(self, reset: bool = False) -> dict:
         """Plain-dict copy of every section (sorted keys, JSON-safe).

@@ -143,8 +143,7 @@ class TestCampaignExperiments:
 class TestExperimentConfig:
     @pytest.mark.parametrize("name, value", [
         ("chunk", 8), ("checkpoint", "ck.jsonl"), ("checkpoint_every", 8),
-        ("manifest", "run.manifest.json"), ("run_log", "run.runlog.jsonl"),
-        ("trace_path", "run.trace.jsonl"),
+        ("run_log", "run.runlog.jsonl"), ("trace_path", "run.trace.jsonl"),
     ])
     def test_path_and_tuning_run_options_rejected(self, name, value):
         # One path shared by every campaign of an experiment would make
@@ -176,8 +175,8 @@ class TestExperimentConfig:
         for spec in specs:
             fingerprint = campaign_fingerprint(spec)
             assert (tmp_path / "ck" / f"{fingerprint}.jsonl").is_file()
-            assert (tmp_path / "obs" / f"{fingerprint}.manifest.json").is_file()
             assert (tmp_path / "obs" / f"{fingerprint}.runlog.jsonl").is_file()
+        assert len(list((tmp_path / "obs").iterdir())) == len(specs)
 
 
 class TestRunner:

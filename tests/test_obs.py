@@ -1,12 +1,12 @@
-"""Observability: deterministic metrics, spans, manifests, repro-obs CLI.
+"""Observability: deterministic metrics, spans, run logs, repro-obs CLI.
 
 The load-bearing property mirrors the campaign runner's own: the
 deterministic sections of a metrics snapshot (counters, gauges,
 histograms) must be byte-identical across serial, parallel and
 kill/resume executions of the same spec — only the ``timing`` section
 may differ.  Everything here either asserts that property directly or
-exercises the machinery (ring-buffered events, run manifests, JSONL run
-logs, the CLI) that reports it.
+exercises the machinery (event sinks, JSONL run logs, the CLI) that
+reports it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.core.checkpoint import load_checkpoint
 from repro.core.serialize import campaign_summary
 from repro.obs import cli as obs_cli
 from repro.obs.events import CampaignEvent, EventRecorder
-from repro.obs.manifest import RunObserver, default_obs_paths, load_run
+from repro.obs.manifest import RunObserver, default_run_log_path, load_run
 from repro.obs.metrics import (
     DEFAULT_MAGNITUDE_BUCKETS,
     MetricsRegistry,
@@ -119,7 +119,9 @@ class TestMetricsRegistry:
             reg.inc(f"site/s{base}")
             reg.set_gauge("peak", float(base))
             reg.observe("mag", float(base))
-            reg.time_span("trial", 0.1 * base)
+            seconds = 0.1 * base
+            reg.merge_snapshot(
+                {"timing": {"trial": {"count": 1, "total_s": seconds, "max_s": seconds}}})
             parts.append(reg.snapshot())
         forward = MetricsRegistry()
         backward = MetricsRegistry()
@@ -189,24 +191,6 @@ class TestSpans:
 
 
 class TestEventRecorderRetention:
-    def test_ring_buffer_keeps_most_recent(self):
-        recorder = EventRecorder(max_events=10)
-        for i in range(25):
-            recorder.emit("tick", index=i)
-        assert len(recorder.events) == 10
-        kept = [e.detail["index"] for e in recorder.events]
-        assert kept == list(range(15, 25))
-        # Counts are exact regardless of retention.
-        assert recorder.count("tick") == 25
-
-    def test_tail_returns_oldest_first(self):
-        recorder = EventRecorder(max_events=5)
-        for i in range(8):
-            recorder.emit("tick", index=i)
-        tail = recorder.tail(3)
-        assert [e.detail["index"] for e in tail] == [5, 6, 7]
-        assert recorder.tail(0) == []
-
     def test_all_sinks_see_all_events(self):
         seen_a, seen_b = [], []
         recorder = EventRecorder(sink=seen_a.append)
@@ -289,73 +273,62 @@ class TestCampaignMetrics:
         assert _deterministic(replay.snapshot()) == _deterministic(result.metrics)
 
 
-class TestRunManifest:
-    def test_default_obs_paths(self):
-        manifest, log = default_obs_paths("/tmp/run/ck.jsonl")
-        assert manifest.name == "ck.jsonl.manifest.json"
-        assert log.name == "ck.jsonl.runlog.jsonl"
+def _log_lines(path) -> list[dict]:
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
-    def test_campaign_writes_manifest_and_runlog(self, tmp_path):
+
+class TestRunLog:
+    def test_default_run_log_path(self):
+        assert default_run_log_path("/tmp/run/ck.jsonl").name == "ck.jsonl.runlog.jsonl"
+
+    def test_campaign_writes_checkpoint_and_one_runlog(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         result = run_campaign(SPEC, jobs=1, checkpoint=path)
-        manifest_path, log_path = default_obs_paths(path)
-        manifest = json.loads(manifest_path.read_text())
+        log_path = default_run_log_path(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, log_path.name]
+        lines = _log_lines(log_path)
+        assert lines[0]["kind"] == "begin"
+        assert lines[-1]["kind"] == "manifest"
+        manifest = lines[-1]["manifest"]
         assert manifest["status"] == "completed"
         assert manifest["run"]["network"] == SPEC.network
         assert manifest["run"]["resumed"] is False
         assert manifest["metrics"]["counters"]["trials"] == SPEC.n_trials
         assert manifest["summary"]["n_records"] == len(result.records)
         assert manifest["execution"]["quarantined"] == 0
-        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
-        assert lines[0]["kind"] == "begin"
-        assert lines[-1]["kind"] == "manifest"
-        assert lines[-1]["manifest"]["status"] == "completed"
+        assert manifest["env"]["python"] and "git_rev" in manifest["env"]
+        assert manifest["env"] == lines[0]["env"]
+        assert manifest["run"]["fingerprint"] == lines[0]["fingerprint"]
 
-    def test_explicit_paths_override_defaults(self, tmp_path):
-        manifest_path = tmp_path / "custom.json"
-        run_campaign(SPEC, jobs=1, manifest=manifest_path)
-        assert json.loads(manifest_path.read_text())["status"] == "completed"
+    def test_explicit_run_log_overrides_default(self, tmp_path):
+        path, custom = tmp_path / "ck.jsonl", tmp_path / "custom.jsonl"
+        run_campaign(SPEC, jobs=1, checkpoint=path, run_log=custom)
+        assert load_run(custom)["manifest"]["status"] == "completed"
+        assert not default_run_log_path(path).exists()
 
     def test_aborted_campaign_manifest(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_FAULT", "raise:5")
         path = tmp_path / "ck.jsonl"
         with pytest.raises(CampaignAbortedError):
             run_campaign(SPEC, jobs=1, checkpoint=path, max_error_frac=0.0)
-        manifest = json.loads(default_obs_paths(path)[0].read_text())
+        manifest = load_run(default_run_log_path(path))["manifest"]
         assert manifest["status"] == "aborted"
         assert manifest["execution"]["quarantined"] == 1
-
-    def test_load_run_accepts_manifest_and_runlog(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        run_campaign(SPEC, jobs=1, checkpoint=path)
-        manifest_path, log_path = default_obs_paths(path)
-        from_manifest = load_run(manifest_path)
-        from_log = load_run(log_path)
-        assert from_manifest["manifest"]["status"] == "completed"
-        assert from_log["manifest"]["status"] == "completed"
-        assert from_log["begin"]["fingerprint"] == from_log["manifest"]["run"]["fingerprint"]
 
     def test_load_run_skips_torn_tail(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         run_campaign(SPEC, jobs=1, checkpoint=path)
-        log_path = default_obs_paths(path)[1]
+        log_path = default_run_log_path(path)
         with open(log_path, "a", encoding="utf-8") as fh:
             fh.write('{"kind": "event", "seq": 99, "trunc')
         run = load_run(log_path)
         assert run["manifest"]["status"] == "completed"
 
-    def test_observer_inert_without_paths(self):
-        observer = RunObserver()
-        assert not observer.active
-        observer.begin()
-        observer.event_sink(CampaignEvent(seq=0, kind="retry"))
-        manifest = observer.finish()
-        assert manifest["status"] == "completed"
-
-    def test_kill_midflight_then_resume_marks_manifest(self, tmp_path):
-        """SIGKILL a live campaign; the resumed run's manifest says so."""
+    def test_kill_midflight_then_resume_marks_manifest(self, tmp_path, capsys):
+        """SIGKILL a live campaign; its log stops short, the resumed run's says so."""
         spec = CampaignSpec(network="ConvNet", dtype="FLOAT16", n_trials=30, seed=5)
         path = tmp_path / "killed.jsonl"
+        log_path = default_run_log_path(path)
         env = dict(os.environ)
         env["REPRO_CAMPAIGN_FAULT"] = "slow:*:0.05"
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -367,8 +340,11 @@ class TestRunManifest:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         try:
+            # Kill once the log holds a checkpoint event (it follows the flush).
             deadline = time.perf_counter() + 60.0
-            while time.perf_counter() < deadline and not path.exists():
+            while time.perf_counter() < deadline and not (
+                log_path.exists() and '"event": "checkpoint"' in log_path.read_text()
+            ):
                 time.sleep(0.05)
                 if proc.poll() is not None:
                     pytest.fail("campaign finished before it could be killed")
@@ -378,16 +354,21 @@ class TestRunManifest:
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
 
-        manifest_path = default_obs_paths(path)[0]
-        # The killed run left a manifest that says it never finished.
-        killed = json.loads(manifest_path.read_text())
-        assert killed["status"] == "running"
+        # The killed run's log records what ran and stops without a manifest.
+        killed = load_run(log_path)
+        assert killed["manifest"] is None
+        assert killed["begin"]["env"]["python"] and "git_rev" in killed["begin"]["env"]
+        assert any(e["event"] == "checkpoint" for e in killed["events"])
+        assert obs_cli.main(["summarize", str(log_path)]) == 0
+        assert "no manifest" in capsys.readouterr().out
 
         state = load_checkpoint(path, spec=spec)
         assert state is not None and 0 < state.n_completed < spec.n_trials
         resumed = run_campaign(spec, jobs=1, checkpoint=path, resume=True)
         reference = run_campaign(spec, jobs=1)
-        manifest = json.loads(manifest_path.read_text())
+        lines = _log_lines(log_path)
+        assert lines[-1]["kind"] == "manifest"
+        manifest = lines[-1]["manifest"]
         assert manifest["status"] == "completed"
         assert manifest["run"]["resumed"] is True
         assert manifest["run"]["resumed_trials"] == state.n_completed
@@ -423,10 +404,11 @@ class TestProgressReporter:
         assert out.getvalue().count("[progress]") <= 1
 
     def test_campaign_emits_progress_events(self):
-        recorder = EventRecorder()
+        seen = []
+        recorder = EventRecorder(sink=seen.append)
         run_campaign(SPEC, jobs=1, events=recorder, progress_every=0.0001)
         assert recorder.count("progress") >= 1
-        final = [e for e in recorder.events
+        final = [e for e in seen
                  if e.kind == "progress" and e.detail.get("final")]
         assert final and final[-1].detail["completed"] == SPEC.n_trials
 
@@ -465,10 +447,11 @@ class TestProgressReporter:
             network="ConvNet", dtype="FLOAT16", n_trials=200, seed=3,
             target_halfwidth=0.18, stop_stratify="site", stop_check_every=16,
         )
-        recorder = EventRecorder()
-        result = run_campaign(spec, events=recorder, progress_every=0.0001)
+        seen = []
+        result = run_campaign(spec, events=EventRecorder(sink=seen.append),
+                              progress_every=0.0001)
         assert result.skips, "stopping spec produced no skips; weaken the target"
-        final = [e for e in recorder.events
+        final = [e for e in seen
                  if e.kind == "progress" and e.detail.get("final")][-1]
         assert final.detail["skipped"] == len(result.skips)
         # The run stops at the decision boundary: completion covers every
@@ -478,64 +461,85 @@ class TestProgressReporter:
 
 class TestObsCli:
     @pytest.fixture()
-    def run_paths(self, tmp_path):
+    def run_log(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         run_campaign(SPEC, jobs=1, checkpoint=path, spans=True,
                      progress_every=0.0001)
-        return default_obs_paths(path)
+        return default_run_log_path(path)
 
-    def test_summarize_manifest(self, run_paths, capsys):
-        manifest_path, _ = run_paths
-        assert obs_cli.main(["summarize", str(manifest_path)]) == 0
+    def test_summarize_manifest(self, run_log, capsys):
+        # The run log's closing manifest line carries the totals and the
+        # span timings; summarize renders them.
+        assert _log_lines(run_log)[-1]["kind"] == "manifest"
+        assert obs_cli.main(["summarize", str(run_log)]) == 0
         out = capsys.readouterr().out
         assert "network" in out and "ConvNet" in out
         assert "trials" in out and str(SPEC.n_trials) in out
         assert "time split" in out  # spans were enabled
 
-    def test_summarize_runlog(self, run_paths, capsys):
-        _, log_path = run_paths
-        assert obs_cli.main(["summarize", str(log_path)]) == 0
+    def test_summarize_runlog(self, run_log, capsys):
+        assert obs_cli.main(["summarize", str(run_log)]) == 0
         assert "ConvNet" in capsys.readouterr().out
 
-    def test_tail(self, run_paths, capsys):
-        _, log_path = run_paths
-        assert obs_cli.main(["tail", str(log_path), "-n", "5"]) == 0
+    def test_tail(self, run_log, capsys):
+        assert obs_cli.main(["tail", str(run_log), "-n", "5"]) == 0
         out = capsys.readouterr().out
         assert "event" in out
 
-    def test_tail_filters_kind(self, run_paths, capsys):
-        _, log_path = run_paths
-        assert obs_cli.main(["tail", str(log_path), "--kind", "progress"]) == 0
+    def test_tail_filters_kind(self, run_log, capsys):
+        assert obs_cli.main(["tail", str(run_log), "--kind", "progress"]) == 0
         out = capsys.readouterr().out
         assert "progress" in out
 
-    def test_diff(self, run_paths, tmp_path, capsys):
-        manifest_path, _ = run_paths
+    def test_diff(self, run_log, tmp_path, capsys):
         other_ck = tmp_path / "other.jsonl"
         run_campaign(SPEC, jobs=1, checkpoint=other_ck)
-        other_manifest = default_obs_paths(other_ck)[0]
-        assert obs_cli.main(["diff", str(manifest_path), str(other_manifest)]) == 0
+        other_log = default_run_log_path(other_ck)
+        assert obs_cli.main(["diff", str(run_log), str(other_log)]) == 0
         out = capsys.readouterr().out
         assert "run diff" in out and "trials" in out
 
-    def test_diff_exit_nonzero_on_divergence(self, run_paths, tmp_path, capsys):
+    def test_diff_exit_nonzero_on_divergence(self, run_log, tmp_path, capsys):
         # A different seed produces genuinely different deterministic
         # facts; `repro-obs diff` is the verdict, so it must exit 1.
-        manifest_path, _ = run_paths
         other_ck = tmp_path / "diverged.jsonl"
         run_campaign(
             CampaignSpec(network=SPEC.network, dtype=SPEC.dtype,
                          n_trials=SPEC.n_trials, n_inputs=SPEC.n_inputs, seed=99),
             jobs=1, checkpoint=other_ck,
         )
-        other_manifest = default_obs_paths(other_ck)[0]
-        assert obs_cli.main(["diff", str(manifest_path), str(other_manifest)]) == 1
+        other_log = default_run_log_path(other_ck)
+        assert obs_cli.main(["diff", str(run_log), str(other_log)]) == 1
         out = capsys.readouterr().out
         assert "DIVERGED" in out
 
-    def test_compare_runs_ignores_timing_but_not_counters(self, run_paths, tmp_path):
-        manifest_path, _ = run_paths
-        run = load_run(manifest_path)
+    def test_diff_compares_identity_keys_only(self, run_log, tmp_path, capsys):
+        """A ``run`` key outside the identity keys is a knob, not a fact.
+
+        A record written by another version can carry a knob this one no
+        longer writes (``shared_golden`` before golden state moved to
+        fork inheritance): the runs still agree, and the knob table
+        names the key.  A different seed still diverges.
+        """
+        def rewritten(name: str, **run_keys) -> Path:
+            lines = _log_lines(run_log)
+            lines[-1]["manifest"]["run"].update(run_keys)
+            path = tmp_path / name
+            path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+            return path
+
+        older = rewritten("older.runlog.jsonl", shared_golden=True)
+        assert obs_cli.compare_runs(load_run(run_log), load_run(older)) == []
+        assert obs_cli.main(["diff", str(run_log), str(older)]) == 0
+        knobs = capsys.readouterr().out.split("execution knobs differ")[1]
+        assert "shared_golden" in knobs
+        reseeded = rewritten("reseeded.runlog.jsonl", seed=SPEC.seed + 1)
+        assert obs_cli.compare_runs(load_run(run_log), load_run(reseeded)) == [
+            f"run.seed: {SPEC.seed!r} != {SPEC.seed + 1!r}"]
+        assert obs_cli.main(["diff", str(run_log), str(reseeded)]) == 1
+
+    def test_compare_runs_ignores_timing_but_not_counters(self, run_log, tmp_path):
+        run = load_run(run_log)
         # Same run compared to itself: no divergence, by construction.
         assert obs_cli.compare_runs(run, run) == []
         tampered = json.loads(json.dumps(run))
@@ -551,6 +555,16 @@ class TestObsCli:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert obs_cli.main(["summarize", str(tmp_path / "nope.json")]) == 2
         assert "repro-obs" in capsys.readouterr().err
+
+    def test_manifest_document_is_not_a_run_log(self, tmp_path, capsys):
+        # The whole-document manifest that runs used to write beside the
+        # log: no begin line, so every subcommand refuses it.
+        old = tmp_path / "ck.jsonl.manifest.json"
+        old.write_text(json.dumps({"format": "repro-run-manifest", "status": "completed",
+                                   "run": {"seed": 1}}, indent=2))
+        for argv in (["summarize", str(old)], ["tail", str(old)], ["diff", str(old), str(old)]):
+            assert obs_cli.main(argv) == 2
+            assert "not a run log" in capsys.readouterr().err
 
     def test_summarize_inflight_runlog(self, tmp_path, capsys):
         log = tmp_path / "live.runlog.jsonl"
@@ -578,30 +592,30 @@ class TestEarlyStoppedRunObservability:
     )
 
     @pytest.fixture()
-    def stopped_manifests(self, tmp_path):
+    def stopped_logs(self, tmp_path):
         ck_a, ck_b = tmp_path / "serial.jsonl", tmp_path / "jobs2.jsonl"
         serial = run_campaign(self.STOP_SPEC, checkpoint=ck_a)
         assert serial.skips, "stopping spec produced no skips; weaken the target"
         run_campaign(self.STOP_SPEC, jobs=2, checkpoint=ck_b)
-        return (default_obs_paths(ck_a)[0], default_obs_paths(ck_b)[0])
+        return (default_run_log_path(ck_a), default_run_log_path(ck_b))
 
-    def test_skip_counters_identical_serial_vs_jobs2(self, stopped_manifests):
-        run_a, run_b = (load_run(p) for p in stopped_manifests)
+    def test_skip_counters_identical_serial_vs_jobs2(self, stopped_logs):
+        run_a, run_b = (load_run(p) for p in stopped_logs)
         counters = run_a["manifest"]["metrics"]["counters"]
         assert counters["early_stop/skipped"] > 0
         assert any(key.startswith("early_stop/skipped/") for key in counters)
         assert obs_cli.compare_runs(run_a, run_b) == []
 
-    def test_diff_exit_zero_and_summarize_render(self, stopped_manifests, capsys):
-        manifest_a, manifest_b = stopped_manifests
-        assert obs_cli.main(["diff", str(manifest_a), str(manifest_b)]) == 0
+    def test_diff_exit_zero_and_summarize_render(self, stopped_logs, capsys):
+        log_a, log_b = stopped_logs
+        assert obs_cli.main(["diff", str(log_a), str(log_b)]) == 0
         capsys.readouterr()
-        assert obs_cli.main(["summarize", str(manifest_a)]) == 0
+        assert obs_cli.main(["summarize", str(log_a)]) == 0
         out = capsys.readouterr().out
         assert "early_stop" in out or "skipped" in out
 
-    def test_tampered_skip_counter_is_fact_divergence(self, stopped_manifests):
-        run_a, _ = (load_run(p) for p in stopped_manifests)
+    def test_tampered_skip_counter_is_fact_divergence(self, stopped_logs):
+        run_a, _ = (load_run(p) for p in stopped_logs)
         tampered = json.loads(json.dumps(run_a))
         tampered["manifest"]["metrics"]["counters"]["early_stop/skipped"] += 1
         diverged = obs_cli.compare_runs(run_a, tampered)

@@ -37,7 +37,7 @@ from repro.core.checkpoint import (
 from repro.core.serialize import campaign_summary, to_jsonable
 from repro.obs.cli import compare_runs
 from repro.obs.events import EventRecorder
-from repro.obs.manifest import default_obs_paths, load_run
+from repro.obs.manifest import default_run_log_path, load_run
 from repro.obs.tracer import default_trace_path
 from repro.utils import parallel
 from repro.utils.parallel import TrialFailure, map_trials
@@ -353,10 +353,11 @@ class TestCampaignResilience:
 
     def test_events_recorded(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_FAULT", "raise:5")
-        recorder = EventRecorder()
+        seen = []
+        recorder = EventRecorder(sink=seen.append)
         run_campaign(SPEC, max_error_frac=0.2, events=recorder)
         assert recorder.count("quarantine") == 1
-        assert any(event.kind == "quarantine" for event in recorder.events)
+        assert any(event.kind == "quarantine" for event in seen)
 
 
 class TestCheckpointResume:
@@ -439,9 +440,9 @@ class TestCheckpointResume:
         uninterrupted = tmp_path / "uninterrupted.jsonl"
         run_campaign(spec, checkpoint=uninterrupted)
         assert path.read_bytes() == uninterrupted.read_bytes()
-        # The two run manifests agree on every deterministic fact: the
-        # check `repro-obs diff` makes.
-        (want, _), (got, _) = default_obs_paths(uninterrupted), default_obs_paths(path)
+        # The two run logs agree on every deterministic fact: the check
+        # `repro-obs diff` makes.
+        want, got = default_run_log_path(uninterrupted), default_run_log_path(path)
         assert compare_runs(load_run(want), load_run(got)) == []
 
     def test_last_line_for_an_index_wins(self, tmp_path):

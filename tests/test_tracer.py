@@ -34,6 +34,7 @@ from repro.dtypes import FLOAT16
 from repro.experiments import fig7_euclidean
 from repro.experiments.common import PAPER_NETWORKS, ExperimentConfig
 from repro.obs import cli as obs_cli
+from repro.obs.manifest import default_run_log_path, load_run
 from repro.obs.tracer import (
     TraceWriter,
     build_trace,
@@ -314,9 +315,7 @@ class TestTraceSummaryAndManifest:
     def test_manifest_records_batch_and_trace_config(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         run_campaign(SPEC, checkpoint=ck, batch=4)
-        manifest = json.loads(
-            ck.with_name(ck.name + ".manifest.json").read_text())
-        meta = manifest["run"]
+        meta = load_run(default_run_log_path(ck))["manifest"]["run"]
         assert meta["batch"] == 4
         assert meta["trace"]["mode"] == "all"
         assert meta["trace"]["every"] == SPEC.trace_every
@@ -326,11 +325,10 @@ class TestTraceSummaryAndManifest:
         ck_a, ck_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_campaign(SPEC, checkpoint=ck_a)
         run_campaign(SPEC, checkpoint=ck_b, batch=4, jobs=2)
-        manifest_a = str(ck_a.with_name(ck_a.name + ".manifest.json"))
-        manifest_b = str(ck_b.with_name(ck_b.name + ".manifest.json"))
+        log_a, log_b = str(default_run_log_path(ck_a)), str(default_run_log_path(ck_b))
         # Different batch/jobs/trace-path: still exit 0 (no fact diverges),
         # but the knob table calls the difference out.
-        assert obs_cli.main(["diff", manifest_a, manifest_b]) == 0
+        assert obs_cli.main(["diff", log_a, log_b]) == 0
         out = capsys.readouterr().out
         assert "execution knobs differ" in out
         assert "batch" in out
@@ -350,8 +348,8 @@ class TestTraceCli:
         assert "depth" in out and "killed" in out
 
     def test_render_resolves_from_manifest_and_checkpoint(self, traced_run, capsys):
-        manifest = traced_run.with_name(traced_run.name + ".manifest.json")
-        for source in (manifest, traced_run):
+        # The run log's manifest records the trace path.
+        for source in (default_run_log_path(traced_run), traced_run):
             assert obs_cli.main(["trace", str(source)]) == 0
             assert "propagation trace" in capsys.readouterr().out
 
@@ -392,8 +390,7 @@ class TestTraceCli:
                             n_inputs=2, seed=3)
         ck = tmp_path / "ck.jsonl"
         run_campaign(spec, checkpoint=ck)
-        assert obs_cli.main(
-            ["trace", str(ck.with_name(ck.name + ".manifest.json"))]) == 2
+        assert obs_cli.main(["trace", str(default_run_log_path(ck))]) == 2
         assert "trace" in capsys.readouterr().err
 
 
